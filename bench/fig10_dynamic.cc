@@ -5,6 +5,7 @@
 // subsystem and writes fig10_dynamic.timeseries.csv (gauge snapshots) plus
 // fig10_dynamic.trace.json (Perfetto) next to the working directory.
 #include <cstdio>
+#include <string>
 
 #include "bench/scenarios.h"
 #include "common/stats.h"
@@ -120,7 +121,8 @@ void print_governed() {
 
 }  // namespace
 
-void print_timeseries() {
+/// Returns false when the recording cannot be written.
+bool print_timeseries() {
   // The paper's Figure 10 plots a time series; sample CEIO through the
   // dynamic-distribution schedule at 500 us resolution.
   std::printf("\nCEIO time series, dynamic flow distribution (500us samples):\n");
@@ -162,17 +164,15 @@ void print_timeseries() {
   table.print();
 
   tele.set_enabled(false);
-  if (std::FILE* f = std::fopen("fig10_dynamic.timeseries.csv", "w")) {
-    tele.write_timeseries_csv(f);
-    std::fclose(f);
-  }
-  if (std::FILE* f = std::fopen("fig10_dynamic.trace.json", "w")) {
-    tele.write_trace_json(f);
-    std::fclose(f);
+  std::string error;
+  if (!tele.write_files("fig10_dynamic", &error)) {
+    std::fprintf(stderr, "fig10_dynamic: %s\n", error.c_str());
+    return false;
   }
   std::printf("telemetry: %zu gauge samples -> fig10_dynamic.timeseries.csv, "
               "%zu trace events -> fig10_dynamic.trace.json\n",
               tele.sampler().rows(), tele.trace().size());
+  return true;
 }
 
 int main() {
@@ -180,6 +180,5 @@ int main() {
   print_scenario("(a) Dynamic flow distribution", &run_dynamic_distribution);
   print_scenario("(b) Network burst", &run_network_burst);
   print_governed();
-  print_timeseries();
-  return 0;
+  return print_timeseries() ? 0 : 1;
 }

@@ -3,6 +3,7 @@
 // The slow path is forced by granting the flow zero credits, exactly as the
 // paper does.
 #include <cstdio>
+#include <string>
 
 #include "apps/raw_rdma.h"
 #include "bench/scenarios.h"
@@ -34,8 +35,8 @@ double run_bw(SystemKind system, Bytes message, bool force_slow) {
 // recording on and reports where sampled packets spend their time, fast path
 // vs forced slow path. Also writes fig11_paths.timeseries.csv and
 // fig11_paths.trace.json (from the slow-path run) for offline inspection.
-// Per-hop rows need a -DCEIO_TELEMETRY=ON build; gauge series work anywhere.
-void record_path_hops() {
+// Returns false when the recording cannot be written.
+bool record_path_hops() {
   std::printf("\nSampled packet paths, CEIO, 16K messages (every 64th segment):\n");
   TablePrinter table({"segment", "fast n", "fast mean(us)", "slow n", "slow mean(us)"});
   constexpr auto kN = static_cast<std::size_t>(PathHop::kCount);
@@ -74,13 +75,10 @@ void record_path_hops() {
     }
 
     if (force_slow) {
-      if (std::FILE* f = std::fopen("fig11_paths.timeseries.csv", "w")) {
-        tele.write_timeseries_csv(f);
-        std::fclose(f);
-      }
-      if (std::FILE* f = std::fopen("fig11_paths.trace.json", "w")) {
-        tele.write_trace_json(f);
-        std::fclose(f);
+      std::string error;
+      if (!tele.write_files("fig11_paths", &error)) {
+        std::fprintf(stderr, "fig11_paths: %s\n", error.c_str());
+        return false;
       }
       std::printf("telemetry: %zu gauge samples -> fig11_paths.timeseries.csv, "
                   "%zu trace events -> fig11_paths.trace.json\n",
@@ -94,6 +92,7 @@ void record_path_hops() {
                    std::to_string(count[1][h]), TablePrinter::fmt(mean[1][h], 2)});
   }
   table.print();
+  return true;
 }
 
 }  // namespace
@@ -117,6 +116,5 @@ int main() {
   table.print();
   std::printf("slow-path gap for messages >= 4K: %.0f%% (paper: under 22%%)\n",
               worst_gap * 100.0);
-  record_path_hops();
-  return 0;
+  return record_path_hops() ? 0 : 1;
 }

@@ -186,13 +186,6 @@ std::size_t CeioDatapath::driver_recv(FlowId id, Packet* out, std::size_t max_pk
   return n;
 }
 
-std::vector<Packet> CeioDatapath::driver_recv(FlowId id, std::size_t max_pkts,  // lint: allow-vector-return
-                                              bool eager_drain) {
-  std::vector<Packet> out(max_pkts);
-  out.resize(driver_recv(id, out.data(), max_pkts, eager_drain));
-  return out;
-}
-
 std::vector<BufferId> CeioDatapath::driver_post_recv(FlowId id, std::size_t count) {
   std::vector<BufferId> out;
   Ext* ext = ext_of(id);

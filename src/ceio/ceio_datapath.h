@@ -162,9 +162,6 @@ class CeioDatapath final : public DatapathBase {
   /// storage (no allocation). `eager_drain` keeps the slow path draining in
   /// the background (async_recv). Returns the number of packets written.
   std::size_t driver_recv(FlowId id, Packet* out, std::size_t max_pkts, bool eager_drain);
-  /// Legacy allocating overload; prefer the span form on hot paths.
-  std::vector<Packet> driver_recv(FlowId id, std::size_t max_pkts,  // lint: allow-vector-return
-                                  bool eager_drain);
   /// Grants `count` application-owned zero-copy RX buffers to the flow.
   std::vector<BufferId> driver_post_recv(FlowId id, std::size_t count);
   /// Ownership hand-back: recycles the buffer, advances message progress and

@@ -23,14 +23,6 @@ std::size_t CeioDriver::async_recv(PacketBurst& out) {
   return n;
 }
 
-std::vector<Packet> CeioDriver::recv(std::size_t max_pkts) {  // lint: allow-vector-return
-  return datapath_.driver_recv(flow_, max_pkts, /*eager_drain=*/false);
-}
-
-std::vector<Packet> CeioDriver::async_recv(std::size_t max_pkts) {  // lint: allow-vector-return
-  return datapath_.driver_recv(flow_, max_pkts, /*eager_drain=*/true);
-}
-
 std::vector<BufferId> CeioDriver::post_recv(std::size_t count) {
   return datapath_.driver_post_recv(flow_, count);
 }

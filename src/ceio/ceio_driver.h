@@ -6,7 +6,8 @@
 //
 //   CeioDriver driver(*bed.ceio(), flow_id);
 //   driver.post_recv(16);                  // optional zero-copy buffers
-//   auto batch = driver.async_recv(32);    // never waits for slow-path DMA
+//   PacketBurst batch;                     // caller-owned, never allocates
+//   driver.async_recv(batch);              // never waits for slow-path DMA
 //   ... process ...
 //   for (auto& pkt : batch) driver.complete(pkt);  // releases buffers+credits
 //
@@ -47,10 +48,6 @@ class CeioDriver {
   /// Same, but also keeps the slow-path drain armed so future packets land
   /// without a demand kick (the §4.2 asynchronous access optimisation).
   std::size_t async_recv(PacketBurst& out);
-
-  /// Legacy allocating overloads; prefer the PacketBurst forms on hot paths.
-  std::vector<Packet> recv(std::size_t max_pkts);        // lint: allow-vector-return
-  std::vector<Packet> async_recv(std::size_t max_pkts);  // lint: allow-vector-return
 
   /// Zero-copy support: grants the driver `count` application-owned RX
   /// buffers. Subsequent fast-path DMA for this flow lands in these buffers

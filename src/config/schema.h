@@ -396,7 +396,6 @@ void visit_fields(PolicyConfig& c, V&& v) {
   v.field("squeeze_credit_scale", c.squeeze_credit_scale, 0.0, 16.0);
   v.field("squeeze_bypass_slow", c.squeeze_bypass_slow);
   v.field("squeeze_landed_scale", c.squeeze_landed_scale, 0.0, 16.0);
-  v.field("coalesce", c.coalesce);
   v.field("static_credit_scale", c.static_credit_scale, 0.0, 16.0);
   v.field("static_bypass_slow", c.static_bypass_slow);
 }

@@ -122,10 +122,38 @@ RunResult collect_result(Testbed& bed) {
   return out;
 }
 
-RunResult run_experiment(const ExperimentSpec& spec) {
+namespace {
+
+/// settle_and_measure, recording the measure window when `trace_prefix` is
+/// set. The tenant assembly's per-tenant gauge subtrees become their own
+/// Perfetto counter tracks.
+void measure_window(Testbed& bed, const ExperimentSpec& spec, const std::string& trace_prefix,
+                    tenant::TenantAssembly* assembly = nullptr) {
+  if (trace_prefix.empty()) {
+    settle_and_measure(bed, spec.warmup, spec.measure);
+    return;
+  }
+  bed.run_for(spec.warmup);
+  bed.reset_measurement();
+  Telemetry& tele = bed.enable_telemetry();
+  if (assembly != nullptr) assembly->register_metrics(tele.metrics());
+  tele.start_sampling();
+  bed.run_for(spec.measure);
+  tele.set_enabled(false);
+  std::string error;
+  if (!tele.write_files(trace_prefix, &error)) throw std::runtime_error(error);
+}
+
+}  // namespace
+
+RunResult run_experiment(const ExperimentSpec& spec, const std::string& trace_prefix) {
   std::vector<std::string> errors;
   if (!config::validate(spec, &errors)) {
     throw std::invalid_argument("invalid experiment spec: " + errors.front());
+  }
+  if (!trace_prefix.empty() && spec.testbed.sim.domains > 1) {
+    throw std::invalid_argument("tracing needs a single event domain (sim.domains = " +
+                                std::to_string(spec.testbed.sim.domains) + ")");
   }
   if (spec.tenant.enabled) {
     const tenant::TenantConfig* roles[] = {&spec.tenant.lc, &spec.tenant.bw,
@@ -144,7 +172,7 @@ RunResult run_experiment(const ExperimentSpec& spec) {
         bed.add_flow(flow_config(id, w), assembly.app_of_flow(id));
       }
     }
-    settle_and_measure(bed, spec.warmup, spec.measure);
+    measure_window(bed, spec, trace_prefix, &assembly);
     RunResult out = collect_result(bed);
     out.tenants = tenant_flow_reports(assembly.roster(), out.flows);
     for (std::size_t t = 0; t < out.tenants.size(); ++t) {
@@ -162,7 +190,7 @@ RunResult run_experiment(const ExperimentSpec& spec) {
   for (FlowId id = 1; id <= static_cast<FlowId>(spec.workload.flows); ++id) {
     bed.add_flow(flow_config(id, spec.workload), *app);
   }
-  settle_and_measure(bed, spec.warmup, spec.measure);
+  measure_window(bed, spec, trace_prefix);
   return collect_result(bed);
 }
 

@@ -114,7 +114,15 @@ RunResult collect_result(Testbed& bed);
 
 /// The canonical single-phase experiment (see file comment for the exact
 /// sequence). The spec must pass config::validate and name a known app.
-RunResult run_experiment(const ExperimentSpec& spec);
+///
+/// A non-empty `trace_prefix` also records the measure window: telemetry
+/// (configured by the spec's `telemetry.*` keys) is enabled right after the
+/// measurement reset and disabled before collection, and the recording is
+/// written to `trace_prefix`.trace.json and `trace_prefix`.timeseries.csv.
+/// The RunResult is bit-identical to an unrecorded run. Recording needs a
+/// single event domain: throws std::invalid_argument for sim.domains > 1,
+/// and std::runtime_error naming the file when one cannot be written.
+RunResult run_experiment(const ExperimentSpec& spec, const std::string& trace_prefix = {});
 
 /// Flow-count-weighted mean of per-flow p99/p999 (integer Nanos division,
 /// matching the historical bench arithmetic) plus total drops.

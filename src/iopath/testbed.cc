@@ -150,7 +150,7 @@ policy::GovernorSample Testbed::sample_governor_gauges() const {
 void Testbed::governor_tick() {
   const policy::GovernorDecision d = governor_->decide(sample_governor_gauges());
   if (d.changed) {
-    policy::apply_decision(d, *datapath_, sched_, governor_base_involved_cap_,
+    policy::apply_decision(d, *datapath_, governor_base_involved_cap_,
                            governor_base_bypass_cap_);
     CEIO_T_INSTANT(telemetry_.get(), TraceTrack::kGovernor, to_string(d.tier),
                    sched_.now(), d.credit_scale, 0);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sim/event_scheduler.h"
-
 namespace ceio::policy {
 
 const char* to_string(GovernorMode mode) {
@@ -65,7 +63,6 @@ DatapathGovernor::DatapathGovernor(const PolicyConfig& config)
 GovernorDecision DatapathGovernor::bundle_for(GovernorTier tier) const {
   GovernorDecision d;
   d.tier = tier;
-  d.coalescing = config_.coalesce;
   switch (tier) {
     case GovernorTier::kCalm:
       break;
@@ -100,7 +97,6 @@ GovernorDecision DatapathGovernor::decide(const GovernorSample& sample) {
     d.credit_scale = config_.static_credit_scale;
     d.bypass_path = config_.static_bypass_slow ? FlowPathOverride::kForceSlow
                                                : FlowPathOverride::kAuto;
-    d.coalescing = config_.coalesce;
     d.changed = first_tick_;
     if (d.changed) ++changes_;
     first_tick_ = false;
@@ -164,8 +160,7 @@ GovernorDecision DatapathGovernor::decide(const GovernorSample& sample) {
 }
 
 void apply_decision(const GovernorDecision& decision, PolicyHost& host,
-                    EventScheduler& sched, std::size_t base_involved_cap,
-                    std::size_t base_bypass_cap) {
+                    std::size_t base_involved_cap, std::size_t base_bypass_cap) {
   host.set_credit_scale(decision.credit_scale);
   host.set_kind_path(FlowKind::kCpuBypass, decision.bypass_path);
   if (decision.landed_cap_scale == 1.0) {
@@ -177,7 +172,6 @@ void apply_decision(const GovernorDecision& decision, PolicyHost& host,
     };
     host.set_landed_caps(scaled(base_involved_cap), scaled(base_bypass_cap));
   }
-  sched.set_coalescing(decision.coalescing);
 }
 
 }  // namespace ceio::policy

@@ -24,10 +24,6 @@
 #include "policy/policy_controller.h"
 #include "policy/policy_host.h"
 
-namespace ceio {
-class EventScheduler;
-}  // namespace ceio
-
 namespace ceio::policy {
 
 /// Governor operating mode (`policy.governor` dotted key).
@@ -74,8 +70,6 @@ struct PolicyConfig {
   bool squeeze_bypass_slow = true;
   /// Squeeze: shrink the slow-path landing windows to this fraction.
   double squeeze_landed_scale = 0.5;
-  /// Scheduler burst coalescing while governed (result-neutral perf knob).
-  bool coalesce = true;
 
   // -- static mode bundle --
   double static_credit_scale = 1.0;
@@ -102,7 +96,6 @@ struct GovernorDecision {
   double credit_scale = 1.0;
   FlowPathOverride bypass_path = FlowPathOverride::kAuto;
   double landed_cap_scale = 1.0;
-  bool coalescing = true;
 };
 
 class DatapathGovernor : public PolicyController {
@@ -132,12 +125,11 @@ class DatapathGovernor : public PolicyController {
   std::int64_t changes_ = 0;
 };
 
-/// Pushes a decision into the datapath's actuators and the scheduler. The
-/// base landing caps are the datapath's configured windows (the decision
-/// scales them). Lives here so every raw actuator call stays inside
-/// src/policy/ — the `raw-actuator` lint rule keeps it that way.
+/// Pushes a decision into the datapath's actuators. The base landing caps
+/// are the datapath's configured windows (the decision scales them). Lives
+/// here so every raw actuator call stays inside src/policy/ — the
+/// `raw-actuator` lint rule keeps it that way.
 void apply_decision(const GovernorDecision& decision, PolicyHost& host,
-                    EventScheduler& sched, std::size_t base_involved_cap,
-                    std::size_t base_bypass_cap);
+                    std::size_t base_involved_cap, std::size_t base_bypass_cap);
 
 }  // namespace ceio::policy

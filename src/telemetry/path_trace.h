@@ -7,7 +7,7 @@
 // accumulate hop timestamps in a small open-record map; when the final hop
 // lands the record moves to a bounded completed list, from which the Chrome
 // exporter renders per-hop latency slices on the "packet paths" track and
-// `ceio_trace` derives per-hop latency statistics.
+// bench/fig11_paths derives per-hop latency statistics.
 //
 // Identity is (flow, seq) — plain integers rather than the Packet type so
 // this header stays a leaf (no dependency on the NIC layer).

@@ -1,8 +1,35 @@
 #include "telemetry/telemetry.h"
 
+#include <cerrno>
+#include <cstdio>
+#include <cstring>
+
 #include "telemetry/trace_export.h"
 
 namespace ceio {
+
+namespace {
+
+/// Creates `path` and fills it through `body(FILE*)`. stdio errors are
+/// sticky, so one ferror() after the body covers every write; fclose()
+/// flushes the buffered tail and is checked too.
+template <typename Body>
+bool write_file(const std::string& path, Body&& body, std::string* error) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    *error = "cannot open " + path + ": " + std::strerror(errno);
+    return false;
+  }
+  body(f);
+  const bool write_failed = std::ferror(f) != 0;
+  if (std::fclose(f) != 0 || write_failed) {
+    *error = "cannot write " + path;
+    return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 Telemetry::Telemetry(EventScheduler& sched, const TelemetryConfig& config)
     : config_(config),
@@ -24,12 +51,12 @@ std::string Telemetry::trace_json() const {
   return ChromeTraceExporter(trace_, &paths_).to_json();
 }
 
-void Telemetry::write_trace_json(std::FILE* out) const {
-  ChromeTraceExporter(trace_, &paths_).write(out);
-}
-
-void Telemetry::write_timeseries_csv(std::FILE* out) const {
-  sampler_.write_csv(out);
+bool Telemetry::write_files(const std::string& prefix, std::string* error) const {
+  return write_file(
+             prefix + ".trace.json",
+             [this](std::FILE* f) { ChromeTraceExporter(trace_, &paths_).write(f); }, error) &&
+         write_file(
+             prefix + ".timeseries.csv", [this](std::FILE* f) { sampler_.write_csv(f); }, error);
 }
 
 }  // namespace ceio

@@ -2,20 +2,19 @@
 // time-series sampler and path tracer, plus the hook macros model code uses.
 //
 // Cost contract (DESIGN.md "Telemetry"):
-//   * compiled out (`CEIO_TELEMETRY` undefined — the Release default): every
-//     CEIO_T_* hook expands to nothing; models carry one never-read pointer.
-//   * compiled in, disabled: each hook is a null-check-and-branch; nothing
-//     is recorded and nothing is scheduled, so simulation results stay
-//     bit-identical (tools/check.sh enforces this).
+//   * disabled (the default: Testbed::enable_telemetry() never ran, or
+//     set_enabled(false)): each CEIO_T_* hook is a null check, plus an
+//     enabled() test once attached; nothing is recorded or scheduled.
 //   * enabled: trace emits are O(1) allocation-free ring writes; gauges are
 //     pull-based (evaluated only when the sampler fires); path tracing
-//     touches only every Nth sequence number.
+//     touches only every Nth sequence number. Recording never changes
+//     simulation results (tests/test_telemetry.cc and tools/check.sh
+//     compare recorded runs against unrecorded ones).
 //
 // The facade never schedules anything until `start_sampling()` runs, which
 // is what keeps an attached-but-disabled telemetry object inert.
 #pragma once
 
-#include <cstdio>
 #include <memory>
 #include <string>
 
@@ -68,9 +67,10 @@ class Telemetry {
   // ---- Export ----
   /// Chrome trace-event JSON (trace ring + path records).
   std::string trace_json() const;
-  void write_trace_json(std::FILE* out) const;
-  /// Sampled gauge time series as CSV.
-  void write_timeseries_csv(std::FILE* out) const;
+  /// Writes `prefix`.trace.json (Chrome trace-event JSON) and
+  /// `prefix`.timeseries.csv (one column per gauge). Returns false with
+  /// `*error` naming the file when one cannot be opened, written or closed.
+  bool write_files(const std::string& prefix, std::string* error) const;
 
  private:
   TelemetryConfig config_;
@@ -83,11 +83,9 @@ class Telemetry {
 
 // ---- Hook macros -----------------------------------------------------------
 //
-// `tele` is a `Telemetry*` (usually a member set via set_telemetry). With
-// CEIO_TELEMETRY off the hooks vanish entirely, so no hot path pays even the
-// null check in builds that opted out of observability.
-
-#if defined(CEIO_TELEMETRY) && CEIO_TELEMETRY
+// `tele` is a `Telemetry*` (usually a member set via set_telemetry); it stays
+// null until Testbed::enable_telemetry(), so an unrecorded run pays one null
+// check per hook.
 
 #define CEIO_T_SPAN_BEGIN(tele, track, name, now, flow)                       \
   do {                                                                        \
@@ -124,16 +122,5 @@ class Telemetry {
     if ((tele) != nullptr && (tele)->enabled() && (tele)->paths().sampled(seq)) \
       (tele)->paths().finish((flow), (seq), (station), (now));                \
   } while (false)
-
-#else  // telemetry compiled out: hooks vanish
-
-#define CEIO_T_SPAN_BEGIN(tele, track, name, now, flow) do {} while (false)
-#define CEIO_T_SPAN_END(tele, track, name, now, flow) do {} while (false)
-#define CEIO_T_INSTANT(tele, track, name, now, value, flow) do {} while (false)
-#define CEIO_T_COUNTER(tele, track, name, now, value) do {} while (false)
-#define CEIO_T_PATH_HOP(tele, flow, seq, station, now) do {} while (false)
-#define CEIO_T_PATH_DONE(tele, flow, seq, station, now) do {} while (false)
-
-#endif
 
 }  // namespace ceio

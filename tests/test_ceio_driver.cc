@@ -32,10 +32,18 @@ struct DriverHarness {
   }
 };
 
+// A stalled consumer: receives every landed packet, one reused burst at a
+// time, and never hands a buffer back.
+void consume_without_completing(CeioDriver& driver) {
+  PacketBurst burst;
+  while (driver.recv(burst) == PacketBurst::kCapacity) burst.clear();
+}
+
 TEST(CeioDriver, RecvReturnsInOrderPackets) {
   DriverHarness h;
   h.bed->run_for(micros(200));
-  auto batch = h.driver->recv(16);
+  PacketBurst batch;
+  h.driver->recv(batch);
   ASSERT_FALSE(batch.empty());
   std::uint64_t prev = 0;
   bool first = true;
@@ -54,10 +62,14 @@ TEST(CeioDriver, RecvRespectsMaxAndPending) {
   DriverHarness h;
   h.bed->run_for(micros(500));
   const auto pending_before = h.driver->pending();
-  ASSERT_GT(pending_before, 4u);
-  auto batch = h.driver->recv(3);
-  EXPECT_EQ(batch.size(), 3u);
-  EXPECT_EQ(h.driver->pending(), pending_before - 3);
+  ASSERT_GT(pending_before, PacketBurst::kCapacity);
+  // A burst takes no more than its room...
+  PacketBurst batch;
+  EXPECT_EQ(h.driver->recv(batch), PacketBurst::kCapacity);
+  EXPECT_EQ(h.driver->pending(), pending_before - PacketBurst::kCapacity);
+  // ...so a full one takes nothing.
+  EXPECT_EQ(h.driver->recv(batch), 0u);
+  EXPECT_EQ(h.driver->pending(), pending_before - PacketBurst::kCapacity);
   for (const auto& pkt : batch) h.driver->complete(pkt);
 }
 
@@ -65,8 +77,9 @@ TEST(CeioDriver, CompleteReleasesCredits) {
   DriverHarness h;
   h.bed->run_for(micros(500));
   const auto before = h.bed->ceio()->credits().credits(1);
-  auto batch = h.driver->recv(64);
-  ASSERT_GE(batch.size(), 32u);  // at least one lazy-release batch
+  PacketBurst batch;
+  // A full burst is one lazy-release batch (ceio.release_batch = 32).
+  ASSERT_EQ(h.driver->recv(batch), PacketBurst::kCapacity);
   for (const auto& pkt : batch) h.driver->complete(pkt);
   h.bed->run_for(micros(10));  // doorbell latency
   EXPECT_GT(h.bed->ceio()->credits().credits(1), before);
@@ -81,7 +94,7 @@ TEST(CeioDriver, WithoutCompleteCreditsDrain) {
   DriverHarness h(cfg);
   for (int i = 0; i < 60; ++i) {
     h.bed->run_for(micros(100));
-    (void)h.driver->recv(1024);  // consume but never complete
+    consume_without_completing(*h.driver);
   }
   EXPECT_LE(h.bed->ceio()->credits().credits(1), 0);
   EXPECT_TRUE(h.bed->ceio()->in_slow_mode(1));
@@ -94,7 +107,7 @@ TEST(CeioDriver, StalledConsumerThrottlesSender) {
   DriverHarness h;
   for (int i = 0; i < 40; ++i) {
     h.bed->run_for(micros(100));
-    (void)h.driver->recv(1024);  // consume but never complete
+    consume_without_completing(*h.driver);
   }
   EXPECT_GT(h.bed->ceio()->runtime_stats().cca_triggers, 0);
   EXPECT_LT(to_gbps(h.bed->source(1)->current_rate()), 1.0);
@@ -109,10 +122,13 @@ TEST(CeioDriver, AsyncRecvPrefetchesSlowPath) {
   cfg.ceio.async_drain = false;  // no background drain from the datapath
   DriverHarness h(cfg);
   h.bed->run_for(micros(300));
-  // async_recv arms the drain even before anything has landed.
-  (void)h.driver->async_recv(64);
+  // async_recv arms the drain; take everything already landed so only
+  // packets the armed drain brings in can satisfy the later recv.
+  PacketBurst batch;
+  while (h.driver->async_recv(batch) == PacketBurst::kCapacity) batch.clear();
   h.bed->run_for(micros(300));
-  auto batch = h.driver->recv(64);
+  batch.clear();
+  h.driver->recv(batch);
   EXPECT_FALSE(batch.empty());
   for (const auto& pkt : batch) h.driver->complete(pkt);
 }
@@ -122,7 +138,8 @@ TEST(CeioDriver, PostRecvZeroCopyBuffersAreUsed) {
   const auto posted = h.driver->post_recv(8);
   ASSERT_EQ(posted.size(), 8u);
   h.bed->run_for(micros(200));
-  auto batch = h.driver->recv(8);
+  PacketBurst batch;
+  h.driver->recv(batch);
   ASSERT_GE(batch.size(), 8u);
   // The first 8 landed packets used the app-posted buffers, in order.
   for (std::size_t i = 0; i < 8; ++i) {
@@ -138,7 +155,8 @@ TEST(CeioDriver, PostRecvZeroCopyBuffersAreUsed) {
 TEST(CeioDriver, MessageCompletionReportedThroughComplete) {
   DriverHarness h;
   h.bed->run_for(micros(300));
-  auto batch = h.driver->recv(32);
+  PacketBurst batch;
+  h.driver->recv(batch);
   ASSERT_FALSE(batch.empty());
   const auto completed_before = h.bed->source(1)->stats().messages_completed;
   for (const auto& pkt : batch) h.driver->complete(pkt);
@@ -155,8 +173,12 @@ TEST(CeioDriver, DetachRestoresAutomaticPump) {
   {
     CeioDriver driver(*bed.ceio(), 1);
     bed.run_for(micros(200));
-    auto batch = driver.recv(1024);
-    for (const auto& pkt : batch) driver.complete(pkt);
+    PacketBurst batch;
+    do {
+      batch.clear();
+      driver.recv(batch);
+      for (const auto& pkt : batch) driver.complete(pkt);
+    } while (batch.full());
   }  // destructor detaches
   bed.reset_measurement();
   bed.run_for(millis(1));
@@ -164,9 +186,9 @@ TEST(CeioDriver, DetachRestoresAutomaticPump) {
   EXPECT_GT(bed.report(1).mpps, 0.5);
 }
 
-// The allocation-free receive form drains into a caller-owned PacketBurst
-// and matches the legacy vector overload packet-for-packet.
-TEST(CeioDriver, BurstRecvMatchesVectorRecv) {
+// The receive forms drain into a caller-owned PacketBurst: in order, and a
+// partially-filled burst is appended to rather than rewound.
+TEST(CeioDriver, BurstRecvAppendsToPartialBurst) {
   DriverHarness h;
   h.bed->run_for(micros(200));
   PacketBurst burst;

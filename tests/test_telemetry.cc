@@ -1,15 +1,22 @@
 // Telemetry subsystem tests: trace-sink wraparound, JSON escaping, Chrome
 // trace-event schema (checked with an embedded mini JSON parser, including
 // against a full Testbed paper-scenario recording), metric-registry name
-// collisions, sampler interval math and the sampled path tracer.
+// collisions, sampler interval math, the sampled path tracer, and recorded
+// harness runs (run_experiment with a trace prefix).
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "apps/kv_store.h"
+#include "harness/experiment.h"
+#include "harness/scenario_registry.h"
 #include "iopath/testbed.h"
 #include "telemetry/metrics.h"
 #include "telemetry/path_trace.h"
@@ -227,6 +234,16 @@ void expect_valid_chrome_trace(const std::string& json, std::size_t min_events) 
       EXPECT_TRUE(has_key(ev, "dur")) << "complete event without duration";
     }
   }
+}
+
+/// "X" slices in a parsed trace: one per hop-to-hop leg of a completed
+/// packet path.
+std::size_t path_legs(const std::string& json) {
+  MiniJson parser(json);
+  if (!parser.parse()) return 0;
+  std::size_t legs = 0;
+  for (const auto& ev : parser.events()) legs += ev.ph == "X" ? 1 : 0;
+  return legs;
 }
 
 // ---- Trace sink ------------------------------------------------------------
@@ -463,9 +480,7 @@ TEST(TelemetryEndToEnd, PaperScenarioProducesValidTraceAndCsv) {
   EXPECT_EQ(tele.metrics().collisions(), 0u);
   EXPECT_GT(tele.metrics().read_gauge("nic.rx.packets"), 0.0);
 
-  // The exported trace is schema-valid Chrome trace-event JSON. Sampler
-  // mirroring alone guarantees events even when the model hooks are
-  // compiled out (Release builds).
+  // The exported trace is schema-valid Chrome trace-event JSON.
   EXPECT_GT(tele.trace().size(), 0u);
   expect_valid_chrome_trace(tele.trace_json(), tele.trace().size());
 
@@ -480,16 +495,131 @@ TEST(TelemetryEndToEnd, PaperScenarioProducesValidTraceAndCsv) {
   for (const char c : csv) lines += c == '\n' ? 1 : 0;
   EXPECT_EQ(lines, sampler.rows() + 1);
 
-#if defined(CEIO_TELEMETRY) && CEIO_TELEMETRY
-  // With hooks compiled in, per-packet paths complete on the fast path.
+  // Per-packet paths complete on the fast path.
   EXPECT_GT(tele.paths().records().size(), 0u);
-#endif
 
   // Disabling stops recording entirely.
   tele.set_enabled(false);
   const auto emitted = tele.trace().total_emitted();
   bed.run_for(millis(0.2));
   EXPECT_EQ(tele.trace().total_emitted(), emitted);
+}
+
+// ---- End-to-end: recorded harness runs -------------------------------------
+
+/// Every field of a RunResult, doubles in hex: equal text means bit-equal.
+std::string fingerprint(const harness::RunResult& r) {
+  std::ostringstream out;
+  out << std::hexfloat;
+  for (const auto& f : r.flows) {
+    out << "flow " << f.id << ' ' << static_cast<int>(f.kind) << ' ' << f.mpps << ' ' << f.gbps
+        << ' ' << f.message_gbps << ' ' << f.p50.count() << ' ' << f.p99.count() << ' '
+        << f.p999.count() << ' ' << f.messages << ' ' << f.drops << '\n';
+  }
+  out << "agg " << r.aggregate_mpps << ' ' << r.aggregate_gbps << ' '
+      << r.aggregate_message_gbps << ' ' << r.llc_miss_rate << ' ' << r.premature_evictions
+      << ' ' << r.dram_utilization << '\n';
+  out << "ceio " << r.has_ceio << ' ' << r.ceio_total_credits << ' ' << r.ceio_to_slow << ' '
+      << r.ceio_to_fast << ' ' << r.ceio_cca_triggers << ' ' << r.ceio_reclaims << '\n';
+  for (const auto& t : r.tenants) {
+    out << "tenant " << t.name << ' ' << t.app << ' ' << t.flows << ' ' << t.ddio_ways << ' '
+        << t.mpps << ' ' << t.gbps << ' ' << t.message_gbps << ' ' << t.p50.count() << ' '
+        << t.p99.count() << ' ' << t.p999.count() << ' ' << t.messages << ' ' << t.drops << ' '
+        << t.ddio_occupancy << ' ' << t.ddio_capacity << ' ' << t.premature_evictions << ' '
+        << t.budget_bypasses << ' ' << t.ceio_total_credits << '\n';
+  }
+  out << "ways " << r.way_repartitions << '\n';
+  return out.str();
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+harness::ExperimentSpec registered(const char* scenario) {
+  const harness::Scenario* s = harness::ScenarioRegistry::instance().find(scenario);
+  if (s == nullptr) throw std::invalid_argument(std::string("unknown scenario ") + scenario);
+  return s->spec;
+}
+
+struct TracedCase {
+  const char* label;
+  const char* scenario;
+  SystemKind system;
+  const char* column;  // a CSV column the scenario must record
+};
+
+// Keeps the discovered test names stable (gtest would otherwise print the
+// struct's raw bytes, pointers included).
+void PrintTo(const TracedCase& c, std::ostream* os) { *os << c.label; }
+
+class TracedExperiment : public ::testing::TestWithParam<TracedCase> {};
+
+// Recording the measure window never changes the result, and both files
+// cover it: a schema-valid trace with completed packet paths, and one CSV
+// row per sample interval.
+TEST_P(TracedExperiment, RecordingLeavesResultBitIdentical) {
+  const TracedCase& c = GetParam();
+  harness::ExperimentSpec spec = registered(c.scenario);
+  spec.testbed.system = c.system;
+  const std::string prefix = ::testing::TempDir() + "ceio_traced_" + c.label;
+
+  const harness::RunResult plain = harness::run_experiment(spec);
+  const harness::RunResult traced = harness::run_experiment(spec, prefix);
+  EXPECT_EQ(fingerprint(traced), fingerprint(plain));
+
+  const std::string json = read_file(prefix + ".trace.json");
+  expect_valid_chrome_trace(json, 1);
+  EXPECT_GT(path_legs(json), 0u) << "no completed packet path";
+
+  const std::string csv = read_file(prefix + ".timeseries.csv");
+  const std::string header = csv.substr(0, csv.find('\n'));
+  EXPECT_NE(header.find(std::string(",") + c.column), std::string::npos) << header;
+  std::size_t lines = 0;
+  for (const char ch : csv) lines += ch == '\n' ? 1 : 0;
+  ASSERT_GE(lines, 1u);
+  EXPECT_EQ(lines - 1, TimeSeriesSampler::expected_samples(
+                           spec.measure, spec.testbed.telemetry.sample_interval));
+
+  std::remove((prefix + ".trace.json").c_str());
+  std::remove((prefix + ".timeseries.csv").c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Scenarios, TracedExperiment,
+    ::testing::Values(
+        TracedCase{"kv_legacy", "ceio-kv-short", SystemKind::kLegacy, "host.llc.miss_rate"},
+        TracedCase{"kv_hostcc", "ceio-kv-short", SystemKind::kHostcc, "host.llc.miss_rate"},
+        TracedCase{"kv_shring", "ceio-kv-short", SystemKind::kShring, "host.llc.miss_rate"},
+        TracedCase{"kv_ceio", "ceio-kv-short", SystemKind::kCeio, "host.llc.miss_rate"},
+        TracedCase{"multitenant", "multitenant-short", SystemKind::kCeio,
+                   "tenant.lc.ddio_occupancy"},
+        TracedCase{"governed", "governed-kv-short", SystemKind::kCeio, "policy.tier"}),
+    [](const auto& tpi) { return std::string(tpi.param.label); });
+
+TEST(TracedExperimentErrors, ShardedSpecIsRefusedBeforeRunning) {
+  harness::ExperimentSpec spec = registered("ceio-kv-short");
+  spec.testbed.sim.domains = 4;
+  const std::string prefix = ::testing::TempDir() + "ceio_traced_sharded";
+  EXPECT_THROW(harness::run_experiment(spec, prefix), std::invalid_argument);
+  EXPECT_FALSE(std::ifstream(prefix + ".trace.json").good());
+}
+
+TEST(TracedExperimentErrors, UnwritablePrefixReportsTheFile) {
+  harness::ExperimentSpec spec = registered("ceio-kv-short");
+  spec.warmup = micros(100);
+  spec.measure = micros(100);
+  const std::string prefix = ::testing::TempDir() + "ceio-no-such-dir/run";
+  try {
+    harness::run_experiment(spec, prefix);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(prefix + ".trace.json"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 //   ceio_sim --scenario=fig04-reference
 //   ceio_sim --config=scenario.conf --set workload.flows=16
 //   ceio_sim --sweep llc.ddio_ways=2,4,6 --sweep run=0,1,2,3 --jobs 4
+//   ceio_sim --scenario multitenant-reactive --trace mt
 //
 // Every field of the experiment spec is addressable through the reflective
 // config schema: `--set llc.ddio_ways=4`, `--set workload.app=echo`,
@@ -17,11 +18,17 @@
 // cache statistics. With --sweep, expands the axes' cartesian product, runs
 // the grid on --jobs worker threads, and prints one row per run — rows are
 // ordered by run index, so output is byte-identical at any --jobs level.
+//
+// --trace PREFIX records the measure window of a single-domain run with the
+// telemetry subsystem (sampling set by the `telemetry.*` keys) and writes
+// PREFIX.trace.json (open in https://ui.perfetto.dev or chrome://tracing)
+// and PREFIX.timeseries.csv; stdout is the same as without it.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -38,6 +45,7 @@ struct CliOptions {
   harness::ExperimentSpec spec;
   std::vector<harness::SweepAxis> axes;
   int jobs = 1;
+  std::string trace_prefix;  // empty: no recording
   bool print_config = false;
   bool print_overrides = false;
 };
@@ -77,7 +85,12 @@ struct CliOptions {
                "  --sweep KEY=V1,V2,...  sweep axis (repeatable; cartesian product;\n"
                "                         the reserved axis 'run' derives per-run seeds)\n"
                "  --runs=N               shorthand for --sweep run=0,1,...,N-1\n"
-               "  --jobs=N               worker threads for the sweep (default 1)\n",
+               "  --jobs=N               worker threads for the sweep (default 1)\n"
+               "\n"
+               "recording (single-domain runs, not sweeps):\n"
+               "  --trace PREFIX         write PREFIX.trace.json (Perfetto) and\n"
+               "                         PREFIX.timeseries.csv for the measure window;\n"
+               "                         sampling via --set telemetry.*\n",
                argv0);
   std::exit(status);
 }
@@ -189,6 +202,9 @@ CliOptions parse(int argc, char** argv) {
     } else if (parse_flag(argc, argv, &i, "--jobs", &v)) {
       opt.jobs = std::atoi(v.c_str());
       if (opt.jobs < 1) fail("--jobs expects a positive count");
+    } else if (parse_flag(argc, argv, &i, "--trace", &v)) {
+      if (v.empty()) fail("--trace expects an output prefix");
+      opt.trace_prefix = v;
     } else if (parse_flag(argc, argv, &i, "--list-scenarios", &v)) {
       list_scenarios();
       std::exit(0);
@@ -213,6 +229,9 @@ CliOptions parse(int argc, char** argv) {
   if (!config::validate(spec, &errors)) fail(errors.front());
   if (!harness::is_known_app(spec.workload.app)) {
     fail("unknown app '" + spec.workload.app + "'");
+  }
+  if (!opt.trace_prefix.empty() && !opt.axes.empty()) {
+    fail("--trace records one run; it cannot be combined with --sweep or --runs");
   }
   return opt;
 }
@@ -304,10 +323,15 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (opt.axes.empty()) {
-    print_single(opt.spec, harness::run_experiment(opt.spec));
-  } else {
+  if (!opt.axes.empty()) {
     print_sweep(opt, harness::run_sweep(opt.spec, opt.axes, opt.jobs));
+    return 0;
+  }
+  // A refused or unwritable --trace surfaces here as an exception.
+  try {
+    print_single(opt.spec, harness::run_experiment(opt.spec, opt.trace_prefix));
+  } catch (const std::exception& e) {
+    fail(e.what());
   }
   return 0;
 }

@@ -10,23 +10,22 @@
 #                           available, the built-in scanner engine otherwise.
 #   2. release build + test cmake Release with CEIO_WERROR=ON (the
 #                           -Wall/-Wextra/-Wshadow net is a gate), ctest
-#   3. telemetry identity   same scenario, hooks compiled out vs compiled
-#                           in-but-disabled — outputs must be byte-identical
-#   4. migration safety     fig04_motivation + registered ceio_sim scenarios
+#   3. migration safety     fig04_motivation + registered ceio_sim scenarios
 #                           (single-tenant and multi-tenant) diffed against
-#                           the goldens in tools/golden/
-#   5. audited build + test CEIO_AUDIT=ON (invariant sweeps active)
-#   6. asan build + test    CEIO_AUDIT=ON + CEIO_SANITIZE=address
-#   7. ubsan build + test   CEIO_AUDIT=ON + CEIO_SANITIZE=undefined
-#   8. tsan sweep           CEIO_SANITIZE=thread; a multi-axis ceio_sim sweep
+#                           the goldens in tools/golden/, also with the
+#                           governor off and with `--trace` recording on
+#   4. audited build + test CEIO_AUDIT=ON (invariant sweeps active)
+#   5. asan build + test    CEIO_AUDIT=ON + CEIO_SANITIZE=address
+#   6. ubsan build + test   CEIO_AUDIT=ON + CEIO_SANITIZE=undefined
+#   7. tsan sweep           CEIO_SANITIZE=thread; a multi-axis ceio_sim sweep
 #                           at --jobs 4, byte-compared against --jobs 1
-#   9. tsan shards          CEIO_SANITIZE=thread; the sharded-kv-short and
+#   8. tsan shards          CEIO_SANITIZE=thread; the sharded-kv-short and
 #                           governed-kv-short (sim.domains=4) scenarios at
 #                           --shards 4, byte-compared against --shards 1
 #                           (conservative-lookahead determinism, including
 #                           the datapath governor's decisions)
-#  10. clang-tidy           over src/ using the .clang-tidy profile
-#  11. perf gate            bench/perf_core from the release tree vs the
+#   9. clang-tidy           over src/ using the .clang-tidy profile
+#  10. perf gate            bench/perf_core from the release tree vs the
 #                           committed BENCH_perf_core.json baseline; fails on
 #                           a >25% drop in events_per_sec, llc_ops_per_sec,
 #                           the three per-case llc_* keys (hit-heavy /
@@ -101,34 +100,9 @@ build_and_test release -DCMAKE_BUILD_TYPE=Release -DCEIO_WERROR=ON
 stage_result release $?
 
 if [[ "${QUICK}" -eq 1 ]]; then
-  note "quick mode: skipping telemetry/audit/sanitizer/clang-tidy stages"
+  note "quick mode: skipping golden/audit/sanitizer/clang-tidy/perf stages"
 else
-  # -- 3: telemetry bit-identity ---------------------------------------------
-  # The telemetry hooks must never perturb simulation results. Run one paper
-  # scenario in the stage-2 tree (CEIO_TELEMETRY compiled out in Release) and
-  # again with the hooks compiled in but left disabled; any byte of
-  # difference in the report is a hook leaking into model behaviour.
-  note "telemetry bit-identity (compiled out vs compiled in, disabled)"
-  tele_scenario() {  # tele_scenario <tree>
-    "${CHECK_ROOT}/$1/tools/ceio_sim" --system=ceio --app=kv --flows=8 \
-      --rate-gbps=25 --ms=2
-  }
-  tele_tree="${CHECK_ROOT}/telemetry"
-  tele_status=1
-  if cmake -S "${REPO_ROOT}" -B "${tele_tree}" -DCMAKE_BUILD_TYPE=Release \
-      -DCEIO_TELEMETRY=ON >/dev/null &&
-      cmake --build "${tele_tree}" -j "${JOBS}" --target ceio_sim_cli >/dev/null &&
-      cmake --build "${CHECK_ROOT}/release" -j "${JOBS}" --target ceio_sim_cli >/dev/null; then
-    if diff <(tele_scenario release) <(tele_scenario telemetry); then
-      echo "outputs byte-identical"
-      tele_status=0
-    else
-      echo "telemetry-enabled build diverges from telemetry-free build"
-    fi
-  fi
-  stage_result telemetry-identity "${tele_status}"
-
-  # -- 4: migration safety (committed golden outputs) ------------------------
+  # -- 3: migration safety (committed golden outputs) ------------------------
   # Refactors of the experiment plumbing must not change what the paper
   # binaries print. Run fig04_motivation and one registered ceio_sim
   # scenario from the release tree and compare byte-for-byte against the
@@ -158,17 +132,28 @@ else
     diff "${REPO_ROOT}/tools/golden/ceio_sim_multitenant-short.txt" \
       <("${CHECK_ROOT}/release/tools/ceio_sim" --scenario multitenant-short \
         --set policy.governor=off) || golden_status=1
+    # Recording never changes results: with `--trace` the telemetry hooks,
+    # gauges and sampler are live for the whole measure window, and the
+    # report must still match the goldens byte for byte.
+    trace_dir="$(mktemp -d)"
+    diff "${REPO_ROOT}/tools/golden/ceio_sim_ceio-kv-short.txt" \
+      <("${CHECK_ROOT}/release/tools/ceio_sim" --scenario ceio-kv-short \
+        --trace "${trace_dir}/ceio-kv-short") || golden_status=1
+    diff "${REPO_ROOT}/tools/golden/ceio_sim_multitenant-short.txt" \
+      <("${CHECK_ROOT}/release/tools/ceio_sim" --scenario multitenant-short \
+        --trace "${trace_dir}/multitenant-short") || golden_status=1
+    rm -rf "${trace_dir}"
     [[ "${golden_status}" -eq 0 ]] && echo "outputs match committed goldens"
   fi
   stage_result migration-safety "${golden_status}"
 
-  # -- 5: audited build + tests ----------------------------------------------
+  # -- 4: audited build + tests ----------------------------------------------
   note "audited build + ctest (CEIO_AUDIT=ON, CEIO_WERROR=ON)"
   build_and_test audit -DCMAKE_BUILD_TYPE=Release -DCEIO_AUDIT=ON \
     -DCEIO_WERROR=ON
   stage_result audit $?
 
-  # -- 6/7: sanitizers, with auditing on so sweeps run under them ------------
+  # -- 5/6: sanitizers, with auditing on so sweeps run under them ------------
   note "asan build + ctest (CEIO_AUDIT=ON, CEIO_SANITIZE=address)"
   build_and_test asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCEIO_AUDIT=ON \
     -DCEIO_SANITIZE=address
@@ -179,7 +164,7 @@ else
     -DCEIO_SANITIZE=undefined
   stage_result ubsan $?
 
-  # -- 8: tsan sweep ---------------------------------------------------------
+  # -- 7: tsan sweep ---------------------------------------------------------
   # The sweep runner fans experiments out on a thread pool; run a small
   # multi-axis sweep at --jobs 4 under ThreadSanitizer and require the rows
   # to be byte-identical to the single-threaded expansion. TSan reports make
@@ -204,11 +189,11 @@ else
   fi
   stage_result tsan-sweep "${tsan_status}"
 
-  # -- 9: tsan sharded run ---------------------------------------------------
+  # -- 8: tsan sharded run ---------------------------------------------------
   # The sharded harness advances event domains on worker threads behind
   # epoch barriers; run the sharded scenario at --shards 4 under
   # ThreadSanitizer and require the report to be byte-identical to the
-  # --shards 1 expansion (the same determinism contract stage 8 gives the
+  # --shards 1 expansion (the same determinism contract stage 7 gives the
   # sweep runner's --jobs).
   note "tsan sharded run (sharded-kv-short, --shards 4 vs --shards 1)"
   tsan_shards_status=1
@@ -241,7 +226,7 @@ else
   fi
   stage_result tsan-shards "${tsan_shards_status}"
 
-  # -- 10: clang-tidy --------------------------------------------------------
+  # -- 9: clang-tidy ---------------------------------------------------------
   note "clang-tidy"
   if command -v clang-tidy >/dev/null 2>&1 && command -v run-clang-tidy >/dev/null 2>&1; then
     tidy_tree="${CHECK_ROOT}/tidy"
@@ -256,7 +241,7 @@ else
     echo "clang-tidy / run-clang-tidy not found; skipping (install LLVM tools to enable)"
   fi
 
-  # -- 11: perf gate ----------------------------------------------------------
+  # -- 10: perf gate ---------------------------------------------------------
   # Wall-clock regression guard over the event core. Compares the release
   # tree's perf_core headline rates against the committed baseline; a >25%
   # drop on either metric fails. Perf is noisy, so a failing first run gets

@@ -328,7 +328,7 @@ def check_cross_shard(findings: list[Finding]) -> None:
 
 
 # Actuator setters reachable through PolicyHost (plus the CEIO credit-budget
-# reset and the scheduler coalescing knob the governor drives). Only matched
+# reset and the scheduler coalescing switch). Only matched
 # as member calls (`.` / `->`), so defining the setters inside the backends
 # stays legal; src/policy/ itself is the one place raw pushes belong.
 RAW_ACTUATOR_RE = re.compile(
