@@ -21,9 +21,9 @@
 //       for O(1) per-packet lookups. The snapshot costs O(n log n) per
 //       call — fine for rare control-plane sweeps, wrong for hot loops.
 //
-// tools/analyze/ceio_analyze.py statically enforces the rule: iterating a
-// std::unordered_* container is a finding unless the site is converted to
-// one of these helpers or carries an explicit `// analyze: allow-unordered-iter`
+// The unordered-iter rule of tools/lint/ceio_lint.py enforces this: iterating
+// a std::unordered_* container is a finding unless the site is converted to
+// one of these helpers or carries an explicit `// lint: allow-unordered-iter`
 // suppression with a justification.
 #pragma once
 
@@ -49,7 +49,7 @@ template <typename Map>
 std::vector<typename Map::key_type> sorted_keys(const Map& map) {
   std::vector<typename Map::key_type> keys;
   keys.reserve(map.size());
-  for (const auto& kv : map) keys.push_back(kv.first);  // analyze: allow-unordered-iter (order erased by the sort below)
+  for (const auto& kv : map) keys.push_back(kv.first);  // lint: allow-unordered-iter (order erased by the sort below)
   std::sort(keys.begin(), keys.end());
   return keys;
 }

@@ -26,10 +26,10 @@
 //                     outright (a pointer in a payload aliases the producing
 //                     domain's state from the consuming one).
 //
-// tools/analyze/ceio_analyze.py leans on these types for its cross-domain
-// aliasing rule: non-const pointers/references to domain-owned model state
-// (schedulers, LLC/PCIe/NIC models, datapaths) must not appear in mailbox
-// payloads or escape through coordinator interfaces.
+// The cross-domain rule of tools/lint/ceio_lint.py leans on these types: it
+// flags raw pointer/reference members of any CEIO_DOMAIN_MESSAGE type and
+// pointer/reference SpscMailbox payload types, either of which would alias
+// the producing domain's state from the consuming one.
 #pragma once
 
 #include <memory>
@@ -111,8 +111,8 @@ struct is_domain_message<T> : std::true_type {};
 /// specialization of ceio::is_domain_message must live in an enclosing
 /// namespace of ceio). The payload must be an owned value: movable, and not
 /// itself a pointer (members are audited by the cross-domain rule of
-/// tools/analyze/ceio_analyze.py, which flags raw pointer/reference fields
-/// in any CEIO_DOMAIN_MESSAGE type).
+/// tools/lint/ceio_lint.py, which flags raw pointer/reference fields in any
+/// CEIO_DOMAIN_MESSAGE type).
 #define CEIO_DOMAIN_MESSAGE(TYPE)                                           \
   static_assert(std::is_move_constructible_v<TYPE>,                         \
                 #TYPE " must be movable to cross a domain boundary");       \

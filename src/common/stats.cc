@@ -164,14 +164,14 @@ void TablePrinter::print() const {
   // TablePrinter exists to put tables on the console for benches and tools.
   auto print_row = [&](const std::vector<std::string>& row) {
     for (std::size_t c = 0; c < row.size(); ++c) {
-      std::printf("%-*s  ", static_cast<int>(widths[c]), row[c].c_str());  // lint: allow-stdout
+      std::printf("%-*s  ", static_cast<int>(widths[c]), row[c].c_str());  // lint: allow-raw-stdout
     }
-    std::printf("\n");  // lint: allow-stdout
+    std::printf("\n");  // lint: allow-raw-stdout
   };
   print_row(headers_);
   std::size_t total = 0;
   for (auto w : widths) total += w + 2;
-  std::printf("%s\n", std::string(total, '-').c_str());  // lint: allow-stdout
+  std::printf("%s\n", std::string(total, '-').c_str());  // lint: allow-raw-stdout
   for (const auto& row : rows_) print_row(row);
   std::fflush(stdout);
 }

@@ -1,19 +1,13 @@
-// Named scenario registry: experiment specs registered at static-init time
-// and looked up by name (`ceio_sim --scenario fig04-reference`).
+// Named scenario registry: experiment specs looked up by name
+// (`ceio_sim --scenario fig04-reference`) and listed by
+// `ceio_sim --list-scenarios`.
 //
-// Registration is one line at namespace scope:
-//
-//     CEIO_REGISTER_SCENARIO(fig04_reference, "fig04-reference",
-//                            "single-core expected-performance run", [] {
-//       harness::ExperimentSpec s;
-//       s.testbed.system = SystemKind::kShring;
-//       ...
-//       return s;
-//     });
-//
-// The paper's figure presets live in paper_scenarios.cc (linked into the
-// harness library so every binary sees them); bench binaries may register
-// additional ones the same way.
+// The registry is filled on first use: ScenarioRegistry::instance() calls
+// register_paper_scenarios() (paper_scenarios.cc), which adds each preset
+// with ScenarioRegistry::add. A new preset goes there. Static-init
+// registration from other translation units is deliberately not offered:
+// the harness is a static library, and the linker drops an object file
+// nothing references — initializers included.
 #pragma once
 
 #include <string>
@@ -52,15 +46,5 @@ class ScenarioRegistry {
 /// Registers the paper's figure/table presets (paper_scenarios.cc); called
 /// once from ScenarioRegistry::instance().
 void register_paper_scenarios(ScenarioRegistry& registry);
-
-struct ScenarioRegistrar {
-  template <class Factory>
-  ScenarioRegistrar(const char* name, const char* description, Factory&& factory) {
-    ScenarioRegistry::instance().add(Scenario{name, description, factory()});
-  }
-};
-
-#define CEIO_REGISTER_SCENARIO(ident, name, description, factory) \
-  static const ::ceio::harness::ScenarioRegistrar ceio_scenario_##ident{name, description, factory}
 
 }  // namespace ceio::harness

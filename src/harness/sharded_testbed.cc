@@ -561,28 +561,9 @@ void ShardedTestbed::on_credit_report(int src, std::int64_t demand) {
 }
 
 FlowReport ShardedTestbed::report(FlowId id) const {
-  FlowReport out;
-  if (id == 0 || id > flows_.size()) return out;
+  if (id == 0 || id > flows_.size()) return FlowReport{};
   const FlowEntry& fe = flows_[id - 1];
-  const FlowSource& src = *fe.source;
-  out.id = id;
-  out.kind = fe.kind;
-  const Nanos span = now() - measure_start_;
-  out.mpps = src.delivered_meter().mpps(Nanos{0}, span);
-  out.gbps = src.delivered_meter().gbps(Nanos{0}, span);
-  out.p50 = src.latency().p50();
-  out.p99 = src.latency().p99();
-  out.p999 = src.latency().p999();
-  out.messages = src.stats().messages_completed;
-  out.drops = src.stats().packets_dropped;
-  const auto& fc = src.config();
-  const double message_bytes =
-      static_cast<double>(fc.packet_size.count()) * static_cast<double>(fc.message_pkts);
-  if (span > Nanos{0}) {
-    out.message_gbps =
-        static_cast<double>(out.messages) * message_bytes * 8.0 / to_seconds(span) / 1e9;
-  }
-  return out;
+  return make_flow_report(id, fe.kind, *fe.source, now() - measure_start_);
 }
 
 RunResult ShardedTestbed::collect() const {

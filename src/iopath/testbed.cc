@@ -365,14 +365,10 @@ void Testbed::reset_measurement() {
   flows_.for_each([](FlowId, FlowRecord& record) { record.source->reset_measurement(); });
 }
 
-FlowReport Testbed::report(FlowId id) const {
+FlowReport make_flow_report(FlowId id, FlowKind kind, const FlowSource& src, Nanos span) {
   FlowReport out;
-  const FlowRecord* record = flows_.find(id);
-  if (record == nullptr) return out;
-  const FlowSource& src = *record->source;
   out.id = id;
-  out.kind = record->kind;
-  const Nanos span = sched_.now() - measure_start_;
+  out.kind = kind;
   out.mpps = src.delivered_meter().mpps(Nanos{0}, span);
   out.gbps = src.delivered_meter().gbps(Nanos{0}, span);
   out.p50 = src.latency().p50();
@@ -388,6 +384,12 @@ FlowReport Testbed::report(FlowId id) const {
         static_cast<double>(out.messages) * message_bytes * 8.0 / to_seconds(span) / 1e9;
   }
   return out;
+}
+
+FlowReport Testbed::report(FlowId id) const {
+  const FlowRecord* record = flows_.find(id);
+  if (record == nullptr) return FlowReport{};
+  return make_flow_report(id, record->kind, *record->source, sched_.now() - measure_start_);
 }
 
 std::vector<FlowReport> Testbed::all_reports() const {

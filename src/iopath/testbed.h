@@ -120,6 +120,12 @@ struct FlowReport {
   std::int64_t drops = 0;
 };
 
+/// Summarises what `source` (flow `id`, of `kind`) delivered over a
+/// measurement window `span` long. Testbed::report and
+/// ShardedTestbed::report both go through here, so a flow reads the same
+/// from a single-domain and a sharded run.
+FlowReport make_flow_report(FlowId id, FlowKind kind, const FlowSource& source, Nanos span);
+
 class Testbed {
  public:
   explicit Testbed(TestbedConfig config);

@@ -29,8 +29,9 @@ template <typename Msg>
 class SpscMailbox {
   // Mailbox payloads cross a domain boundary by value: the type must opt in
   // via CEIO_DOMAIN_MESSAGE(Msg) (src/common/domain_annotations.h), which
-  // asserts it is an owned, movable value and lets ceio_analyze.py audit
-  // its fields for raw pointers/references into the producing domain.
+  // asserts it is an owned, movable value and lets the cross-domain rule of
+  // tools/lint/ceio_lint.py audit its fields for raw pointers/references
+  // into the producing domain.
   static_assert(is_domain_message_v<Msg>,
                 "SpscMailbox payloads must be declared with "
                 "CEIO_DOMAIN_MESSAGE(Msg); see common/domain_annotations.h");

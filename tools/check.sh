@@ -2,12 +2,10 @@
 # Full pre-merge gate for the CEIO simulator.
 #
 # Stages (each skips gracefully when its tool is absent):
-#   1. repo lint            tools/lint/ceio_lint.py over the tree, plus the
-#                           golden-file lint self-test (tools/lint/fixtures/)
-#  1b. determinism analyzer tools/analyze/ceio_analyze.py over the tree
-#                           (zero unsuppressed findings required), plus its
-#                           seeded-fixture self-test. Uses libclang when
-#                           available, the built-in scanner engine otherwise.
+#   1. static checker       tools/lint/ceio_lint.py (convention and
+#                           determinism rules) over the tree, zero
+#                           unsuppressed findings required, plus its
+#                           golden-file self-test (tools/lint/fixtures/)
 #   2. release build + test cmake Release with CEIO_WERROR=ON (the
 #                           -Wall/-Wextra/-Wshadow net is a gate), ctest
 #   3. migration safety     fig04_motivation + registered ceio_sim scenarios
@@ -36,6 +34,10 @@
 #                           fig10_governed_pkts_per_sec (one rerun absorbs
 #                           noise)
 #
+# The summary ends with a table of tracked line counts per src/ subsystem
+# and for tools/, bench/, tests/ and examples/ (informational only; skipped
+# outside a git checkout).
+#
 # Usage: tools/check.sh [--quick]
 #   --quick runs stages 1-2 only (lint + release tests).
 #
@@ -60,6 +62,28 @@ stage_result() {  # stage_result <name> <status>
   fi
 }
 
+# Code size as a reviewed number: tracked lines (`git ls-files`) per src/
+# subsystem and for tools/, bench/, tests/ and examples/. Informational; it
+# never fails the gate.
+tracked_lines_table() {
+  if [[ "$(git -C "${REPO_ROOT}" rev-parse --show-toplevel 2>/dev/null)" != \
+        "$(cd "${REPO_ROOT}" && pwd -P)" ]]; then
+    echo "not a git checkout; skipping the tracked-lines table"
+    return 0
+  fi
+  local dir lines total=0
+  echo "tracked lines:"
+  for dir in $(git -C "${REPO_ROOT}" ls-files -- src |
+                 awk -F/ 'NF > 2 { print "src/" $2 }' | sort -u) \
+             tools bench tests examples; do
+    lines="$(git -C "${REPO_ROOT}" ls-files -z -- "${dir}" |
+               (cd "${REPO_ROOT}" && xargs -0 -r cat 2>/dev/null) | wc -l)"
+    total=$((total + lines))
+    printf '  %-16s %7d\n' "${dir}" "${lines}"
+  done
+  printf '  %-16s %7d\n' "total" "${total}"
+}
+
 build_and_test() {  # build_and_test <tree-name> <cmake-args...>
   local tree="${CHECK_ROOT}/$1"
   shift
@@ -68,28 +92,13 @@ build_and_test() {  # build_and_test <tree-name> <cmake-args...>
   ctest --test-dir "${tree}" --output-on-failure -j "${JOBS}" | tail -n 3
 }
 
-# -- 1: repo-specific lint ---------------------------------------------------
+# -- 1: static checker -------------------------------------------------------
 note "lint (tools/lint/ceio_lint.py + golden-file self-test)"
 if command -v python3 >/dev/null 2>&1; then
   lint_status=0
   python3 "${REPO_ROOT}/tools/lint/ceio_lint.py" || lint_status=1
   python3 "${REPO_ROOT}/tools/lint/test_ceio_lint.py" || lint_status=1
   stage_result lint "${lint_status}"
-else
-  echo "python3 not found; skipping"
-fi
-
-# -- 1b: determinism & domain-isolation analyzer -----------------------------
-# Zero unsuppressed findings over the tree, and every seeded fixture
-# violation detected. The analyzer prefers a libclang AST walk over the
-# exported compile_commands.json and degrades to its built-in scanner
-# engine when libclang is absent; only a missing python3 skips the stage.
-note "analyze (tools/analyze/ceio_analyze.py + seeded-fixture self-test)"
-if command -v python3 >/dev/null 2>&1; then
-  analyze_status=0
-  python3 "${REPO_ROOT}/tools/analyze/ceio_analyze.py" || analyze_status=1
-  python3 "${REPO_ROOT}/tools/analyze/ceio_analyze.py" --self-test || analyze_status=1
-  stage_result analyze "${analyze_status}"
 else
   echo "python3 not found; skipping"
 fi
@@ -287,6 +296,7 @@ PYEOF
 fi
 
 note "summary"
+tracked_lines_table
 if [[ "${#failures[@]}" -gt 0 ]]; then
   echo "FAILED stages: ${failures[*]}"
   exit 1

@@ -7,7 +7,7 @@ namespace fixture {
 
 void Model::tick() {
   std::cout << "tick\n";   // violation: raw-stdout
-  std::cerr << "debug\n";  // lint: allow-stdout (fixture: deliberate display)
+  std::cerr << "debug\n";  // lint: allow-raw-stdout (fixture: deliberate display)
 }
 
 void arm(Scheduler& sched, long t, long delay) {

@@ -31,7 +31,7 @@ struct TunedConfig {  // ok: reflected below
   int ways = 8;
 };
 
-struct HiddenConfig {  // lint: allow-unreflected
+struct HiddenConfig {  // lint: allow-unreflected-config
   int secret = 0;
 };
 

@@ -14,7 +14,7 @@ class HotPath {
   void deliver(Packet pkt);                       // violation: by-value param
   std::vector<Packet> drain_all();                // violation: vector return
   void absorb(Packet pkt);  // lint: allow-packet-copy (move-sink)
-  std::vector<Packet> legacy_drain();  // lint: allow-vector-return
+  std::vector<Packet> legacy_drain();  // lint: allow-vector-return lint: allow-packet-copy
   void forward(const Packet& pkt);                // ok: const ref
   void route(PacketRef ref);                      // ok: pooled handle
 };
