@@ -93,9 +93,7 @@ double run_churn(Bed& bed, int flows, Nanos slot) {
 struct LocalBed {
   explicit LocalBed(const harness::ExperimentSpec& spec) : bed(spec.testbed) {
     Application* app = harness::make_app(bed, spec.workload.app);
-    for (FlowId id = 1; id <= static_cast<FlowId>(spec.workload.flows); ++id) {
-      bed.add_flow(harness::flow_config(id, spec.workload), *app);
-    }
+    harness::for_each_flow(spec, [&](const FlowConfig& fc) { bed.add_flow(fc, *app); });
   }
   FlowSource* source(FlowId id) { return bed.source(id); }
   void reset_measurement() { bed.reset_measurement(); }

@@ -1,34 +1,13 @@
 #include "harness/experiment.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
-#include "apps/echo.h"
-#include "apps/kv_store.h"
-#include "apps/linefs.h"
-#include "apps/raw_rdma.h"
-#include "apps/vxlan.h"
 #include "config/config_ops.h"
 #include "harness/sharded_testbed.h"
 
 namespace ceio::harness {
-
-bool is_bypass_app(const std::string& app) { return app == "linefs" || app == "rdma"; }
-
-bool is_known_app(const std::string& app) {
-  return app == "kv" || app == "echo" || app == "vxlan" || app == "linefs" ||
-         app == "rdma" || app == "thrasher";
-}
-
-Application* make_app(Testbed& bed, const std::string& app) {
-  if (app == "kv") return &bed.make_kv_store();
-  if (app == "echo") return &bed.make_echo();
-  if (app == "vxlan") return &bed.make_vxlan();
-  if (app == "linefs") return &bed.make_linefs();
-  if (app == "rdma") return &bed.make_raw_rdma();
-  if (app == "thrasher") return &bed.make_thrasher();
-  return nullptr;
-}
 
 FlowConfig flow_config(FlowId id, const WorkloadSpec& w) {
   const bool bypass = is_bypass_app(w.app);
@@ -95,32 +74,77 @@ std::vector<tenant::TenantReport> tenant_flow_reports(
   return out;
 }
 
+void for_each_flow(const ExperimentSpec& spec, const std::function<void(const FlowConfig&)>& fn) {
+  if (!spec.tenant.enabled) {
+    for (FlowId id = 1; id <= static_cast<FlowId>(spec.workload.flows); ++id) {
+      fn(flow_config(id, spec.workload));
+    }
+    return;
+  }
+  for (const auto& e : tenant::tenant_roster(spec.tenant, spec.testbed.llc.ddio_ways)) {
+    const WorkloadSpec w = tenant_workload(e.cfg);
+    for (FlowId id = e.first_flow; id <= e.last_flow; ++id) fn(flow_config(id, w));
+  }
+}
+
 void settle_and_measure(Testbed& bed, Nanos warmup, Nanos measure) {
   bed.run_for(warmup);
   bed.reset_measurement();
   bed.run_for(measure);
 }
 
-RunResult collect_result(Testbed& bed) {
+RunResult collect_domains(std::vector<FlowReport> flows, const std::vector<Testbed*>& beds,
+                          const std::vector<tenant::TenantAssembly*>& assemblies) {
   RunResult out;
-  out.flows = bed.all_reports();
-  out.aggregate_mpps = bed.aggregate_mpps();
-  out.aggregate_gbps = bed.aggregate_gbps();
-  out.aggregate_message_gbps = bed.aggregate_message_gbps();
-  out.llc_miss_rate = bed.llc_miss_rate();
-  out.premature_evictions = bed.llc().stats().premature_evictions;
-  out.dram_utilization = bed.dram().utilization(bed.now());
-  if (auto* ceio = bed.ceio()) {
-    const auto& rs = ceio->runtime_stats();
-    out.has_ceio = true;
-    out.ceio_total_credits = ceio->credits().total();
-    out.ceio_to_slow = rs.credit_switches_to_slow;
-    out.ceio_to_fast = rs.switches_back_to_fast;
-    out.ceio_cca_triggers = rs.cca_triggers;
-    out.ceio_reclaims = rs.inactive_reclaims;
+  out.flows = std::move(flows);
+  out.aggregate_mpps = aggregate_mpps(out.flows);
+  out.aggregate_gbps = aggregate_gbps(out.flows);
+  out.aggregate_message_gbps = aggregate_message_gbps(out.flows);
+
+  LlcStats llc;
+  double util = 0.0;
+  for (Testbed* bed : beds) {
+    llc.cpu_hits += bed->llc().stats().cpu_hits;
+    llc.cpu_misses += bed->llc().stats().cpu_misses;
+    out.premature_evictions += bed->llc().stats().premature_evictions;
+    util += bed->dram().utilization(bed->now());
+    if (const CeioDatapath* ceio = bed->ceio()) {
+      const auto& rs = ceio->runtime_stats();
+      out.has_ceio = true;
+      out.ceio_total_credits += ceio->credits().total();
+      out.ceio_to_slow += rs.credit_switches_to_slow;
+      out.ceio_to_fast += rs.switches_back_to_fast;
+      out.ceio_cca_triggers += rs.cca_triggers;
+      out.ceio_reclaims += rs.inactive_reclaims;
+    }
   }
+  out.llc_miss_rate = llc.miss_rate();
+  out.dram_utilization = util / static_cast<double>(beds.size());
+
+  if (assemblies.empty()) return out;
+  // Flow-derived columns from the merged per-flow reports; LLC/CEIO columns
+  // summed over domains in domain order. Way counts are per-slice partition
+  // widths (not additive), so the report carries domain 0's: under
+  // domain-local controllers the slices may legitimately diverge.
+  out.tenants = tenant_flow_reports(assemblies.front()->roster(), out.flows);
+  for (std::size_t t = 0; t < out.tenants.size(); ++t) {
+    tenant::TenantReport& r = out.tenants[t];
+    assemblies.front()->fill_llc_fields(r, t);
+    for (std::size_t d = 1; d < assemblies.size(); ++d) {
+      tenant::TenantReport one;
+      assemblies[d]->fill_llc_fields(one, t);
+      r.ddio_occupancy += one.ddio_occupancy;
+      r.ddio_capacity += one.ddio_capacity;
+      r.premature_evictions += one.premature_evictions;
+      r.budget_bypasses += one.budget_bypasses;
+      r.ceio_total_credits += one.ceio_total_credits;
+    }
+  }
+  for (const tenant::TenantAssembly* a : assemblies) out.way_repartitions += a->repartitions();
   return out;
 }
+
+RunResult collect_result(Testbed& bed) { return collect_domains(bed.all_reports(), {&bed}); }
 
 namespace {
 
@@ -155,68 +179,25 @@ RunResult run_experiment(const ExperimentSpec& spec, const std::string& trace_pr
     throw std::invalid_argument("tracing needs a single event domain (sim.domains = " +
                                 std::to_string(spec.testbed.sim.domains) + ")");
   }
-  if (spec.tenant.enabled) {
-    const tenant::TenantConfig* roles[] = {&spec.tenant.lc, &spec.tenant.bw,
-                                           &spec.tenant.ant};
-    for (const auto* role : roles) {
-      if (role->enabled && !is_known_app(role->app)) {
-        throw std::invalid_argument("unknown tenant app '" + role->app + "'");
-      }
-    }
-    if (spec.testbed.sim.domains > 1) return run_sharded_experiment(spec);
-    Testbed bed(spec.testbed);
-    tenant::TenantAssembly assembly(bed, spec.tenant, spec.controller);
-    for (const auto& e : assembly.roster()) {
-      const WorkloadSpec w = tenant_workload(e.cfg);
-      for (FlowId id = e.first_flow; id <= e.last_flow; ++id) {
-        bed.add_flow(flow_config(id, w), assembly.app_of_flow(id));
-      }
-    }
-    measure_window(bed, spec, trace_prefix, &assembly);
-    RunResult out = collect_result(bed);
-    out.tenants = tenant_flow_reports(assembly.roster(), out.flows);
-    for (std::size_t t = 0; t < out.tenants.size(); ++t) {
-      assembly.fill_llc_fields(out.tenants[t], t);
-    }
-    out.way_repartitions = assembly.repartitions();
-    return out;
-  }
-  if (!is_known_app(spec.workload.app)) {
+  // Tenant apps are checked by the assembly, against the same table.
+  if (!spec.tenant.enabled && !is_known_app(spec.workload.app)) {
     throw std::invalid_argument("unknown app '" + spec.workload.app + "'");
   }
   if (spec.testbed.sim.domains > 1) return run_sharded_experiment(spec);
   Testbed bed(spec.testbed);
-  Application* app = make_app(bed, spec.workload.app);
-  for (FlowId id = 1; id <= static_cast<FlowId>(spec.workload.flows); ++id) {
-    bed.add_flow(flow_config(id, spec.workload), *app);
+  std::optional<tenant::TenantAssembly> assembly;
+  Application* app = nullptr;
+  if (spec.tenant.enabled) {
+    assembly.emplace(bed, spec.tenant, spec.controller);
+  } else {
+    app = make_app(bed, spec.workload.app);
   }
-  measure_window(bed, spec, trace_prefix);
-  return collect_result(bed);
-}
-
-double aggregate_mpps(const std::vector<FlowReport>& reports, std::optional<FlowKind> kind) {
-  double sum = 0.0;
-  for (const auto& r : reports) {
-    if (!kind || r.kind == *kind) sum += r.mpps;
-  }
-  return sum;
-}
-
-double aggregate_gbps(const std::vector<FlowReport>& reports, std::optional<FlowKind> kind) {
-  double sum = 0.0;
-  for (const auto& r : reports) {
-    if (!kind || r.kind == *kind) sum += r.gbps;
-  }
-  return sum;
-}
-
-double aggregate_message_gbps(const std::vector<FlowReport>& reports,
-                              std::optional<FlowKind> kind) {
-  double sum = 0.0;
-  for (const auto& r : reports) {
-    if (!kind || r.kind == *kind) sum += r.message_gbps;
-  }
-  return sum;
+  for_each_flow(spec, [&](const FlowConfig& fc) {
+    bed.add_flow(fc, assembly ? assembly->app_of_flow(fc.id) : *app);
+  });
+  measure_window(bed, spec, trace_prefix, assembly ? &*assembly : nullptr);
+  if (!assembly) return collect_result(bed);
+  return collect_domains(bed.all_reports(), {&bed}, {&*assembly});
 }
 
 TailSummary average_tails(const std::vector<FlowReport>& reports) {

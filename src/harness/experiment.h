@@ -18,7 +18,7 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -80,15 +80,11 @@ struct RunResult {
   std::int64_t way_repartitions = 0;
 };
 
-/// True for the CPU-bypass applications (linefs, rdma).
-bool is_bypass_app(const std::string& app);
-
-/// True when `app` names a known application.
-bool is_known_app(const std::string& app);
-
-/// Creates the named application on `bed` (kv | echo | vxlan | linefs |
-/// rdma). Returns nullptr for an unknown name.
-Application* make_app(Testbed& bed, const std::string& app);
+// The application-name table lives with the Testbed (iopath/testbed.h) so
+// the tenant assembly makes its applications through it too.
+using ceio::is_bypass_app;
+using ceio::is_known_app;
+using ceio::make_app;
 
 /// The FlowConfig the canonical runner gives flow `id` under `w` — exposed
 /// so callers composing custom phase logic build identical flows.
@@ -105,11 +101,24 @@ std::vector<tenant::TenantReport> tenant_flow_reports(
     const std::vector<tenant::TenantRosterEntry>& roster,
     const std::vector<FlowReport>& flows);
 
+/// Every flow `spec` deploys, in id order: ids 1..workload.flows, or each
+/// enabled tenant's roster block in its own shape. Single-domain and sharded
+/// runs build their flows from this one enumeration.
+void for_each_flow(const ExperimentSpec& spec, const std::function<void(const FlowConfig&)>& fn);
+
 /// Warm up for `warmup`, reset measurement, then run `measure` — the
 /// settle-then-measure window every scenario uses.
 void settle_and_measure(Testbed& bed, Nanos warmup, Nanos measure);
 
-/// Collects a RunResult from the testbed's current measurement window.
+/// The one collector: `flows` (id order) and their aggregates, host stats
+/// merged over the run's event domains `beds` in domain order, and — when
+/// `assemblies` (one per domain) is non-empty — the per-tenant reports. A
+/// single-domain run is its one-domain case.
+RunResult collect_domains(std::vector<FlowReport> flows, const std::vector<Testbed*>& beds,
+                          const std::vector<tenant::TenantAssembly*>& assemblies = {});
+
+/// Collects a RunResult from the testbed's current measurement window:
+/// collect_domains over this one domain, without tenant columns.
 RunResult collect_result(Testbed& bed);
 
 /// The canonical single-phase experiment (see file comment for the exact
@@ -133,15 +142,11 @@ struct TailSummary {
 };
 TailSummary average_tails(const std::vector<FlowReport>& reports);
 
-/// Kind-filtered aggregates over collected reports — same summation order
-/// as Testbed::aggregate_*, so results are bit-identical to querying the
-/// live testbed.
-double aggregate_mpps(const std::vector<FlowReport>& reports,
-                      std::optional<FlowKind> kind = std::nullopt);
-double aggregate_gbps(const std::vector<FlowReport>& reports,
-                      std::optional<FlowKind> kind = std::nullopt);
-double aggregate_message_gbps(const std::vector<FlowReport>& reports,
-                              std::optional<FlowKind> kind = std::nullopt);
+// Kind-filtered aggregates over collected reports: the same functions
+// Testbed::aggregate_* sum through.
+using ceio::aggregate_gbps;
+using ceio::aggregate_message_gbps;
+using ceio::aggregate_mpps;
 
 }  // namespace ceio::harness
 

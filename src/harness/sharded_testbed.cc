@@ -8,7 +8,6 @@
 
 #include "common/domain_annotations.h"
 #include "common/rng.h"
-#include "host/cpu_core.h"
 #include "iopath/testbed.h"
 #include "net/flow_feedback.h"
 #include "net/flow_source.h"
@@ -99,7 +98,7 @@ class DomainSlice final : public ShardDomain {
     // Egress drops happen in the sender's own domain: the local (full-delay)
     // loss path applies, exactly as on the single-domain link.
     egress_->set_drop_handler([this](const Packet& pkt) {
-      owner_.flows_[pkt.flow - 1].source->notify_dropped(pkt);
+      owner_.flows_[pkt.flow - 1]->notify_dropped(pkt);
     });
     inject_.emplace(
         bed_->sched(),
@@ -178,31 +177,20 @@ class DomainSlice final : public ShardDomain {
 
   // ---- Flow setup ----
 
-  /// Receiver half: pinned core + mailbox-backed feedback proxy, registered
-  /// with this domain's datapath.
+  /// Receiver half through this domain's Testbed, reporting to a
+  /// mailbox-backed feedback proxy.
   void add_receiver(const FlowConfig& fc) {
-    cores_.push_back(std::make_unique<CpuCore>(bed_->sched(), bed_->memory_controller(),
-                                               bed_->config().cpu));
     proxies_.push_back(std::make_unique<RemoteFeedback>(*this, fc.id));
-    FlowRuntime rt;
-    rt.config = fc;
-    rt.source = proxies_.back().get();
-    rt.app = assembly_ ? &assembly_->app_of_flow(fc.id) : app_;
-    rt.core = cores_.back().get();
-    bed_->datapath().register_flow(rt);
+    bed_->add_receiver(fc, assembly_ ? assembly_->app_of_flow(fc.id) : *app_, *proxies_.back());
   }
 
-  /// Sender half: the FlowSource, emitting onto this domain's egress link.
-  FlowSource* add_source(const FlowConfig& fc) {
-    sources_.push_back(std::make_unique<FlowSource>(bed_->sched(), bed_->rng(), *egress_,
-                                                    fc, bed_->config().dctcp));
-    FlowSource* source = sources_.back().get();
-    if (fc.start_time <= bed_->sched().now()) {
-      source->start();
-    } else {
-      bed_->sched().schedule_at(fc.start_time, [source]() { source->start(); });
-    }
-    return source;
+  /// Sender half on this domain's egress link, keyed on the run seed like
+  /// every single-domain source.
+  FlowSource* add_source(const FlowConfig& fc, std::uint64_t run_seed) {
+    sources_.push_back(
+        make_flow_source(bed_->sched(), *egress_, fc, bed_->config().dctcp, run_seed));
+    sources_.back()->arm_start();
+    return sources_.back().get();
   }
 
   // ---- Host-shard credit arbitration ----
@@ -344,16 +332,16 @@ class DomainSlice final : public ShardDomain {
         bed_->nic().receive(std::move(e.pkt));
         break;
       case WireKind::kDelivered:
-        owner_.flows_[e.flow - 1].source->apply_remote_delivered(e.pkt);
+        owner_.flows_[e.flow - 1]->apply_remote_delivered(e.pkt);
         break;
       case WireKind::kDropped:
-        owner_.flows_[e.flow - 1].source->apply_remote_dropped(e.pkt);
+        owner_.flows_[e.flow - 1]->apply_remote_dropped(e.pkt);
         break;
       case WireKind::kHostCongestion:
-        owner_.flows_[e.flow - 1].source->apply_remote_host_congestion();
+        owner_.flows_[e.flow - 1]->apply_remote_host_congestion();
         break;
       case WireKind::kMessageComplete:
-        owner_.flows_[e.flow - 1].source->notify_message_complete(e.message_id, e.done);
+        owner_.flows_[e.flow - 1]->notify_message_complete(e.message_id, e.done);
         break;
       case WireKind::kCreditReport:
         owner_.on_credit_report(static_cast<int>(e.src), e.value);
@@ -400,13 +388,12 @@ class DomainSlice final : public ShardDomain {
   std::vector<WireEntry> scratch_ctrl_;
   std::vector<WireEntry> eligible_;
 
-  // Local halves of the deployment's flows.
-  std::vector<std::unique_ptr<CpuCore>> cores_;
+  // Local halves of the deployment's flows (receiver cores live in bed_).
   std::vector<std::unique_ptr<RemoteFeedback>> proxies_;
   std::vector<std::unique_ptr<FlowSource>> sources_;
 };
 
-ShardedTestbed::ShardedTestbed(const ExperimentSpec& spec) : spec_(spec) {
+ShardedTestbed::ShardedTestbed(const ExperimentSpec& spec) {
   const int P = spec.testbed.sim.domains;
   if (P < 2) {
     throw std::invalid_argument("ShardedTestbed requires sim.domains >= 2");
@@ -449,34 +436,12 @@ ShardedTestbed::ShardedTestbed(const ExperimentSpec& spec) : spec_(spec) {
   }
 
   // Flows, in id order (the canonical runner's construction contract).
-  const auto add_flow = [this, P](const FlowConfig& fc) {
+  for_each_flow(spec, [this, P, &spec](const FlowConfig& fc) {
     const int g = static_cast<int>((fc.id - 1) % static_cast<FlowId>(P));
-    const int s = (g + 1) % P;
     slices_[static_cast<std::size_t>(g)]->add_receiver(fc);
-    FlowEntry fe;
-    fe.source = slices_[static_cast<std::size_t>(s)]->add_source(fc);
-    fe.kind = fc.kind;
-    fe.recv_domain = g;
-    fe.src_domain = s;
-    flows_.push_back(fe);
-  };
-  if (spec.tenant.enabled) {
-    // Same id order and per-flow shapes as the single-domain tenant runner:
-    // tenant_workload + flow_config over each roster block.
-    const auto roster = tenant::tenant_roster(spec.tenant, spec.testbed.llc.ddio_ways);
-    flows_.reserve(static_cast<std::size_t>(roster.back().last_flow));
-    for (const auto& e : roster) {
-      const WorkloadSpec w = tenant_workload(e.cfg);
-      for (FlowId id = e.first_flow; id <= e.last_flow; ++id) {
-        add_flow(flow_config(id, w));
-      }
-    }
-  } else {
-    flows_.reserve(static_cast<std::size_t>(spec.workload.flows));
-    for (FlowId id = 1; id <= static_cast<FlowId>(spec.workload.flows); ++id) {
-      add_flow(flow_config(id, spec.workload));
-    }
-  }
+    flows_.push_back(
+        slices_[static_cast<std::size_t>((g + 1) % P)]->add_source(fc, spec.testbed.seed));
+  });
 
   Nanos lookahead = spec.testbed.net.propagation;
   if (ceio) lookahead = std::min(lookahead, spec.testbed.pcie.propagation);
@@ -507,7 +472,7 @@ Testbed& ShardedTestbed::bed(int domain) {
 
 FlowSource* ShardedTestbed::source(FlowId id) {
   if (id == 0 || id > flows_.size()) return nullptr;
-  return flows_[id - 1].source;
+  return flows_[id - 1];
 }
 
 std::uint64_t ShardedTestbed::mailbox_spills() const {
@@ -562,78 +527,20 @@ void ShardedTestbed::on_credit_report(int src, std::int64_t demand) {
 
 FlowReport ShardedTestbed::report(FlowId id) const {
   if (id == 0 || id > flows_.size()) return FlowReport{};
-  const FlowEntry& fe = flows_[id - 1];
-  return make_flow_report(id, fe.kind, *fe.source, now() - measure_start_);
+  return make_flow_report(*flows_[id - 1], now() - measure_start_);
 }
 
 RunResult ShardedTestbed::collect() const {
-  RunResult out;
-  out.flows.reserve(flows_.size());
-  for (FlowId id = 1; id <= flows_.size(); ++id) out.flows.push_back(report(id));
-  out.aggregate_mpps = harness::aggregate_mpps(out.flows);
-  out.aggregate_gbps = harness::aggregate_gbps(out.flows);
-  out.aggregate_message_gbps = harness::aggregate_message_gbps(out.flows);
-
-  // Host stats merged over domains, in domain order.
-  std::int64_t hits = 0, misses = 0;
-  double util = 0.0;
+  std::vector<FlowReport> flows;
+  flows.reserve(flows_.size());
+  for (FlowId id = 1; id <= flows_.size(); ++id) flows.push_back(report(id));
+  std::vector<Testbed*> beds;
+  std::vector<tenant::TenantAssembly*> assemblies;
   for (const auto& s : slices_) {
-    const auto& llc = s->bed().llc().stats();
-    hits += llc.cpu_hits;
-    misses += llc.cpu_misses;
-    out.premature_evictions += llc.premature_evictions;
-    util += s->bed().dram().utilization(s->bed().now());
+    beds.push_back(&s->bed());
+    if (s->assembly() != nullptr) assemblies.push_back(s->assembly());
   }
-  out.llc_miss_rate =
-      hits + misses > 0 ? static_cast<double>(misses) / static_cast<double>(hits + misses)
-                        : 0.0;
-  out.dram_utilization = util / static_cast<double>(slices_.size());
-
-  if (spec_->testbed.system == SystemKind::kCeio && !spec_->tenant.enabled) {
-    out.has_ceio = true;
-    for (const auto& s : slices_) {
-      auto& bed = const_cast<DomainSlice&>(*s).bed();
-      const auto& rs = bed.ceio()->runtime_stats();
-      out.ceio_total_credits += bed.ceio()->credits().total();
-      out.ceio_to_slow += rs.credit_switches_to_slow;
-      out.ceio_to_fast += rs.switches_back_to_fast;
-      out.ceio_cca_triggers += rs.cca_triggers;
-      out.ceio_reclaims += rs.inactive_reclaims;
-    }
-  }
-
-  if (spec_->tenant.enabled) {
-    // Flow-derived columns from the merged per-flow reports; LLC/CEIO
-    // columns summed over domains in domain order. Way counts are per-slice
-    // partition widths (not additive), so the report carries domain 0's —
-    // under domain-local controllers the slices may legitimately diverge.
-    auto* first = const_cast<DomainSlice&>(*slices_[0]).assembly();
-    out.tenants = tenant_flow_reports(first->roster(), out.flows);
-    for (std::size_t t = 0; t < out.tenants.size(); ++t) {
-      tenant::TenantReport sum;
-      for (std::size_t d = 0; d < slices_.size(); ++d) {
-        auto* a = const_cast<DomainSlice&>(*slices_[d]).assembly();
-        tenant::TenantReport one;
-        a->fill_llc_fields(one, t);
-        if (d == 0) sum.ddio_ways = one.ddio_ways;
-        sum.ddio_occupancy += one.ddio_occupancy;
-        sum.ddio_capacity += one.ddio_capacity;
-        sum.premature_evictions += one.premature_evictions;
-        sum.budget_bypasses += one.budget_bypasses;
-        sum.ceio_total_credits += one.ceio_total_credits;
-      }
-      out.tenants[t].ddio_ways = sum.ddio_ways;
-      out.tenants[t].ddio_occupancy = sum.ddio_occupancy;
-      out.tenants[t].ddio_capacity = sum.ddio_capacity;
-      out.tenants[t].premature_evictions = sum.premature_evictions;
-      out.tenants[t].budget_bypasses = sum.budget_bypasses;
-      out.tenants[t].ceio_total_credits = sum.ceio_total_credits;
-    }
-    for (const auto& s : slices_) {
-      out.way_repartitions += const_cast<DomainSlice&>(*s).assembly()->repartitions();
-    }
-  }
-  return out;
+  return collect_domains(std::move(flows), beds, assemblies);
 }
 
 RunResult run_sharded_experiment(const ExperimentSpec& spec) {

@@ -27,13 +27,23 @@
 // proportionally to demand — so the paper's bounded-C_total contention model
 // holds across the whole deployment, not per slice.
 //
+// One deployment path. Each domain's Testbed, applications and tenant
+// assembly are built by the single-domain code; a flow is the same sender
+// half (make_flow_source) and receiver half (Testbed::add_receiver) that
+// Testbed::add_flow puts on one bed, here split over two; flows come from
+// the one spec enumeration (for_each_flow) and reports from the one
+// collector (collect_domains). So domain g's Testbed sees exactly its flows
+// (flow_ids(), core(), governor gauges, audit invariants).
+//
 // Determinism. Bitwise: reports for shards=1 and shards=N are byte-identical
 // at fixed sim.domains (the same contract the sweep runner gives --jobs, and
 // what the check.sh shards gate enforces). Ingredients: deterministic mailbox
-// merge order by (arrival, source domain, sender seq); per-domain RNG streams
-// via derive_seed(seed, domain); and a phase schedule that depends only on
-// the domain count and the lookahead. Changing sim.domains is a *scenario*
-// change (different partitioning, ports and RNG streams) and legitimately
+// merge order by (arrival, source domain, sender seq); per-flow arrival
+// streams keyed on (run seed, flow id), as in a single-domain run; per-domain
+// RNG streams via derive_seed(seed, domain) for everything else (e.g. the KV
+// store's population); and a phase schedule that depends only on the domain
+// count and the lookahead. Changing sim.domains is a *scenario* change
+// (different partitioning, ports and per-domain streams) and legitimately
 // changes results.
 #pragma once
 
@@ -41,7 +51,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/domain_annotations.h"
 #include "common/units.h"
 #include "harness/experiment.h"
 #include "sim/shard_coordinator.h"
@@ -93,21 +102,11 @@ class ShardedTestbed {
  private:
   friend class DomainSlice;
 
-  struct FlowEntry {
-    FlowSource* source = nullptr;
-    FlowKind kind = FlowKind::kCpuInvolved;
-    int recv_domain = 0;
-    int src_domain = 0;
-  };
-
   /// Host-shard credit arbitration: called by domain 0's events only.
   void on_credit_report(int src, std::int64_t demand);
 
-  // Frozen at construction and read by every domain (flow layout, report
-  // shape): SharedImmutable enforces const-only access across slices.
-  SharedImmutable<ExperimentSpec> spec_;
   std::vector<std::unique_ptr<DomainSlice>> slices_;
-  std::vector<FlowEntry> flows_;  // index = flow id - 1
+  std::vector<FlowSource*> flows_;  // sender halves; index = flow id - 1
   Nanos measure_start_{0};
 
   // Host-shard arbitration state (touched only by domain 0's events).

@@ -63,43 +63,13 @@ Testbed::Testbed(TestbedConfig config) : config_(std::move(config)), rng_(config
   nic_ = std::make_unique<Nic>(sched_, config_.nic);
   link_ = std::make_unique<NetworkLink>(sched_, *nic_, config_.net);
 
-  const Bytes buf = config_.llc.buffer_bytes;
-  const auto ddio_capacity = static_cast<std::size_t>(config_.llc.ddio_bytes() / buf);
-  switch (config_.system) {
-    case SystemKind::kLegacy:
-      host_pool_ = std::make_unique<BufferPool>(config_.legacy_pool_buffers, buf);
-      datapath_ = std::make_unique<LegacyDatapath>(sched_, *dma_, *mc_, *host_pool_,
-                                                   config_.legacy);
-      break;
-    case SystemKind::kHostcc:
-      host_pool_ = std::make_unique<BufferPool>(config_.legacy_pool_buffers, buf);
-      datapath_ = std::make_unique<HostccDatapath>(sched_, *dma_, *mc_, *host_pool_, *iio_,
-                                                   *dram_, *llc_, config_.hostcc);
-      break;
-    case SystemKind::kShring: {
-      host_pool_ = std::make_unique<BufferPool>(
-          std::max<std::size_t>(config_.shring_pool_entries, 64), buf);
-      datapath_ = std::make_unique<ShringDatapath>(sched_, *dma_, *mc_, *host_pool_,
-                                                   config_.shring);
-      break;
-    }
-    case SystemKind::kCeio: {
-      CeioConfig ceio_cfg = config_.ceio;
-      if (config_.ceio_auto_credits) {
-        ceio_cfg = derive_ceio_auto_credits(ceio_cfg, ddio_capacity);
-      }
-      host_pool_ = std::make_unique<BufferPool>(
-          static_cast<std::size_t>(ceio_cfg.total_credits) * 2 + 1024, buf);
-      auto ceio = std::make_unique<CeioDatapath>(sched_, *dma_, *mc_, *host_pool_, *rmt_,
-                                                 *nic_mem_, ceio_cfg);
-      ceio_ = ceio.get();
-      datapath_ = std::move(ceio);
-      break;
-    }
-  }
-  nic_->attach(datapath_.get());
+  const auto ddio_capacity =
+      static_cast<std::size_t>(config_.llc.ddio_bytes() / config_.llc.buffer_bytes);
+  host_ = build_datapath(1, ddio_capacity);
+  nic_->attach(host_.datapath.get());
   link_->set_drop_handler([this](const Packet& pkt) {
-    if (const FlowRecord* record = flows_.find(pkt.flow)) record->source->notify_dropped(pkt);
+    const FlowRecord* record = flows_.find(pkt.flow);
+    if (record != nullptr && record->source) record->source->notify_dropped(pkt);
   });
 
   if (config_.policy.governor != policy::GovernorMode::kOff) {
@@ -108,9 +78,9 @@ Testbed::Testbed(TestbedConfig config) : config_(std::move(config)), rng_(config
     // scheduled — the simulation stays bit-identical to a governor-less
     // build.
     governor_ = std::make_unique<policy::DatapathGovernor>(config_.policy);
-    if (ceio_ != nullptr) {
-      governor_base_involved_cap_ = ceio_->config().landed_cap;
-      governor_base_bypass_cap_ = ceio_->config().bypass_landed_cap;
+    if (host_.ceio != nullptr) {
+      governor_base_involved_cap_ = host_.ceio->config().landed_cap;
+      governor_base_bypass_cap_ = host_.ceio->config().bypass_landed_cap;
     }
     governor_timer_ = sched_.schedule_after(config_.policy.interval,
                                             [this]() { governor_tick(); });
@@ -119,6 +89,42 @@ Testbed::Testbed(TestbedConfig config) : config_(std::move(config)), rng_(config
 #if defined(CEIO_AUDIT) && CEIO_AUDIT
   enable_audit();
 #endif
+}
+
+Testbed::HostDatapath Testbed::build_datapath(BufferId pool_base, std::size_t ddio_capacity) {
+  const Bytes buf = config_.llc.buffer_bytes;
+  HostDatapath out;
+  switch (config_.system) {
+    case SystemKind::kLegacy:
+      out.pool = std::make_unique<BufferPool>(config_.legacy_pool_buffers, buf, pool_base);
+      out.datapath = std::make_unique<LegacyDatapath>(sched_, *dma_, *mc_, *out.pool,
+                                                      config_.legacy);
+      break;
+    case SystemKind::kHostcc:
+      out.pool = std::make_unique<BufferPool>(config_.legacy_pool_buffers, buf, pool_base);
+      out.datapath = std::make_unique<HostccDatapath>(sched_, *dma_, *mc_, *out.pool, *iio_,
+                                                      *dram_, *llc_, config_.hostcc);
+      break;
+    case SystemKind::kShring:
+      out.pool = std::make_unique<BufferPool>(
+          std::max<std::size_t>(config_.shring_pool_entries, 64), buf, pool_base);
+      out.datapath = std::make_unique<ShringDatapath>(sched_, *dma_, *mc_, *out.pool,
+                                                      config_.shring);
+      break;
+    case SystemKind::kCeio: {
+      const CeioConfig ceio_cfg = config_.ceio_auto_credits
+                                      ? derive_ceio_auto_credits(config_.ceio, ddio_capacity)
+                                      : config_.ceio;
+      out.pool = std::make_unique<BufferPool>(
+          static_cast<std::size_t>(ceio_cfg.total_credits) * 2 + 1024, buf, pool_base);
+      auto ceio = std::make_unique<CeioDatapath>(sched_, *dma_, *mc_, *out.pool, *rmt_,
+                                                 *nic_mem_, ceio_cfg);
+      out.ceio = ceio.get();
+      out.datapath = std::move(ceio);
+      break;
+    }
+  }
+  return out;
 }
 
 Testbed::~Testbed() {
@@ -133,16 +139,16 @@ policy::GovernorSample Testbed::sample_governor_gauges() const {
   s.ddio_occupancy = static_cast<std::int64_t>(llc_->ddio_occupancy());
   s.ddio_capacity = static_cast<std::int64_t>(llc_->ddio_capacity());
   std::int64_t ring = 0;
-  datapath_->for_each_ring(
+  host_.datapath->for_each_ring(
       [&ring](const RxRing& r) { ring += static_cast<std::int64_t>(r.size()); });
   s.ring_backlog = ring;
-  if (ceio_ != nullptr) {
+  if (host_.ceio != nullptr) {
     std::int64_t slow = 0;
     flows_.for_each([&](FlowId id, const FlowRecord&) {  // id-ordered walk
-      slow += static_cast<std::int64_t>(ceio_->slow_backlog(id));
+      slow += static_cast<std::int64_t>(host_.ceio->slow_backlog(id));
     });
     s.slow_backlog = slow;
-    s.credit_starvations = ceio_->runtime_stats().credit_switches_to_slow;
+    s.credit_starvations = host_.ceio->runtime_stats().credit_switches_to_slow;
   }
   return s;
 }
@@ -150,7 +156,7 @@ policy::GovernorSample Testbed::sample_governor_gauges() const {
 void Testbed::governor_tick() {
   const policy::GovernorDecision d = governor_->decide(sample_governor_gauges());
   if (d.changed) {
-    policy::apply_decision(d, *datapath_, governor_base_involved_cap_,
+    policy::apply_decision(d, *host_.datapath, governor_base_involved_cap_,
                            governor_base_bypass_cap_);
     CEIO_T_INSTANT(telemetry_.get(), TraceTrack::kGovernor, to_string(d.tier),
                    sched_.now(), d.credit_scale, 0);
@@ -194,13 +200,51 @@ ThrasherApp& Testbed::make_thrasher() {
   return static_cast<ThrasherApp&>(*apps_.back());
 }
 
+namespace {
+
+struct AppEntry {
+  const char* name;
+  bool bypass;
+  Application& (*make)(Testbed&);
+};
+
+constexpr AppEntry kApps[] = {
+    {"kv", false, [](Testbed& b) -> Application& { return b.make_kv_store(); }},
+    {"echo", false, [](Testbed& b) -> Application& { return b.make_echo(); }},
+    {"vxlan", false, [](Testbed& b) -> Application& { return b.make_vxlan(); }},
+    {"linefs", true, [](Testbed& b) -> Application& { return b.make_linefs(); }},
+    {"rdma", true, [](Testbed& b) -> Application& { return b.make_raw_rdma(); }},
+    {"thrasher", false, [](Testbed& b) -> Application& { return b.make_thrasher(); }},
+};
+
+const AppEntry* find_app(const std::string& name) {
+  for (const AppEntry& e : kApps) {
+    if (name == e.name) return &e;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+bool is_known_app(const std::string& name) { return find_app(name) != nullptr; }
+
+bool is_bypass_app(const std::string& name) {
+  const AppEntry* e = find_app(name);
+  return e != nullptr && e->bypass;
+}
+
+Application* make_app(Testbed& bed, const std::string& name) {
+  const AppEntry* e = find_app(name);
+  return e == nullptr ? nullptr : &e->make(bed);
+}
+
 void Testbed::install_datapath(std::unique_ptr<IoDatapath> datapath) {
   if (!flows_.empty() || !retired_flows_.empty()) {
     throw std::logic_error("install_datapath requires a testbed with no flows");
   }
-  datapath_ = std::move(datapath);
-  ceio_ = nullptr;
-  nic_->attach(datapath_.get());
+  host_.datapath = std::move(datapath);
+  host_.ceio = nullptr;
+  nic_->attach(host_.datapath.get());
   if (auditor_) {
     // The standard invariant pack binds probes against the old datapath (and
     // the CEIO credit ledger when present); rebuild it against the new one.
@@ -215,40 +259,41 @@ void Testbed::install_datapath(std::unique_ptr<IoDatapath> datapath) {
   }
 }
 
+std::unique_ptr<FlowSource> make_flow_source(EventScheduler& sched, NetworkLink& link,
+                                             const FlowConfig& config,
+                                             const DctcpConfig& dctcp, std::uint64_t run_seed) {
+  return std::make_unique<FlowSource>(
+      sched, Rng(run_seed + 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(config.id)),
+      link, config, dctcp);
+}
+
 FlowSource& Testbed::add_flow(const FlowConfig& config, Application& app) {
-  auto record = FlowRecord{};
+  std::unique_ptr<FlowSource> owned =
+      make_flow_source(sched_, *link_, config, config_.dctcp, config_.seed);
+  FlowSource& source = *owned;
+  add_receiver(config, app, source);
+  flows_[config.id].source = std::move(owned);
+  source.arm_start();
+  return source;
+}
+
+void Testbed::add_receiver(const FlowConfig& config, Application& app, FlowFeedback& feedback) {
+  FlowRecord& record = flows_[config.id];
   record.core = std::make_unique<CpuCore>(sched_, *mc_, config_.cpu);
-  // Per-flow RNG stream keyed on (sim seed, flow id): arrival randomness is
-  // a pure function of the flow's identity, so sharding the flows across
-  // event domains cannot reorder anyone's draws.
-  record.source = std::make_unique<FlowSource>(
-      sched_,
-      Rng(config_.seed + 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(config.id)),
-      *link_, config, config_.dctcp);
-  record.kind = config.kind;
 
   FlowRuntime rt;
   rt.config = config;
-  rt.source = record.source.get();
+  rt.source = &feedback;
   rt.app = &app;
   rt.core = record.core.get();
-  datapath_->register_flow(rt);
-
-  FlowSource* source = record.source.get();
-  flows_[config.id] = std::move(record);
-  if (config.start_time <= sched_.now()) {
-    source->start();
-  } else {
-    sched_.schedule_at(config.start_time, [source]() { source->start(); });
-  }
-  return *source;
+  host_.datapath->register_flow(rt);
 }
 
 void Testbed::remove_flow(FlowId id) {
   FlowRecord* record = flows_.find(id);
   if (record == nullptr) return;
-  record->source->stop();
-  datapath_->unregister_flow(id);
+  if (record->source) record->source->stop();
+  host_.datapath->unregister_flow(id);
   // Park the record: in-flight events may still call into the core/source.
   retired_flows_.push_back(std::move(*record));
   flows_.erase(id);
@@ -281,12 +326,12 @@ Telemetry& Testbed::enable_telemetry() {
     nic_->register_metrics(reg);
     nic_mem_->register_metrics(reg);
     rmt_->register_metrics(reg);
-    datapath_->register_metrics(reg);
+    host_.datapath->register_metrics(reg);
     mc_->set_telemetry(tele);
     dma_->set_telemetry(tele);
     nic_->set_telemetry(tele);
     rmt_->set_telemetry(tele);
-    datapath_->set_telemetry(tele);
+    host_.datapath->set_telemetry(tele);
     if (governor_) {
       reg.add_gauge("policy.tier", [this]() {
         return static_cast<double>(static_cast<int>(governor_->tier()));
@@ -362,13 +407,15 @@ Nanos Testbed::now() const { return sched_.now(); }
 void Testbed::reset_measurement() {
   measure_start_ = sched_.now();
   llc_->reset_stats();
-  flows_.for_each([](FlowId, FlowRecord& record) { record.source->reset_measurement(); });
+  flows_.for_each([](FlowId, FlowRecord& record) {
+    if (record.source) record.source->reset_measurement();
+  });
 }
 
-FlowReport make_flow_report(FlowId id, FlowKind kind, const FlowSource& src, Nanos span) {
+FlowReport make_flow_report(const FlowSource& src, Nanos span) {
   FlowReport out;
-  out.id = id;
-  out.kind = kind;
+  out.id = src.id();
+  out.kind = src.config().kind;
   out.mpps = src.delivered_meter().mpps(Nanos{0}, span);
   out.gbps = src.delivered_meter().gbps(Nanos{0}, span);
   out.p50 = src.latency().p50();
@@ -388,8 +435,8 @@ FlowReport make_flow_report(FlowId id, FlowKind kind, const FlowSource& src, Nan
 
 FlowReport Testbed::report(FlowId id) const {
   const FlowRecord* record = flows_.find(id);
-  if (record == nullptr) return FlowReport{};
-  return make_flow_report(id, record->kind, *record->source, sched_.now() - measure_start_);
+  if (record == nullptr || !record->source) return FlowReport{};
+  return make_flow_report(*record->source, sched_.now() - measure_start_);
 }
 
 std::vector<FlowReport> Testbed::all_reports() const {
@@ -398,28 +445,42 @@ std::vector<FlowReport> Testbed::all_reports() const {
   return out;
 }
 
-double Testbed::aggregate_mpps(std::optional<FlowKind> kind) const {
+namespace {
+
+double sum_reports(const std::vector<FlowReport>& reports, double FlowReport::*field,
+                   std::optional<FlowKind> kind) {
   double sum = 0.0;
-  for (const auto& r : all_reports()) {
-    if (!kind || r.kind == *kind) sum += r.mpps;
+  for (const FlowReport& r : reports) {
+    if (!kind || r.kind == *kind) sum += r.*field;
   }
   return sum;
+}
+
+}  // namespace
+
+double aggregate_mpps(const std::vector<FlowReport>& reports, std::optional<FlowKind> kind) {
+  return sum_reports(reports, &FlowReport::mpps, kind);
+}
+
+double aggregate_gbps(const std::vector<FlowReport>& reports, std::optional<FlowKind> kind) {
+  return sum_reports(reports, &FlowReport::gbps, kind);
+}
+
+double aggregate_message_gbps(const std::vector<FlowReport>& reports,
+                              std::optional<FlowKind> kind) {
+  return sum_reports(reports, &FlowReport::message_gbps, kind);
+}
+
+double Testbed::aggregate_mpps(std::optional<FlowKind> kind) const {
+  return ceio::aggregate_mpps(all_reports(), kind);
 }
 
 double Testbed::aggregate_gbps(std::optional<FlowKind> kind) const {
-  double sum = 0.0;
-  for (const auto& r : all_reports()) {
-    if (!kind || r.kind == *kind) sum += r.gbps;
-  }
-  return sum;
+  return ceio::aggregate_gbps(all_reports(), kind);
 }
 
 double Testbed::aggregate_message_gbps(std::optional<FlowKind> kind) const {
-  double sum = 0.0;
-  for (const auto& r : all_reports()) {
-    if (!kind || r.kind == *kind) sum += r.message_gbps;
-  }
-  return sum;
+  return ceio::aggregate_message_gbps(all_reports(), kind);
 }
 
 }  // namespace ceio

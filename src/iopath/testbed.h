@@ -120,11 +120,27 @@ struct FlowReport {
   std::int64_t drops = 0;
 };
 
-/// Summarises what `source` (flow `id`, of `kind`) delivered over a
-/// measurement window `span` long. Testbed::report and
-/// ShardedTestbed::report both go through here, so a flow reads the same
-/// from a single-domain and a sharded run.
-FlowReport make_flow_report(FlowId id, FlowKind kind, const FlowSource& source, Nanos span);
+/// Summarises what `source` delivered over a measurement window `span`
+/// long. Testbed::report and ShardedTestbed::report both go through here,
+/// so a flow reads the same from a single-domain and a sharded run.
+FlowReport make_flow_report(const FlowSource& source, Nanos span);
+
+/// Kind-filtered sums over `reports` (every flow when `kind` is nullopt),
+/// added in report order.
+double aggregate_mpps(const std::vector<FlowReport>& reports,
+                      std::optional<FlowKind> kind = std::nullopt);
+double aggregate_gbps(const std::vector<FlowReport>& reports,
+                      std::optional<FlowKind> kind = std::nullopt);
+double aggregate_message_gbps(const std::vector<FlowReport>& reports,
+                              std::optional<FlowKind> kind = std::nullopt);
+
+/// Sender half of a flow: its FlowSource emitting onto `link`, on an RNG
+/// stream keyed on (run seed, flow id) — arrival randomness is a pure
+/// function of the flow's identity, so no event-domain layout can reorder
+/// anyone's draws. Call arm_start() once the receiver half is registered.
+std::unique_ptr<FlowSource> make_flow_source(EventScheduler& sched, NetworkLink& link,
+                                             const FlowConfig& config,
+                                             const DctcpConfig& dctcp, std::uint64_t run_seed);
 
 class Testbed {
  public:
@@ -145,7 +161,19 @@ class Testbed {
   class VxlanApp& make_vxlan();
   class ThrasherApp& make_thrasher();
 
-  // ---- Datapath replacement (multi-tenant assemblies) ----
+  // ---- Datapath construction ----
+  struct HostDatapath {
+    std::unique_ptr<BufferPool> pool;
+    std::unique_ptr<IoDatapath> datapath;
+    CeioDatapath* ceio = nullptr;  // the datapath, when it is CEIO
+  };
+  /// The one SystemKind switch: a host buffer pool (ids from `pool_base`)
+  /// and a config().system datapath over this testbed's models. CEIO's
+  /// Eq.-1 auto-credits derive from `ddio_capacity` buffers. The
+  /// constructor builds the testbed's own (base 1, the whole DDIO
+  /// partition); a TenantAssembly builds one per tenant.
+  HostDatapath build_datapath(BufferId pool_base, std::size_t ddio_capacity);
+
   /// Swaps in a replacement datapath (e.g. a TenantDemux fronting per-tenant
   /// datapaths). Must be called before any flow exists; throws otherwise.
   /// After the swap ceio() returns nullptr — per-tenant CEIO instances are
@@ -154,9 +182,14 @@ class Testbed {
   void install_datapath(std::unique_ptr<IoDatapath> datapath);
 
   // ---- Flows ----
-  /// Creates the flow's source and pinned core and registers it with the
-  /// datapath. Emission starts at config.start_time (scheduled).
+  /// Both halves of a flow on this testbed: the sender half on its link,
+  /// then the receiver half reporting to the source. Emission starts at
+  /// config.start_time (scheduled).
   FlowSource& add_flow(const FlowConfig& config, Application& app);
+  /// Receiver half of a flow: a pinned core and the FlowRuntime registered
+  /// with the datapath, reporting to `feedback` (the local FlowSource, or a
+  /// proxy when the sender half is in another event domain).
+  void add_receiver(const FlowConfig& config, Application& app, FlowFeedback& feedback);
   void remove_flow(FlowId id);
   FlowSource* source(FlowId id);
   CpuCore* core(FlowId id);
@@ -192,6 +225,7 @@ class Testbed {
   /// Clears per-flow meters and host-level stats; reports cover the window
   /// from this call to `now()`.
   void reset_measurement();
+  /// FlowReport{} for an unknown flow or one whose sender is remote.
   FlowReport report(FlowId id) const;
   std::vector<FlowReport> all_reports() const;
   /// Aggregate delivered Mpps over flows of `kind` (or all when nullopt).
@@ -226,10 +260,10 @@ class Testbed {
   RmtEngine& rmt() { return *rmt_; }
   Nic& nic() { return *nic_; }
   NetworkLink& link() { return *link_; }
-  BufferPool& host_pool() { return *host_pool_; }
-  IoDatapath& datapath() { return *datapath_; }
+  BufferPool& host_pool() { return *host_.pool; }
+  IoDatapath& datapath() { return *host_.datapath; }
   /// Non-null only when system == kCeio.
-  CeioDatapath* ceio() { return ceio_; }
+  CeioDatapath* ceio() { return host_.ceio; }
   /// Non-null only when config.policy.governor != kOff.
   policy::DatapathGovernor* governor() { return governor_.get(); }
   const TestbedConfig& config() const { return config_; }
@@ -237,8 +271,7 @@ class Testbed {
  private:
   struct FlowRecord {
     std::unique_ptr<CpuCore> core;
-    std::unique_ptr<FlowSource> source;
-    FlowKind kind;
+    std::unique_ptr<FlowSource> source;  // null when the sender is remote
   };
 
   TestbedConfig config_;
@@ -255,10 +288,7 @@ class Testbed {
   std::unique_ptr<RmtEngine> rmt_;
   std::unique_ptr<Nic> nic_;
   std::unique_ptr<NetworkLink> link_;
-  std::unique_ptr<BufferPool> host_pool_;
-
-  std::unique_ptr<IoDatapath> datapath_;
-  CeioDatapath* ceio_ = nullptr;
+  HostDatapath host_;  // install_datapath swaps the datapath, keeps the pool
 
   std::vector<std::unique_ptr<Application>> apps_;
   // Dense slab keyed by flow id: the drop handler probes this per dropped
@@ -290,5 +320,13 @@ class Testbed {
   bool audit_sweep_scheduled_ = false;
   std::size_t audit_logged_ = 0;
 };
+
+// The application-name table (kv | echo | vxlan | linefs | rdma | thrasher):
+// workload and tenant applications alike are named and made through it.
+bool is_known_app(const std::string& name);
+/// True for the CPU-bypass applications (linefs, rdma).
+bool is_bypass_app(const std::string& name);
+/// Creates the named application on `bed`; nullptr for an unknown name.
+Application* make_app(Testbed& bed, const std::string& name);
 
 }  // namespace ceio

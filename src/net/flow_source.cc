@@ -29,6 +29,14 @@ void FlowSource::start() {
   }
 }
 
+void FlowSource::arm_start() {
+  if (config_.start_time <= sched_.now()) {
+    start();
+  } else {
+    sched_.schedule_at(config_.start_time, [this]() { start(); });
+  }
+}
+
 void FlowSource::stop() {
   if (!active_) return;
   active_ = false;

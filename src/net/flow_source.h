@@ -52,6 +52,9 @@ class FlowSource : public FlowFeedback {
   /// Begins emission (schedules the first packet / message and the DCTCP
   /// window timer). Idempotent while already running.
   void start();
+  /// start() at config().start_time: now when that time has passed, else
+  /// from a scheduled event.
+  void arm_start();
   /// Stops emission. In-flight packets still drain.
   void stop();
   bool active() const { return active_; }

@@ -4,17 +4,8 @@
 #include <stdexcept>
 #include <utility>
 
-#include "apps/echo.h"
-#include "apps/kv_store.h"
-#include "apps/linefs.h"
-#include "apps/raw_rdma.h"
-#include "apps/thrasher.h"
-#include "apps/vxlan.h"
 #include "audit/invariants.h"
 #include "audit/model_auditor.h"
-#include "baselines/hostcc.h"
-#include "baselines/legacy.h"
-#include "baselines/shring.h"
 #include "telemetry/metrics.h"
 
 namespace ceio::tenant {
@@ -25,16 +16,6 @@ namespace {
 /// realistic pool, and base 1 for tenant 0 keeps id 0 meaning "no buffer".
 BufferId pool_base(std::size_t tenant) {
   return 1 + (static_cast<BufferId>(tenant) << 24);
-}
-
-Application* make_tenant_app(Testbed& bed, const std::string& app) {
-  if (app == "kv") return &bed.make_kv_store();
-  if (app == "echo") return &bed.make_echo();
-  if (app == "vxlan") return &bed.make_vxlan();
-  if (app == "linefs") return &bed.make_linefs();
-  if (app == "rdma") return &bed.make_raw_rdma();
-  if (app == "thrasher") return &bed.make_thrasher();
-  return nullptr;
 }
 
 }  // namespace
@@ -74,70 +55,26 @@ TenantAssembly::TenantAssembly(Testbed& bed, const TenantSetConfig& set,
   const TestbedConfig& cfg = bed.config();
   roster_ = tenant_roster(set, cfg.llc.ddio_ways);
 
-  // Per-tenant pools + datapaths behind one demux — what the single-tenant
-  // Testbed constructor builds once, built per tenant here.
-  const Bytes buf = cfg.llc.buffer_bytes;
+  // Per-tenant pools + datapaths behind one demux, each from
+  // Testbed::build_datapath. Eq. 1 per tenant: CEIO credits derive from
+  // the DDIO capacity the tenant can reach — its exclusive slice plus the
+  // shared pool — not the whole partition.
   auto demux = std::make_unique<TenantDemux>();
   std::vector<int> ways;
   std::size_t shared = static_cast<std::size_t>(cfg.llc.ddio_ways);
   for (const TenantRosterEntry& e : roster_) {
     shared -= static_cast<std::size_t>(e.ways);
   }
+  const std::size_t sets =
+      bed.llc().ddio_capacity() / static_cast<std::size_t>(std::max(cfg.llc.ddio_ways, 1));
   for (std::size_t t = 0; t < roster_.size(); ++t) {
     const TenantRosterEntry& e = roster_[t];
     ways.push_back(e.ways);
-    std::unique_ptr<IoDatapath> dp;
-    CeioDatapath* ceio = nullptr;
-    switch (cfg.system) {
-      case SystemKind::kLegacy: {
-        pools_.push_back(
-            std::make_unique<BufferPool>(cfg.legacy_pool_buffers, buf, pool_base(t)));
-        dp = std::make_unique<LegacyDatapath>(bed.sched(), bed.dma(),
-                                              bed.memory_controller(), *pools_.back(),
-                                              cfg.legacy);
-        break;
-      }
-      case SystemKind::kHostcc: {
-        pools_.push_back(
-            std::make_unique<BufferPool>(cfg.legacy_pool_buffers, buf, pool_base(t)));
-        dp = std::make_unique<HostccDatapath>(bed.sched(), bed.dma(),
-                                              bed.memory_controller(), *pools_.back(),
-                                              bed.iio(), bed.dram(), bed.llc(), cfg.hostcc);
-        break;
-      }
-      case SystemKind::kShring: {
-        pools_.push_back(std::make_unique<BufferPool>(
-            std::max<std::size_t>(cfg.shring_pool_entries, 64), buf, pool_base(t)));
-        dp = std::make_unique<ShringDatapath>(bed.sched(), bed.dma(),
-                                              bed.memory_controller(), *pools_.back(),
-                                              cfg.shring);
-        break;
-      }
-      case SystemKind::kCeio: {
-        // Eq. 1 per tenant: credits derive from the DDIO capacity the tenant
-        // can reach — its exclusive slice plus the shared pool — not the
-        // whole partition.
-        CeioConfig ceio_cfg = cfg.ceio;
-        const std::size_t sets =
-            bed.llc().ddio_capacity() / static_cast<std::size_t>(std::max(cfg.llc.ddio_ways, 1));
-        if (cfg.ceio_auto_credits) {
-          ceio_cfg = derive_ceio_auto_credits(
-              ceio_cfg, sets * (static_cast<std::size_t>(e.ways) + shared));
-        }
-        pools_.push_back(std::make_unique<BufferPool>(
-            static_cast<std::size_t>(ceio_cfg.total_credits) * 2 + 1024, buf,
-            pool_base(t)));
-        auto owned = std::make_unique<CeioDatapath>(bed.sched(), bed.dma(),
-                                                    bed.memory_controller(), *pools_.back(),
-                                                    bed.rmt(), bed.nic_memory(),
-                                                    ceio_cfg);
-        ceio = owned.get();
-        dp = std::move(owned);
-        break;
-      }
-    }
-    ceio_.push_back(ceio);
-    demux->add_tenant(std::move(dp), e.first_flow, e.last_flow);
+    Testbed::HostDatapath host =
+        bed.build_datapath(pool_base(t), sets * (static_cast<std::size_t>(e.ways) + shared));
+    pools_.push_back(std::move(host.pool));
+    ceio_.push_back(host.ceio);
+    demux->add_tenant(std::move(host.datapath), e.first_flow, e.last_flow);
   }
   demux_ = demux.get();
   bed.install_datapath(std::move(demux));
@@ -162,20 +99,14 @@ TenantAssembly::TenantAssembly(Testbed& bed, const TenantSetConfig& set,
   // Applications in roster order (the KV store draws from the testbed Rng
   // at construction — creation order is part of bit-reproducibility).
   for (const TenantRosterEntry& e : roster_) {
-    Application* app = make_tenant_app(bed, e.cfg.app);
-    if (app == nullptr) {
-      throw std::invalid_argument("unknown tenant app: " + e.cfg.app);
-    }
+    Application* app = make_app(bed, e.cfg.app);
+    if (app == nullptr) throw std::invalid_argument("unknown tenant app '" + e.cfg.app + "'");
     apps_.push_back(app);
   }
 
   controller_ =
       std::make_unique<WayPartitionController>(ctl_cfg_, ways, cfg.llc.ddio_ways);
   if (ctl_cfg_.enabled) arm_tick();
-}
-
-int TenantAssembly::total_flows() const {
-  return static_cast<int>(roster_.back().last_flow);
 }
 
 Application& TenantAssembly::app_of_flow(FlowId flow) {

@@ -1,12 +1,12 @@
 // TenantAssembly: turns a plain Testbed into a multi-tenant host.
 //
-// The assembly owns what the single-tenant Testbed constructor would have
-// built per tenant — a host buffer pool and a datapath instance of the
-// selected system — mounts them behind a TenantDemux, carves the shared
-// LLC's DDIO ways into per-tenant slices, and (optionally) runs the
-// WayPartitionController on the testbed's event scheduler. Flow-id blocks
-// are contiguous per tenant, so the demux, the harness and the sharded
-// runner all agree on ownership by id alone.
+// Per tenant, the assembly takes a host buffer pool and a datapath of the
+// selected system from Testbed::build_datapath and mounts the datapaths
+// behind a TenantDemux; it carves the shared LLC's DDIO ways into
+// per-tenant slices and (optionally) runs the WayPartitionController on the
+// testbed's event scheduler. Flow-id blocks are contiguous per tenant, so
+// the demux, the harness and the sharded runner all agree on ownership by
+// id alone.
 #pragma once
 
 #include <cstdint>
@@ -51,7 +51,6 @@ class TenantAssembly {
   TenantAssembly(Testbed& bed, const TenantSetConfig& set, const WayControllerConfig& ctl);
 
   const std::vector<TenantRosterEntry>& roster() const { return roster_; }
-  int total_flows() const;
 
   Application& app_of(std::size_t tenant) { return *apps_[tenant]; }
   /// The application serving `flow` (flows map to tenants by id block).

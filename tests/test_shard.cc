@@ -1,16 +1,21 @@
 // Tests for the sharded simulation stack: the SPSC mailbox, the
 // conservative-lookahead coordinator's epoch/barrier edge cases, per-domain
-// seed derivation, and the headline contract — shards=1 and shards=N runs
-// are bitwise identical for CEIO and ShRing alike.
+// seed derivation, the headline contract — shards=1 and shards=N runs are
+// bitwise identical for CEIO and ShRing alike — and the one deployment path
+// (per-flow arrival streams and per-domain flow tables match a single-domain
+// run's).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
 
 #include "common/rng.h"
 #include "harness/experiment.h"
+#include "harness/scenario_registry.h"
 #include "harness/sharded_testbed.h"
+#include "net/flow_source.h"
 #include "sim/shard_coordinator.h"
 #include "sim/spsc_mailbox.h"
 
@@ -263,6 +268,60 @@ TEST(ShardedExperiment, DomainCountIsAScenarioParameter) {
   spec.testbed.sim.domains = 8;
   const RunResult eight = run_experiment(spec);
   EXPECT_NE(four.aggregate_mpps, eight.aggregate_mpps);
+}
+
+// ---------- one deployment path ----------
+
+TEST(ShardedPlacement, PoissonArrivalsDoNotDependOnDomainCount) {
+  // A flow's arrival stream is keyed on (run seed, flow id) wherever its
+  // sender half lives, so uncongested Poisson flows send the same packets at
+  // any domain count.
+  ExperimentSpec spec;
+  spec.workload.app = "echo";
+  spec.workload.flows = 8;
+  spec.workload.offered_rate = gbps(1.0);
+  spec.workload.poisson = true;
+  const Nanos window = micros(200);
+
+  Testbed single(spec.testbed);
+  Application* app = make_app(single, spec.workload.app);
+  std::vector<std::int64_t> sent;
+  for (FlowId id = 1; id <= 8; ++id) single.add_flow(flow_config(id, spec.workload), *app);
+  single.run_until(window);
+  for (FlowId id = 1; id <= 8; ++id) sent.push_back(single.source(id)->stats().packets_sent);
+  // Per-flow streams: the flows do not all draw the same gaps.
+  EXPECT_NE(std::count(sent.begin(), sent.end(), sent.front()), 8);
+
+  for (const int domains : {2, 4}) {
+    spec.testbed.sim.domains = domains;
+    ShardedTestbed sharded(spec);
+    sharded.run_until(window);
+    for (FlowId id = 1; id <= 8; ++id) {
+      EXPECT_EQ(sharded.source(id)->stats().packets_sent, sent[id - 1])
+          << "flow " << id << " at " << domains << " domains";
+    }
+  }
+}
+
+TEST(ShardedPlacement, EachDomainTestbedSeesExactlyItsFlows) {
+  // Receiver halves register through the domain's own Testbed, so its flow
+  // table — and with it the governor's gauges and the audit invariants —
+  // holds exactly the flows f with (f-1) mod P == d.
+  ExperimentSpec tenants = ScenarioRegistry::instance().find("multitenant-short")->spec;
+  tenants.testbed.sim.domains = 3;
+  for (const ExperimentSpec& spec : {sharded_spec(SystemKind::kCeio, "echo", 4), tenants}) {
+    ShardedTestbed bed(spec);
+    const auto P = static_cast<FlowId>(bed.domains());
+    for (int d = 0; d < bed.domains(); ++d) {
+      std::vector<FlowId> expected;
+      for (FlowId f = 1; bed.source(f) != nullptr; ++f) {
+        if ((f - 1) % P == static_cast<FlowId>(d)) expected.push_back(f);
+      }
+      EXPECT_FALSE(expected.empty());
+      EXPECT_EQ(bed.bed(d).flow_ids(), expected) << "domain " << d;
+      for (const FlowId f : expected) EXPECT_NE(bed.bed(d).core(f), nullptr) << "flow " << f;
+    }
+  }
 }
 
 }  // namespace

@@ -9,19 +9,21 @@
 #   2. release build + test cmake Release with CEIO_WERROR=ON (the
 #                           -Wall/-Wextra/-Wshadow net is a gate), ctest
 #   3. migration safety     fig04_motivation + registered ceio_sim scenarios
-#                           (single-tenant and multi-tenant) diffed against
-#                           the goldens in tools/golden/, also with the
-#                           governor off and with `--trace` recording on
+#                           (single-tenant, multi-tenant and sharded) diffed
+#                           against the goldens in tools/golden/, also with
+#                           the governor off and with `--trace` recording on,
+#                           and the sharded one at --shards 1 and 4
 #   4. audited build + test CEIO_AUDIT=ON (invariant sweeps active)
 #   5. asan build + test    CEIO_AUDIT=ON + CEIO_SANITIZE=address
 #   6. ubsan build + test   CEIO_AUDIT=ON + CEIO_SANITIZE=undefined
 #   7. tsan sweep           CEIO_SANITIZE=thread; a multi-axis ceio_sim sweep
 #                           at --jobs 4, byte-compared against --jobs 1
-#   8. tsan shards          CEIO_SANITIZE=thread; the sharded-kv-short and
-#                           governed-kv-short (sim.domains=4) scenarios at
-#                           --shards 4, byte-compared against --shards 1
-#                           (conservative-lookahead determinism, including
-#                           the datapath governor's decisions)
+#   8. tsan shards          CEIO_SANITIZE=thread; the sharded-kv-short,
+#                           governed-kv-short (sim.domains=4) and
+#                           multitenant-short (sim.domains=2, Poisson tenant)
+#                           scenarios at --shards 4, byte-compared against
+#                           --shards 1 (conservative-lookahead determinism,
+#                           including the datapath governor's decisions)
 #   9. clang-tidy           over src/ using the .clang-tidy profile
 #  10. perf gate            bench/perf_core from the release tree vs the
 #                           committed BENCH_perf_core.json baseline; fails on
@@ -122,6 +124,8 @@ else
   #     > tools/golden/ceio_sim_ceio-kv-short.txt
   #   build/tools/ceio_sim --scenario multitenant-short \
   #     > tools/golden/ceio_sim_multitenant-short.txt
+  #   build/tools/ceio_sim --scenario sharded-kv-short \
+  #     > tools/golden/ceio_sim_sharded-kv-short.txt
   note "migration safety (diff vs tools/golden/)"
   golden_status=1
   if cmake --build "${CHECK_ROOT}/release" -j "${JOBS}" \
@@ -133,6 +137,13 @@ else
       <("${CHECK_ROOT}/release/tools/ceio_sim" --scenario ceio-kv-short) || golden_status=1
     diff "${REPO_ROOT}/tools/golden/ceio_sim_multitenant-short.txt" \
       <("${CHECK_ROOT}/release/tools/ceio_sim" --scenario multitenant-short) || golden_status=1
+    # Sharded output is pinned too, at one worker thread and at four: paced
+    # KV with the governor off, built through the same deployment path.
+    for shards in 1 4; do
+      diff "${REPO_ROOT}/tools/golden/ceio_sim_sharded-kv-short.txt" \
+        <("${CHECK_ROOT}/release/tools/ceio_sim" --scenario sharded-kv-short \
+          --shards "${shards}") || golden_status=1
+    done
     # Policy-layer neutrality: with the governor explicitly off the policy
     # plumbing must be invisible — same goldens, byte for byte.
     diff "${REPO_ROOT}/tools/golden/ceio_sim_ceio-kv-short.txt" \
@@ -204,7 +215,7 @@ else
   # ThreadSanitizer and require the report to be byte-identical to the
   # --shards 1 expansion (the same determinism contract stage 7 gives the
   # sweep runner's --jobs).
-  note "tsan sharded run (sharded-kv-short, --shards 4 vs --shards 1)"
+  note "tsan sharded runs (sharded, governed and multi-tenant; --shards 4 vs --shards 1)"
   tsan_shards_status=1
   tsan_sharded() {  # tsan_sharded <shards>
     TSAN_OPTIONS="halt_on_error=1" "${tsan_tree}/tools/ceio_sim" \
@@ -217,21 +228,22 @@ else
     TSAN_OPTIONS="halt_on_error=1" "${tsan_tree}/tools/ceio_sim" \
       --scenario governed-kv-short --ms 1 --set sim.domains=4 --shards "$1"
   }
+  # The multi-tenant variant runs a Poisson tenant across domains: each
+  # flow's arrival stream must not depend on the worker-thread count either.
+  tsan_tenants() {  # tsan_tenants <shards>
+    TSAN_OPTIONS="halt_on_error=1" "${tsan_tree}/tools/ceio_sim" \
+      --scenario multitenant-short --set sim.domains=2 --shards "$1"
+  }
   if [[ -x "${tsan_tree}/tools/ceio_sim" ]]; then
-    if diff <(tsan_sharded 1) <(tsan_sharded 4); then
-      echo "sharded report byte-identical under TSan at --shards 4"
-      tsan_shards_status=0
-    else
-      echo "sharded run diverges or raced under TSan"
-    fi
-    if [[ "${tsan_shards_status}" -eq 0 ]]; then
-      if diff <(tsan_governed 1) <(tsan_governed 4); then
-        echo "governed sharded report byte-identical under TSan at --shards 4"
+    tsan_shards_status=0
+    for run in tsan_sharded tsan_governed tsan_tenants; do
+      if diff <("${run}" 1) <("${run}" 4); then
+        echo "${run#tsan_} report byte-identical under TSan at --shards 4"
       else
-        echo "governed sharded run diverges or raced under TSan"
+        echo "${run#tsan_} run diverges or raced under TSan"
         tsan_shards_status=1
       fi
-    fi
+    done
   fi
   stage_result tsan-shards "${tsan_shards_status}"
 
