@@ -103,6 +103,21 @@ std::optional<std::string> check_sw_ring(const SwRingState& s) {
   return std::nullopt;
 }
 
+std::optional<std::string> check_poll_armed(const std::vector<PollPositionState>& s) {
+  for (std::size_t p = 0; p < s.size(); ++p) {
+    const PollPositionState& pos = s[p];
+    if (pos.armed) continue;
+    const std::string where = "position " + i64(static_cast<std::int64_t>(p)) + " (flow " +
+                              i64(static_cast<std::int64_t>(pos.flow)) + ")";
+    if (!pos.quiescent) return where + " is unarmed but its poll would act";
+    if (pos.held_deadline != pos.deadline) {
+      return where + " holds deadline " + i64(pos.held_deadline.count()) +
+             " but the flow's inactivity deadline is " + i64(pos.deadline.count());
+    }
+  }
+  return std::nullopt;
+}
+
 std::optional<std::string> check_tenant_llc_sum(const TenantLlcState& s) {
   std::size_t sum = 0;
   for (const std::size_t occ : s.occupancy) sum += occ;
@@ -178,6 +193,12 @@ void register_sw_ring_invariants(ModelAuditor& auditor, std::string name,
                                  std::function<SwRingState()> probe) {
   auditor.register_invariant("ceio", std::move(name),
                              [probe = std::move(probe)](Nanos) { return check_sw_ring(probe()); });
+}
+
+void register_poll_armed_invariants(ModelAuditor& auditor,
+                                    std::function<std::vector<PollPositionState>()> probe) {
+  auditor.register_invariant("ceio", "poll-armed",
+                             [probe = std::move(probe)](Nanos) { return check_poll_armed(probe()); });
 }
 
 void register_tenant_llc_invariants(ModelAuditor& auditor,
@@ -260,6 +281,14 @@ void register_standard_invariants(ModelAuditor& auditor, Testbed& bed) {
                                  }
                                  return std::nullopt;
                                });
+
+    register_poll_armed_invariants(auditor, [b] {
+      std::vector<PollPositionState> out;
+      for (const auto& d : b->ceio()->debug_poll_positions()) {
+        out.push_back(PollPositionState{d.flow, d.armed, d.quiescent, d.held_deadline, d.deadline});
+      }
+      return out;
+    });
   }
 }
 

@@ -23,6 +23,9 @@
 //   * ring — RX descriptor rings keep head <= tail <= head + capacity.
 //   * sw-ring — the CEIO SW ring's per-segment counts sum to its pending
 //     packet count (ordering metadata agrees with occupancy).
+//   * poll-armed — every CEIO controller-poll position the poll may skip
+//     is quiescent (a visit would change nothing) and holds its flow's
+//     current inactivity deadline, so no re-arm went missing.
 #pragma once
 
 #include <cstdint>
@@ -87,6 +90,15 @@ struct SwRingState {
   std::uint64_t pending = 0;      // packets steered but not consumed
 };
 
+/// One CEIO controller-poll position, in poll order.
+struct PollPositionState {
+  std::uint64_t flow = 0;
+  bool armed = false;      // visited at the next pass (armed or forced)
+  bool quiescent = false;  // the disarm predicate holds now
+  Nanos held_deadline{0};  // the deadline an unarmed position holds
+  Nanos deadline{0};       // the flow's current inactivity deadline
+};
+
 /// Per-tenant DDIO accounting snapshot (multi-tenant runs; src/tenant/).
 struct TenantLlcState {
   std::vector<std::size_t> occupancy;  // per-tenant DDIO-resident buffers
@@ -103,6 +115,8 @@ std::optional<std::string> check_dma_window(const DmaWindowState& s);
 std::optional<std::string> check_credits(const CreditLedgerState& s);
 std::optional<std::string> check_ring(const RingState& s);
 std::optional<std::string> check_sw_ring(const SwRingState& s);
+/// Unarmed positions must be quiescent and hold their flow's deadline.
+std::optional<std::string> check_poll_armed(const std::vector<PollPositionState>& s);
 /// Per-tenant occupancies must sum to the global DDIO occupancy.
 std::optional<std::string> check_tenant_llc_sum(const TenantLlcState& s);
 /// No tenant may exceed its way-slice capacity.
@@ -124,6 +138,8 @@ void register_ring_invariants(ModelAuditor& auditor, std::string name,
                               std::function<RingState()> probe);
 void register_sw_ring_invariants(ModelAuditor& auditor, std::string name,
                                  std::function<SwRingState()> probe);
+void register_poll_armed_invariants(ModelAuditor& auditor,
+                                    std::function<std::vector<PollPositionState>()> probe);
 /// Registers both tenant-LLC invariants ("tenant-ddio-sum" and
 /// "tenant-way-bound") against one shared probe.
 void register_tenant_llc_invariants(ModelAuditor& auditor,
@@ -131,8 +147,8 @@ void register_tenant_llc_invariants(ModelAuditor& auditor,
 
 /// Binds the whole pack to a live testbed: every family above wired to the
 /// real models, plus per-flow RX-ring and SW-ring sweeps that follow flows
-/// as they are added and removed. Credit/SW-ring invariants are only
-/// registered when the testbed runs the CEIO datapath.
+/// as they are added and removed. Credit/SW-ring/poll-armed invariants are
+/// only registered when the testbed runs the CEIO datapath.
 void register_standard_invariants(ModelAuditor& auditor, Testbed& bed);
 
 }  // namespace ceio

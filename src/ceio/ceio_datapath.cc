@@ -28,7 +28,8 @@ CeioDatapath::CeioDatapath(EventScheduler& sched, DmaEngine& dma, MemoryControll
       credits_(config.total_credits),
       base_total_credits_(config.total_credits),
       doorbells_(sched, [this](Nanos, CreditDoorbell db) {
-        credits_.release(db.flow, db.count);
+        credits_.release(db.flow, db.count, [this](FlowId creditor) { arm(creditor); });
+        arm(db.flow);
       }) {
   // Controller loops run on the NIC cores for the lifetime of the runtime.
   poll_timer_ = sched_.schedule_after(config_.poll_interval,
@@ -135,11 +136,14 @@ void CeioDatapath::on_flow_registered(FlowState& fs) {
     // Rotating driver-posted landing buffers for slow-path drains, disjoint
     // from every pool range.
     ext.next_landing_buffer = kSlowLandingBase + (static_cast<BufferId>(id) << 20);
+    ext.poll_pos = reactivation_order_.size();
     reactivation_order_.push_back(id);
+    poll_due_.push_back(kArmed);
   }
   ext.last_packet_at = sched_.now();
   rmt_.install_rule(id, SteerAction::kToHost);
   credits_.add_flows({id});
+  arm_all();
 }
 
 void CeioDatapath::on_flow_unregistered(FlowState& fs) {
@@ -150,16 +154,21 @@ void CeioDatapath::on_flow_unregistered(FlowState& fs) {
   // the runtime is destroyed instead of freeing it under them.
   if (Ext* ext = ext_.find(id); ext != nullptr) {
     if (ext->elastic) retired_.push_back(std::move(ext->elastic));
+    const std::size_t pos = ext->poll_pos;
     ext_.erase(id);
+    reactivation_order_.erase(reactivation_order_.begin() + static_cast<std::ptrdiff_t>(pos));
+    poll_due_.erase(poll_due_.begin() + static_cast<std::ptrdiff_t>(pos));
+    for (std::size_t p = pos; p < reactivation_order_.size(); ++p) {
+      ext_of(reactivation_order_[p])->poll_pos = p;
+    }
   }
-  reactivation_order_.erase(
-      std::remove(reactivation_order_.begin(), reactivation_order_.end(), id),
-      reactivation_order_.end());
+  arm_all();
 }
 
 void CeioDatapath::set_manual_consume(FlowId id, bool manual) {
   Ext* ext = ext_of(id);
   if (ext == nullptr) return;
+  arm(*ext);
   ext->manual = manual;
   if (ext->next_posted_id == 0) {
     ext->next_posted_id = kPostedBase + (static_cast<BufferId>(id) << 20);
@@ -172,6 +181,7 @@ std::size_t CeioDatapath::driver_recv(FlowId id, Packet* out, std::size_t max_pk
   FlowState* fs = state_of(id);
   Ext* ext = ext_of(id);
   if (fs == nullptr || ext == nullptr || !ext->manual) return 0;
+  arm(*ext);
   manual_pump(*fs, *ext);
   std::size_t n = 0;
   while (n < max_pkts && !ext->driver_queue.empty()) {
@@ -190,6 +200,7 @@ std::vector<BufferId> CeioDatapath::driver_post_recv(FlowId id, std::size_t coun
   std::vector<BufferId> out;
   Ext* ext = ext_of(id);
   if (ext == nullptr) return out;
+  arm(*ext);
   if (ext->next_posted_id == 0) {
     ext->next_posted_id = kPostedBase + (static_cast<BufferId>(id) << 20);
   }
@@ -206,6 +217,7 @@ void CeioDatapath::driver_complete(FlowId id, const Packet& pkt) {
   FlowState* fs = state_of(id);
   Ext* ext = ext_of(id);
   if (fs == nullptr || ext == nullptr) return;
+  arm(*ext);
   if (is_pool_buffer(pkt.host_buffer)) host_pool_.release(pkt.host_buffer);
   if (pkt.host_buffer != 0) mc_.release_buffer(pkt.host_buffer);
   CEIO_T_PATH_DONE(tele_, pkt.flow, pkt.seq, PathHop::kProcessed, sched_.now());
@@ -231,6 +243,7 @@ void CeioDatapath::apply_total_credits() {
                          ? base_total_credits_
                          : std::llround(static_cast<double>(base_total_credits_) *
                                         credit_scale_));
+  arm_all();
 }
 
 void CeioDatapath::set_credit_scale(double scale) {
@@ -244,12 +257,14 @@ void CeioDatapath::set_landed_caps(std::size_t involved_cap, std::size_t bypass_
   // resizing takes effect at the next drain attempt.
   config_.landed_cap = involved_cap;
   config_.bypass_landed_cap = bypass_cap;
+  arm_all();
 }
 
 void CeioDatapath::on_flow_path_changed(FlowState& fs) {
   const FlowId id = fs.rt.config.id;
   Ext* ext = ext_of(id);
   if (ext == nullptr) return;
+  arm(*ext);
   switch (fs.path_override) {
     case policy::FlowPathOverride::kForceSlow:
       if (!ext->slow_mode) {
@@ -298,12 +313,14 @@ void CeioDatapath::on_packet(Packet pkt) {
   Ext* ext = ext_of(pkt.flow);
   if (fs == nullptr || ext == nullptr) return;  // unknown flow: no rule, drop
   ext->last_packet_at = sched_.now();
+  arm(*ext);
   // Traffic-triggered reactivation (§4.1 Q3): a reclaimed flow that shows
   // traffic again gets its credits back through Algorithm 1 — but the
   // controller can only run so many reactivations per second. Fast flow
   // churn overruns this budget and flows stay on the slow path (Figure 12).
   if (!credits_.active(pkt.flow) && take_reactivation_token()) {
     credits_.reactivate(pkt.flow);
+    arm_all();
     ++rt_stats_.reactivations;
     CEIO_T_INSTANT(tele_, TraceTrack::kCreditController, "reactivate", sched_.now(),
                    static_cast<double>(credits_.credits(pkt.flow)), pkt.flow);
@@ -376,6 +393,7 @@ void CeioDatapath::on_fast_landed(FlowId flow, PacketRef ref) {
     }
     return;
   }
+  arm(*ext);
   if (fs->rt.source != nullptr) fs->rt.source->notify_delivered(pkt);
   if (!fs->rt.app->per_packet_cpu()) {
     // Bypass flow: message progress at DMA granularity; credits replenish
@@ -425,6 +443,7 @@ void CeioDatapath::on_slow_read_complete(FlowId flow, Packet pkt, Nanos /*now*/)
   // IIO/LLC accounting applies (the drain window keeps this footprint tiny).
   FlowState* fs = state_of(flow);
   if (fs == nullptr) return;
+  arm(flow);
   if (!fs->rt.app->per_packet_cpu()) {
     const BufferId buffer = fs->next_bypass_buffer++;
     pkt.host_buffer = buffer;
@@ -435,6 +454,7 @@ void CeioDatapath::on_slow_read_complete(FlowId flow, Packet pkt, Nanos /*now*/)
           Ext* ext2 = ext_of(flow);
           if (fs2 == nullptr) return;
           if (ext2 != nullptr) {
+            arm(*ext2);
             ++ext2->slow_landed_unworked;
             ++ext2->msg_path_counts[pkt.message_id].second;
           }
@@ -461,6 +481,7 @@ void CeioDatapath::land_slow_involved(FlowId flow, Packet pkt) {
                   FlowState* fs2 = state_of(flow);
                   Ext* ext2 = ext_of(flow);
                   if (fs2 == nullptr || ext2 == nullptr) return;
+                  arm(*ext2);
                   CEIO_T_PATH_HOP(tele_, pkt.flow, pkt.seq, PathHop::kHostLanded, sched_.now());
                   if (fs2->rt.source != nullptr) fs2->rt.source->notify_delivered(pkt);
                   ext2->landed_slow.push_back(std::move(pkt));
@@ -503,6 +524,7 @@ void CeioDatapath::pump(FlowId flow) {
   FlowState* fs = state_of(flow);
   Ext* ext = ext_of(flow);
   if (fs == nullptr || ext == nullptr) return;
+  arm(*ext);
   if (ext->manual) {
     manual_pump(*fs, *ext);
     return;
@@ -587,6 +609,7 @@ void CeioDatapath::on_message_work_done(FlowState& fs, const Packet& last_pkt, N
   if (fs.rt.app->per_packet_cpu()) return;  // involved flows release per batch
   Ext* ext = ext_of(fs.rt.config.id);
   if (ext == nullptr) return;
+  arm(*ext);
   // The worker consumed the chunk: its slow-path landings no longer pin the
   // drain gate, and the chunk's credits return to the controller.
   std::int32_t fast_cnt = 0;
@@ -609,6 +632,7 @@ void CeioDatapath::on_message_work_done(FlowState& fs, const Packet& last_pkt, N
 }
 
 void CeioDatapath::note_processed_for_release(FlowState& fs, Ext& ext, const Packet& pkt) {
+  arm(ext);
   ++ext.processed_since_release;
   const bool batch_full = ext.processed_since_release >= config_.release_batch;
   if ((batch_full || pkt.last_in_message) && ext.unreleased > 0) {
@@ -629,14 +653,73 @@ void CeioDatapath::controller_poll() {
   const Nanos now = sched_.now();
   const std::size_t n = reactivation_order_.size();
   const std::size_t scan = std::min(n, config_.poll_scan_limit);
+  // The window is the `scan` positions after the cursor. Only forced and
+  // armed positions, and those past their inactivity deadline, are
+  // visited: poll_flow on any other would change nothing.
+  std::size_t pos = n == 0 ? 0 : (poll_cursor_ + 1) % n;
   for (std::size_t i = 0; i < scan; ++i) {
-    poll_cursor_ = (poll_cursor_ + 1) % n;
-    const FlowId id = reactivation_order_[poll_cursor_];
-    Ext* ext = ext_of(id);
-    if (ext != nullptr) poll_flow(id, *ext, now);
+    const bool forced = poll_force_ > 0;
+    if (forced) --poll_force_;
+    if (forced || now > poll_due_[pos]) {
+      const FlowId id = reactivation_order_[pos];
+      Ext* ext = ext_of(id);
+      if (ext != nullptr) {
+        poll_flow(id, *ext, now);
+        poll_due_[pos] = poll_quiescent(id, *ext) ? inactivity_deadline(id, *ext) : kArmed;
+      }
+    }
+    poll_cursor_ = pos;
+    if (++pos == n) pos = 0;
   }
   poll_timer_ = sched_.schedule_after(config_.poll_interval,
                                       [this]() { controller_poll(); });
+}
+
+bool CeioDatapath::poll_quiescent(FlowId id, const Ext& ext) const {
+  const FlowState* fs = flows_.find(id);
+  if (fs == nullptr) return true;  // poll_flow returns at once
+  // MPQ steering and CCA marking act on every poll; a pending on-NIC write
+  // grows the slow backlog with no event of ours.
+  if (config_.policy != SteerPolicy::kCreditBased || ext.cca_marking ||
+      ext.elastic->pending_writes() > 0) {
+    return false;
+  }
+  const policy::FlowPathOverride ov = fs->path_override;
+  if (!ext.slow_mode) {
+    return ov == policy::FlowPathOverride::kForceFast || credits_.credits(id) > 0;
+  }
+  // Slow mode: the drain kick must find it already sticky with nothing to
+  // issue, and the fast path must not be re-enabled yet.
+  if (!ext.elastic->draining() || ext.elastic->can_issue()) return false;
+  if (ov == policy::FlowPathOverride::kForceSlow) return true;
+  const bool drained =
+      !fs->rt.app->per_packet_cpu() || slow_backlog(id) <= config_.reenable_backlog;
+  return !drained || !credits_.active(id) || credits_.credits(id) < reenable_threshold();
+}
+
+Nanos CeioDatapath::inactivity_deadline(FlowId id, const Ext& ext) const {
+  if (!credits_.active(id) || config_.inactive_timeout > Nanos::max() - ext.last_packet_at) {
+    return Nanos::max();
+  }
+  return ext.last_packet_at + config_.inactive_timeout;
+}
+
+std::vector<CeioDatapath::PollDebug> CeioDatapath::debug_poll_positions() const {
+  const std::size_t n = reactivation_order_.size();
+  std::vector<PollDebug> out(n);
+  for (std::size_t p = 0; p < n; ++p) {
+    PollDebug& d = out[p];
+    d.flow = reactivation_order_[p];
+    d.held_deadline = poll_due_[p];
+    // Forced positions are the next poll_force_ ones after the cursor.
+    const std::size_t ahead = (p + n - (poll_cursor_ + 1) % n) % n;
+    d.armed = poll_due_[p] == kArmed || ahead < poll_force_;
+    const Ext* ext = ext_of(d.flow);
+    if (ext == nullptr) continue;
+    d.quiescent = poll_quiescent(d.flow, *ext);
+    d.deadline = inactivity_deadline(d.flow, *ext);
+  }
+  return out;
 }
 
 void CeioDatapath::poll_flow(FlowId id, Ext& ext, Nanos now) {
@@ -651,6 +734,7 @@ void CeioDatapath::poll_flow(FlowId id, Ext& ext, Nanos now) {
     // Inactivity reclaim (Q3): idle flows surrender their credits.
     if (credits_.active(id) && now - ext.last_packet_at > config_.inactive_timeout) {
       credits_.reclaim(id);
+      arm_all();
       ext.bytes_seen = Bytes{0};  // PIAS aging: an idle flow regains top priority
       ++rt_stats_.inactive_reclaims;
       CEIO_T_INSTANT(tele_, TraceTrack::kCreditController, "inactive_reclaim", now,
@@ -696,7 +780,6 @@ void CeioDatapath::poll_flow(FlowId id, Ext& ext, Nanos now) {
       CEIO_T_INSTANT(tele_, TraceTrack::kCreditController, "cca_trigger", now,
                      static_cast<double>(slow_bk), id);
     }
-    ext.slow_backlog_last_poll = slow_bk;
 
     if (config_.policy == SteerPolicy::kMpqPias) {
       // PIAS-style decision: priority (not credits) picks the path. Long
@@ -804,6 +887,7 @@ void CeioDatapath::reactivation_round() {
       Ext* ext = ext_of(id);
       if (ext == nullptr) continue;
       credits_.reactivate(id);
+      arm_all();
       ++rt_stats_.reactivations;
       ++granted;
       // The freshly granted flow may resume the fast path once drained; the

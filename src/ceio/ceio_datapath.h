@@ -190,6 +190,16 @@ class CeioDatapath final : public DatapathBase {
   std::int64_t debug_unworked(FlowId id) const;
   std::size_t debug_open_messages(FlowId id) const;
 
+  /// White-box view of one controller-poll position, in poll order.
+  struct PollDebug {
+    FlowId flow = 0;
+    bool armed = false;      // the next pass over the position visits it
+    bool quiescent = false;  // a visit now would change nothing
+    Nanos held_deadline{0};  // deadline an unarmed position holds
+    Nanos deadline{0};       // the flow's current inactivity deadline
+  };
+  std::vector<PollDebug> debug_poll_positions() const;
+
  protected:
   void on_flow_registered(FlowState& fs) override;
   void on_flow_unregistered(FlowState& fs) override;
@@ -207,7 +217,7 @@ class CeioDatapath final : public DatapathBase {
     Nanos last_packet_at{0};
     bool slow_mode = false;          // controller's intended steering
     bool cpu_pumping = false;
-    std::size_t slow_backlog_last_poll = 0;
+    std::size_t poll_pos = 0;        // index into reactivation_order_
     Nanos last_cca_at{-1};
     bool cca_marking = false;  // drain-to-low hysteresis state
     Bytes bytes_seen{0};      // cumulative bytes (MPQ priority decay)
@@ -246,6 +256,20 @@ class CeioDatapath final : public DatapathBase {
   void apply_total_credits();
   void controller_poll();
   void poll_flow(FlowId id, Ext& ext, Nanos now);
+  /// True when poll_flow on the flow is a no-op until one of its inputs
+  /// changes (or its inactivity deadline passes).
+  bool poll_quiescent(FlowId id, const Ext& ext) const;
+  /// When an active flow's inactivity reclaim fires; never when inactive.
+  Nanos inactivity_deadline(FlowId id, const Ext& ext) const;
+  /// Marks the flow for a visit at its next poll position: called at every
+  /// event that changes one of its poll inputs.
+  void arm(const Ext& ext) { poll_due_[ext.poll_pos] = kArmed; }
+  void arm(FlowId id) {
+    if (const Ext* ext = ext_of(id); ext != nullptr) arm(*ext);
+  }
+  /// The fair share or many balances moved: the next pass over every
+  /// position visits it. O(1).
+  void arm_all() { poll_force_ = reactivation_order_.size(); }
   void reactivation_round();
   bool take_reactivation_token();
   void kick_drain(FlowId flow, Ext& ext);
@@ -269,6 +293,13 @@ class CeioDatapath final : public DatapathBase {
   std::vector<FlowId> reactivation_order_;  // RR + poll-scan cursor domain
   std::size_t reactivation_cursor_ = 0;
   std::size_t poll_cursor_ = 0;
+  // Controller-poll arming, one entry per reactivation_order_ position: the
+  // poll visits a position once `now` passes its entry. kArmed means at the
+  // next pass; a quiescent flow holds its inactivity deadline instead.
+  static constexpr Nanos kArmed = Nanos::min();
+  std::vector<Nanos> poll_due_;
+  // Positions the poll visits unconditionally before consulting poll_due_.
+  std::size_t poll_force_ = 0;
   double reactivation_tokens_ = 0.0;
   Nanos last_token_refill_{0};
   CeioRuntimeStats rt_stats_;

@@ -42,8 +42,7 @@ void ElasticBuffer::drain() {
 }
 
 void ElasticBuffer::issue_ready() {
-  while (in_flight_ < static_cast<int>(drain_window_) && !ring_.empty() &&
-         (!gate_ || gate_())) {
+  while (can_issue() && (!gate_ || gate_())) {
     Packet pkt = ring_.pop_front();
     ++in_flight_;
     CEIO_T_COUNTER(tele_, TraceTrack::kElasticBuffer, "elastic.in_flight", sched_.now(),

@@ -61,8 +61,13 @@ class ElasticBuffer {
   std::size_t backlog() const { return ring_.size(); }
   /// Packets whose DMA read is in flight.
   int in_flight() const { return in_flight_; }
+  /// Packets still being written into on-NIC DRAM (not yet drainable).
+  int pending_writes() const { return pending_writes_; }
   bool idle() const { return ring_.empty() && in_flight_ == 0 && pending_writes_ == 0; }
   bool draining() const { return draining_; }
+  /// True when a drain request could issue a read now, gate permitting:
+  /// the ring holds a packet and the read window has room.
+  bool can_issue() const { return in_flight_ < static_cast<int>(drain_window_) && !ring_.empty(); }
 
   const ElasticBufferStats& stats() const { return stats_; }
 

@@ -16,10 +16,6 @@
 //                     moving the owner never invalidates event callbacks
 //                     holding the address. Accessors mirror std::unique_ptr.
 //
-//   SharedImmutable<T>  state shared across domains by value of being
-//                     immutable: construction freezes the value, and only
-//                     const access exists. Copies share one frozen instance.
-//
 //   CEIO_DOMAIN_MESSAGE(T)  declares T a mailbox payload: an owned value
 //                     that is safe to hand to another domain. Statically
 //                     rejects payloads that carry raw pointers or references
@@ -71,24 +67,6 @@ class DomainLocal {
 
  private:
   std::unique_ptr<T> ptr_;
-};
-
-/// Immutable state shared across domains: frozen at construction, const
-/// access only. Copying shares the single frozen instance (cheap, safe).
-template <typename T>
-class SharedImmutable {
- public:
-  SharedImmutable() = default;
-  explicit SharedImmutable(T value)
-      : ptr_(std::make_shared<const T>(std::move(value))) {}
-
-  const T* get() const { return ptr_.get(); }
-  const T& operator*() const { return *ptr_; }
-  const T* operator->() const { return ptr_.get(); }
-  explicit operator bool() const { return static_cast<bool>(ptr_); }
-
- private:
-  std::shared_ptr<const T> ptr_;
 };
 
 /// Trait gate for SpscMailbox payloads. Types opt in via

@@ -24,10 +24,10 @@
 // harness-style "replay construction order" consumers and for tests that
 // pin the slab layout itself.
 //
-// Mutation during iteration follows det::for_sorted's rules: the callback
-// may erase entries (including its own — the walk has already moved past
-// it) but must not insert; an insert could land ahead of the cursor on one
-// run and behind it on another machine-independent-looking refactor.
+// Mutation during iteration: the callback may erase entries (including its
+// own — the walk has already moved past it) but must not insert; an insert
+// could land ahead of the cursor on one run and behind it on another
+// machine-independent-looking refactor.
 #pragma once
 
 #include <cassert>

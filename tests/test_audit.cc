@@ -10,6 +10,8 @@
 #include "audit/invariants.h"
 #include "audit/model_auditor.h"
 #include "ceio/credit_controller.h"
+#include "config/config_ops.h"
+#include "harness/experiment.h"
 #include "iopath/testbed.h"
 
 namespace ceio {
@@ -177,6 +179,23 @@ TEST(AuditFaultInjection, SwRingSegmentCoherence) {
   expect_fires(a, "ceio", "sw-ring-coherent");
 }
 
+TEST(AuditFaultInjection, PollArmedPositions) {
+  std::vector<PollPositionState> s(3);
+  s[0] = {/*flow=*/1, /*armed=*/true, /*quiescent=*/false, Nanos{0}, Nanos{500}};
+  s[1] = {/*flow=*/2, /*armed=*/false, /*quiescent=*/true, Nanos{700}, Nanos{700}};
+  s[2] = {/*flow=*/3, /*armed=*/false, /*quiescent=*/true, Nanos::max(), Nanos::max()};
+  ModelAuditor a;
+  register_poll_armed_invariants(a, [&s] { return s; });
+  EXPECT_EQ(a.check_all(Nanos{0}), 0u) << a.summary();
+
+  s[1].quiescent = false;  // an input changed with no re-arm
+  expect_fires(a, "ceio", "poll-armed");
+  s[1].quiescent = true;
+
+  s[2].deadline = Nanos{900};  // reactivated, yet the position never learns it
+  expect_fires(a, "ceio", "poll-armed");
+}
+
 TEST(AuditFaultInjection, TenantLlcOccupancySum) {
   TenantLlcState s;
   s.occupancy = {40, 30, 10};
@@ -268,6 +287,61 @@ INSTANTIATE_TEST_SUITE_P(Systems, AuditHealthyRun,
                          ::testing::Values(SystemKind::kLegacy, SystemKind::kHostcc,
                                            SystemKind::kShring, SystemKind::kCeio),
                          [](const auto& tpi) { return to_string(tpi.param); });
+
+// The CEIO controller poll skips quiescent flows; the poll-armed invariant
+// (with the rest of the pack) must stay silent on runs that reach its rarer
+// branches: inactivity reclaims with reactivations (the reclaim-churn
+// golden's shape), a scan window far smaller than the flow count (the
+// bounded-scan golden's) and KV flows cycling through the slow path and
+// back (ceio-kv-short's). Each run is the experiment harness's, in short.
+struct PollRun {
+  const char* name;
+  const char* overrides;  // scenario-file lines over the default spec
+  bool reclaims;          // the run must reach inactivity reclaims
+};
+
+class AuditHealthyPoll : public ::testing::TestWithParam<PollRun> {};
+
+TEST_P(AuditHealthyPoll, FullPackSilent) {
+  harness::ExperimentSpec spec;
+  std::string error;
+  ASSERT_TRUE(config::apply_text(spec, GetParam().overrides, &error)) << error;
+  Testbed bed(spec.testbed);
+  ModelAuditor& auditor = bed.enable_audit(micros(5));
+  Application* app = make_app(bed, spec.workload.app);
+  harness::for_each_flow(spec, [&](const FlowConfig& fc) { bed.add_flow(fc, *app); });
+  bed.run_for(millis(1));
+  EXPECT_GT(auditor.sweeps(), 100);
+  EXPECT_TRUE(auditor.ok()) << auditor.summary();
+  const CeioRuntimeStats& rt = bed.ceio()->runtime_stats();
+  EXPECT_GT(rt.switches_back_to_fast, 0);
+  if (GetParam().reclaims) {
+    EXPECT_GT(rt.inactive_reclaims, 0);
+    EXPECT_GT(rt.reactivations, 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Runs, AuditHealthyPoll,
+    ::testing::Values(PollRun{"ReclaimChurn",
+                              "workload.app = echo\n"
+                              "workload.flows = 512\n"
+                              "workload.offered_rate = 0.02Gbps\n"
+                              "workload.poisson = true\n"
+                              "ceio.fast_ring_entries = 16\n"
+                              "ceio.poll_scan_limit = 4096\n"
+                              "ceio.inactive_timeout = 100us\n",
+                              true},
+                      PollRun{"BoundedScan",
+                              "workload.app = echo\n"
+                              "workload.flows = 256\n"
+                              "workload.offered_rate = 0.1Gbps\n"
+                              "workload.poisson = true\n"
+                              "ceio.inactive_timeout = 50us\n"
+                              "ceio.poll_scan_limit = 32\n",
+                              true},
+                      PollRun{"KvSlowPathCycles", "", false}),
+    [](const auto& tpi) { return std::string(tpi.param.name); });
 
 TEST(AuditHealthy, EnableAuditIsIdempotent) {
   Testbed bed(TestbedConfig{});

@@ -8,11 +8,14 @@
 #                           golden-file self-test (tools/lint/fixtures/)
 #   2. release build + test cmake Release with CEIO_WERROR=ON (the
 #                           -Wall/-Wextra/-Wshadow net is a gate), ctest
-#   3. migration safety     fig04_motivation + registered ceio_sim scenarios
-#                           (single-tenant, multi-tenant and sharded) diffed
-#                           against the goldens in tools/golden/, also with
-#                           the governor off and with `--trace` recording on,
-#                           and the sharded one at --shards 1 and 4
+#   3. migration safety     every bench binary's stdout (perf_core aside: it
+#                           prints host time), registered ceio_sim scenarios
+#                           (single-tenant, multi-tenant and sharded) and the
+#                           CEIO poll's reclaim-churn and bounded-scan runs,
+#                           diffed against the goldens in tools/golden/, also
+#                           with the governor off and with `--trace`
+#                           recording on, and the sharded one at --shards 1
+#                           and 4
 #   4. audited build + test CEIO_AUDIT=ON (invariant sweeps active)
 #   5. asan build + test    CEIO_AUDIT=ON + CEIO_SANITIZE=address
 #   6. ubsan build + test   CEIO_AUDIT=ON + CEIO_SANITIZE=undefined
@@ -115,11 +118,17 @@ if [[ "${QUICK}" -eq 1 ]]; then
 else
   # -- 3: migration safety (committed golden outputs) ------------------------
   # Refactors of the experiment plumbing must not change what the paper
-  # binaries print. Run fig04_motivation and one registered ceio_sim
-  # scenario from the release tree and compare byte-for-byte against the
+  # binaries print. Run every figure/table bench and the registered ceio_sim
+  # scenarios from the release tree and compare byte-for-byte against the
   # goldens committed in tools/golden/. After an *intentional* model change,
-  # regenerate them:
-  #   build/bench/fig04_motivation > tools/golden/fig04_motivation.txt
+  # regenerate them (the benches from a temporary directory, since
+  # fig10/fig11 also write trace files into the working directory):
+  #   (cd "$(mktemp -d)" && for b in ${golden_benches}; do
+  #      "${REPO_ROOT}/build/bench/$b" > "${REPO_ROOT}/tools/golden/$b.txt"; done)
+  #   build/tools/ceio_sim ${reclaim_churn_args} \
+  #     > tools/golden/ceio_sim_reclaim-churn.txt
+  #   build/tools/ceio_sim ${bounded_scan_args} \
+  #     > tools/golden/ceio_sim_bounded-scan.txt
   #   build/tools/ceio_sim --scenario ceio-kv-short \
   #     > tools/golden/ceio_sim_ceio-kv-short.txt
   #   build/tools/ceio_sim --scenario multitenant-short \
@@ -127,12 +136,35 @@ else
   #   build/tools/ceio_sim --scenario sharded-kv-short \
   #     > tools/golden/ceio_sim_sharded-kv-short.txt
   note "migration safety (diff vs tools/golden/)"
+  golden_benches="ablation_credits ablation_cxl ablation_mpq fig04_motivation
+    fig09_pktsize fig10_dynamic fig11_paths fig12_flowscale fig_multitenant
+    limits_scenarios table2_latency table3_pathlat table4_mixed"
+  # The CEIO controller poll's rarer branches, which no scenario golden
+  # reaches: inactivity reclaims with reactivations under a full scan
+  # window, and a scan window far smaller than the flow count. Both are
+  # also ctests (tools.golden-*).
+  reclaim_churn_args="--app=echo --flows=2048 --rate-gbps=0.02 --poisson --ms=1
+    --warmup-ms=0.25 --set ceio.fast_ring_entries=16
+    --set ceio.poll_scan_limit=4096 --set ceio.inactive_timeout=100us"
+  bounded_scan_args="--app=echo --flows=512 --rate-gbps=0.1 --poisson --ms=2
+    --warmup-ms=0.5 --set ceio.inactive_timeout=50us --set ceio.poll_scan_limit=32"
   golden_status=1
+  # shellcheck disable=SC2086  # the lists above split on whitespace
   if cmake --build "${CHECK_ROOT}/release" -j "${JOBS}" \
-      --target fig04_motivation ceio_sim_cli >/dev/null; then
+      --target ${golden_benches} ceio_sim_cli >/dev/null; then
     golden_status=0
-    diff "${REPO_ROOT}/tools/golden/fig04_motivation.txt" \
-      <("${CHECK_ROOT}/release/bench/fig04_motivation") || golden_status=1
+    bench_dir="$(mktemp -d)"
+    for bench in ${golden_benches}; do
+      diff "${REPO_ROOT}/tools/golden/${bench}.txt" \
+        <(cd "${bench_dir}" && "${CHECK_ROOT}/release/bench/${bench}") || golden_status=1
+    done
+    rm -rf "${bench_dir}"
+    # shellcheck disable=SC2086
+    diff "${REPO_ROOT}/tools/golden/ceio_sim_reclaim-churn.txt" \
+      <("${CHECK_ROOT}/release/tools/ceio_sim" ${reclaim_churn_args}) || golden_status=1
+    # shellcheck disable=SC2086
+    diff "${REPO_ROOT}/tools/golden/ceio_sim_bounded-scan.txt" \
+      <("${CHECK_ROOT}/release/tools/ceio_sim" ${bounded_scan_args}) || golden_status=1
     diff "${REPO_ROOT}/tools/golden/ceio_sim_ceio-kv-short.txt" \
       <("${CHECK_ROOT}/release/tools/ceio_sim" --scenario ceio-kv-short) || golden_status=1
     diff "${REPO_ROOT}/tools/golden/ceio_sim_multitenant-short.txt" \

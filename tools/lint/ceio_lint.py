@@ -802,9 +802,9 @@ def check_unordered_iter(findings: list[Finding]) -> None:
     a member of a class or its bases) is a finding: hash order is an
     artifact of hashing, bucket count and history, and any of it escaping
     into a report, credit assignment or buffer release breaks bitwise
-    reproducibility. Use det::OrderedMap/OrderedSet or det::for_sorted /
-    det::sorted_keys (src/common/det_map.h); provably order-invariant loops
-    (integer sums) annotate."""
+    reproducibility. Use det::OrderedMap (src/common/det_map.h) or, for
+    per-flow state, FlowTable (src/common/flow_table.h); provably
+    order-invariant loops (integer sums) annotate."""
     rule = "unordered-iter"
     for src in sources(TREE_DIRS):
         for site in unordered_loops(src):
@@ -812,8 +812,9 @@ def check_unordered_iter(findings: list[Finding]) -> None:
                 findings.append(Finding(
                     rule, src.path, site.lineno,
                     f"iteration over hash-ordered container '{site.var}'; use "
-                    "det::OrderedMap / det::for_sorted (common/det_map.h) or "
-                    "suppress with a justification if provably order-invariant"))
+                    "det::OrderedMap (common/det_map.h) or FlowTable "
+                    "(common/flow_table.h), or suppress with a justification "
+                    "if provably order-invariant"))
 
 
 MAILBOX_PTR_RE = re.compile(r"\bSpscMailbox\s*<\s*[^;>]*[*&][^;>]*>")
@@ -823,8 +824,7 @@ def check_cross_domain(findings: list[Finding]) -> None:
     """Mailbox payloads must be owned values. A raw pointer or reference
     member in a CEIO_DOMAIN_MESSAGE type, or a pointer/reference
     SpscMailbox payload type, aliases the producing domain's mutable state
-    from the consuming domain — a race the epoch barriers cannot see. Share
-    read-only state via SharedImmutable<T> (common/domain_annotations.h)."""
+    from the consuming domain — a race the epoch barriers cannot see."""
     rule = "cross-domain"
     for src in sources(TREE_DIRS):
         for lineno, line in enumerate(src.code_lines, 1):
@@ -843,7 +843,7 @@ def check_cross_domain(findings: list[Finding]) -> None:
                     rule, info.src.path, lineno,
                     f"'{member}' is a raw pointer/reference member of domain "
                     f"message '{name}'; the consuming domain would alias "
-                    "producer state — ship an owned value or SharedImmutable"))
+                    "producer state — ship an owned value"))
 
 
 ACCUM_RE = re.compile(r"\b(\w+)\s*(?:\+=|-=|\*=)")
