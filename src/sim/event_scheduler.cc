@@ -1,7 +1,6 @@
 #include "sim/event_scheduler.h"
 
 #include <algorithm>
-#include <bit>
 #include <limits>
 #include <utility>
 
@@ -9,6 +8,7 @@ namespace ceio {
 
 EventScheduler::EventScheduler()
     : buckets_(kWheelSpan),
+      far_(kFarSlots),
       run_deadline_{std::numeric_limits<std::int64_t>::max()} {}
 
 std::uint32_t EventScheduler::acquire_slot() {
@@ -26,9 +26,7 @@ void EventScheduler::release_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
   s.cb.reset();  // eagerly destroy the callback and any captured state
   ++s.generation;  // invalidate every outstanding handle to this slot
-  s.where = kWhereFree;
-  s.next = free_head_;
-  free_head_ = slot;
+  push_free(slot);
 }
 
 void EventScheduler::sift_up(std::size_t pos) {
@@ -82,33 +80,63 @@ void EventScheduler::heap_remove(std::size_t pos) {
   }
 }
 
+void EventScheduler::insert(Nanos when, std::uint64_t seq, std::uint32_t slot) {
+  const std::int64_t coarse = coarse_of(when);
+  if (coarse < far_next_) {
+    wheel_insert(when, seq, slot);
+  } else if (coarse < far_next_ + kFarSlots) {
+    far_insert(when, seq, slot);
+  } else {
+    const std::size_t pos = heap_.size();
+    heap_.push_back(HeapNode{when, seq, slot});
+    slots_[slot].where = kWhereHeap;
+    slots_[slot].pos = static_cast<std::uint32_t>(pos);
+    sift_up(pos);
+  }
+}
+
+void EventScheduler::append(SlotList& list, std::uint32_t slot) {
+  slots_[slot].next = kNil;
+  if (list.head == kNil) {
+    list.head = slot;
+  } else {
+    slots_[list.tail].next = slot;
+  }
+  list.tail = slot;
+  ++list.live;
+}
+
 void EventScheduler::wheel_insert(Nanos when, std::uint64_t seq, std::uint32_t slot) {
   const std::uint32_t index = bucket_index(when);
   WheelBucket& b = buckets_[index];
-  Slot& s = slots_[slot];
-  s.seq = seq;
-  s.where = index;
-  s.next = kNil;
-  if (b.head == kNil) {
-    b.head = b.tail = slot;
+  slots_[slot].seq = seq;
+  slots_[slot].where = index;
+  if (seq < b.max_seq) {
+    b.dirty = true;
   } else {
-    slots_[b.tail].next = slot;
-    b.tail = slot;
-    if (seq < b.max_seq) b.dirty = true;
+    b.max_seq = seq;
   }
-  if (seq > b.max_seq) b.max_seq = seq;
-  ++b.live;
+  append(b, slot);
   ++wheel_live_;
-  bitmap_set(index);
+  wheel_bits_.set(index);
 }
 
-void EventScheduler::free_front(WheelBucket& b) {
-  const std::uint32_t slot = b.head;
-  b.head = slots_[slot].next;
-  if (b.head == kNil) b.tail = kNil;
-  slots_[slot].where = kWhereFree;
-  slots_[slot].next = free_head_;
-  free_head_ = slot;
+void EventScheduler::far_insert(Nanos when, std::uint64_t seq, std::uint32_t slot) {
+  const std::uint32_t index = static_cast<std::uint32_t>(coarse_of(when)) & kFarMask;
+  Slot& s = slots_[slot];
+  s.seq = seq;
+  s.where = kWhereFar + index;
+  s.pos = static_cast<std::uint32_t>(when.count()) & (kFarSlotSpan - 1);
+  append(far_[index], slot);
+  ++far_live_;
+  far_bits_.set(index);
+}
+
+void EventScheduler::free_front(SlotList& list) {
+  const std::uint32_t slot = list.head;
+  list.head = slots_[slot].next;
+  if (list.head == kNil) list.tail = kNil;
+  push_free(slot);
 }
 
 void EventScheduler::reset_bucket(std::uint32_t index) {
@@ -117,7 +145,7 @@ void EventScheduler::reset_bucket(std::uint32_t index) {
   skip_tombstones(b);
   b.max_seq = 0;
   b.dirty = false;
-  bitmap_clear(index);
+  wheel_bits_.clear(index);
 }
 
 void EventScheduler::sort_bucket(WheelBucket& b) {
@@ -134,25 +162,43 @@ void EventScheduler::sort_bucket(WheelBucket& b) {
   b.dirty = false;
 }
 
-std::uint32_t EventScheduler::find_set_bucket(std::uint32_t from) const {
-  const std::uint32_t w0 = from >> 6;
-  const std::uint64_t first = words_[w0] & (~0ull << (from & 63));
-  if (first != 0) {
-    return (w0 << 6) | static_cast<std::uint32_t>(std::countr_zero(first));
+void EventScheduler::cascade(std::uint32_t index, std::int64_t coarse) {
+  SlotList& f = far_[index];
+  const std::int64_t base = coarse << kFarShift;
+  for (std::uint32_t slot = f.head; slot != kNil;) {
+    const Slot& s = slots_[slot];
+    const std::uint32_t next = s.next;
+    if (s.where == kWhereTomb) {
+      push_free(slot);
+    } else {
+      wheel_insert(Nanos{base + s.pos}, s.seq, slot);
+    }
+    slot = next;
   }
-  // Whole words strictly after w0, then wrap around through w0 itself
-  // (covering the bits below `from` that the masked probe skipped).
-  const std::uint64_t later = w0 == kWheelWords - 1 ? 0 : summary_ & (~0ull << (w0 + 1));
-  const std::uint64_t pool = later != 0 ? later : summary_;
-  const std::uint32_t w = static_cast<std::uint32_t>(std::countr_zero(pool));
-  return (w << 6) | static_cast<std::uint32_t>(std::countr_zero(words_[w]));
+  far_live_ -= f.live;
+  f = SlotList{};
+  far_bits_.clear(index);
 }
 
-void EventScheduler::migrate_from_heap() {
-  while (!heap_.empty() && in_wheel_window(heap_[0].when)) {
+void EventScheduler::advance_windows(std::int64_t far_next) {
+  // 1. Far slots that fell below the near window, in slot order; the
+  //    bitmap skips empty ones, and an empty far tier skips the walk.
+  const std::int64_t stop = std::min(far_next, far_next_ + kFarSlots);
+  while (far_live_ > 0) {
+    const std::uint32_t from = static_cast<std::uint32_t>(far_next_) & kFarMask;
+    const std::uint32_t index = far_bits_.find_from(from);
+    const std::int64_t coarse = far_next_ + ((index - from) & kFarMask);
+    if (coarse >= stop) break;
+    cascade(index, coarse);
+    far_next_ = coarse + 1;
+  }
+  far_next_ = far_next;
+  // 2. Heap events whose coarse slot entered the far window, in (when, seq)
+  //    order; a long jump can land some straight in the wheel.
+  while (!heap_.empty() && coarse_of(heap_[0].when) < far_next_ + kFarSlots) {
     const HeapNode top = heap_[0];
     heap_remove(0);
-    wheel_insert(top.when, top.seq, top.slot);
+    insert(top.when, top.seq, top.slot);
   }
 }
 
@@ -162,15 +208,7 @@ EventHandle EventScheduler::schedule_at_with_seq(Nanos when, std::uint64_t seq,
   if (when < now_) when = now_;
   const std::uint32_t slot = acquire_slot();
   slots_[slot].cb = std::move(cb);
-  if (in_wheel_window(when)) {
-    wheel_insert(when, seq, slot);
-  } else {
-    const std::size_t pos = heap_.size();
-    heap_.push_back(HeapNode{when, seq, slot});
-    slots_[slot].where = kWhereHeap;
-    slots_[slot].pos = static_cast<std::uint32_t>(pos);
-    sift_up(pos);
-  }
+  insert(when, seq, slot);
   ++pending_;
   return EventHandle{slot, slots_[slot].generation};
 }
@@ -184,37 +222,60 @@ bool EventScheduler::cancel(EventHandle handle) {
     release_slot(slot);
   } else {
     // Tombstone in place: destroy the callback and invalidate the handle
-    // now; the slot rejoins the free list when the bucket reaches it.
-    const std::uint32_t index = s.where;
+    // now; the slot rejoins the free list when a pop or cascade reaches it.
+    const std::uint32_t where = s.where;
     s.cb.reset();
     ++s.generation;
     s.where = kWhereTomb;
-    WheelBucket& b = buckets_[index];
-    --b.live;
-    --wheel_live_;
-    if (b.live == 0) reset_bucket(index);
+    if (where < kWhereFar) {
+      WheelBucket& b = buckets_[where];
+      --b.live;
+      --wheel_live_;
+      if (b.live == 0) reset_bucket(where);
+    } else {
+      const std::uint32_t index = where - kWhereFar;
+      SlotList& f = far_[index];
+      --f.live;
+      --far_live_;
+      if (f.live == 0) {
+        skip_tombstones(f);
+        far_bits_.clear(index);
+      }
+    }
   }
   --pending_;
   return true;
 }
 
-Nanos EventScheduler::earliest_when() const {
-  if (wheel_live_ > 0) {
-    const std::uint32_t start = bucket_index(now_);
-    const std::uint32_t index = find_set_bucket(start);
-    const std::uint32_t distance = (index - start) & kWheelMask;
-    return now_ + Nanos{distance};
+EventScheduler::EventKey EventScheduler::far_front() const {
+  const std::uint32_t from = static_cast<std::uint32_t>(far_next_) & kFarMask;
+  const std::uint32_t index = far_bits_.find_from(from);
+  const std::int64_t base = (far_next_ + ((index - from) & kFarMask)) << kFarShift;
+  EventKey front{Nanos{std::numeric_limits<std::int64_t>::max()}, 0};
+  for (std::uint32_t slot = far_[index].head; slot != kNil; slot = slots_[slot].next) {
+    const Slot& s = slots_[slot];
+    if (s.where == kWhereTomb) continue;
+    const Nanos when{base + s.pos};
+    if (when < front.when || (when == front.when && s.seq < front.seq)) {
+      front = EventKey{when, s.seq};
+    }
   }
+  return front;
+}
+
+Nanos EventScheduler::earliest_when() const {
+  if (wheel_live_ > 0) return wheel_front_when();
+  if (far_live_ > 0) return far_front().when;
   return heap_[0].when;
 }
 
 bool EventScheduler::peek(EventKey& out) {
   if (pending_ == 0) return false;
   if (wheel_live_ == 0) {
-    out = EventKey{heap_[0].when, heap_[0].seq};
+    out = far_live_ > 0 ? far_front() : EventKey{heap_[0].when, heap_[0].seq};
     return true;
   }
-  const Nanos when = earliest_when();
+  const Nanos when = wheel_front_when();
   WheelBucket& b = buckets_[bucket_index(when)];
   if (b.dirty) sort_bucket(b);
   skip_tombstones(b);
@@ -223,10 +284,7 @@ bool EventScheduler::peek(EventKey& out) {
 }
 
 void EventScheduler::fire_at(Nanos when) {
-  if (when > now_) {
-    now_ = when;
-    migrate_from_heap();
-  }
+  if (when > now_) set_now(when);
   const std::uint32_t index = bucket_index(when);
   WheelBucket& b = buckets_[index];
   if (b.dirty) sort_bucket(b);
@@ -262,10 +320,7 @@ std::uint64_t EventScheduler::run_until(Nanos deadline) {
     fire_at(when);
     ++ran;
   }
-  if (now_ < deadline) {
-    now_ = deadline;
-    migrate_from_heap();
-  }
+  if (now_ < deadline) set_now(deadline);
   run_deadline_ = saved_deadline;
   return ran;
 }

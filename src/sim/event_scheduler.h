@@ -6,39 +6,58 @@
 // scheduling order (FIFO via a monotonic sequence number), which makes runs
 // bit-for-bit deterministic for a given seed.
 //
-// Implementation: a two-tier queue, allocation-free on the steady-state path.
+// Implementation: a three-tier queue, allocation-free on the steady-state
+// path.
 //   * Events live in a contiguous slot pool (`slots_`) recycled through a
 //     free list; handles are {slot, generation} pairs so cancel() and
 //     is_pending() are O(1) array probes — no hash set.
-//   * Near-future events (when < now + kWheelSpan) go into a timing wheel:
-//     kWheelSpan buckets of one tick (1 ns) each, a hierarchical bitmap
-//     (one summary word over 64 bucket words) to find the next non-empty
-//     bucket in a handful of word scans, and per-bucket FIFO lists threaded
-//     intrusively through the slot pool (reusing the free-list link), so
-//     the wheel itself owns no storage and never allocates. Insert and
-//     cancel are O(1); pop is O(1) amortised and — unlike the heap —
-//     independent of queue depth, which is what keeps deep-backlog runs
-//     (fig12_flowscale, large sweeps) fast.
-//   * Far timers (when >= now + kWheelSpan: controller polls, reactivation
-//     rounds, stale-message sweeps) sit in the original indexed 4-ary
-//     min-heap over (when, seq). Whenever now() advances, events whose
-//     deadline has entered the wheel window migrate heap -> wheel in
-//     (when, seq) order, so bucket FIFOs stay seq-sorted.
-//   * FIFO determinism across both tiers: bucket appends are normally
-//     seq-monotonic (direct inserts use fresh seqs; migration drains the
-//     heap in (when, seq) order *before* any callback at the new time
-//     runs). The one exception is re-arming a pre-allocated seq (see
-//     schedule_at_with_seq); such a bucket is marked dirty and lazily
-//     sorted by seq before its next pop, restoring the exact global order.
-//   * Cancellation: heap events are removed by sift as before; wheel events
-//     are tombstoned in place — the callback and captured state are
-//     destroyed and the handle invalidated at cancel time; only the slot's
-//     return to the free list waits until the bucket cursor passes it.
+//   * Near tier: a timing wheel of kWheelSpan one-tick (1 ns) buckets. It
+//     holds every event due before the end of the *next* coarse slot, so
+//     the near window is [now, (now / kFarSlotSpan + 2) * kFarSlotSpan):
+//     never longer than kWheelSpan ticks, so two live near events never
+//     share a bucket. A hierarchical bitmap (one summary word over 64
+//     bucket words) finds the next non-empty bucket in a handful of word
+//     scans, and per-bucket FIFO lists are threaded intrusively through the
+//     slot pool (reusing the free-list link), so the wheel owns no storage
+//     and never allocates. Insert and cancel are O(1); pop is O(1)
+//     amortised and independent of queue depth.
+//   * Far tier: a coarse wheel of kFarSlots slots of kFarSlotSpan ticks
+//     each, covering the kFarSlots coarse slots after the near window
+//     (~2.1 ms). DCTCP windows (20 µs), credit epochs (100 µs), Poisson
+//     gaps and controller polls land here with an O(1) append to the
+//     slot's intrusive FIFO; `Slot::pos` keeps the event's offset inside
+//     its coarse slot. A 16-word bitmap with a summary word finds the next
+//     non-empty slot.
+//   * Overflow tier: events beyond the far horizon (start times, multi-ms
+//     timers) sit in an indexed 4-ary min-heap over (when, seq).
+//   * Clock advance: whenever now() crosses a coarse-slot boundary, and
+//     before any callback at the new time runs, (1) every far slot that
+//     fell below the near window cascades into the wheel, in slot order and
+//     each slot in FIFO order, then (2) heap events whose coarse slot
+//     entered the far window move down a tier in (when, seq) order. An
+//     event's tier is a function of (when, now) alone, so events sharing a
+//     timestamp always share a tier.
+//   * FIFO determinism across tiers: bucket appends are normally
+//     seq-monotonic (direct inserts use fresh seqs; cascades and migrations
+//     run before any callback at the new time, in seq order per
+//     timestamp). The one exception is re-arming a pre-allocated seq (see
+//     schedule_at_with_seq); the bucket it lands in — directly, or when its
+//     far slot cascades — is marked dirty and lazily sorted by seq before
+//     its next pop, restoring the exact global order.
+//   * Cancellation: heap events are removed by sift in O(log n); wheel and
+//     far events are tombstoned in place in O(1) — the callback and
+//     captured state are destroyed and the handle invalidated at cancel
+//     time; the slot returns to the free list when the bucket cursor or the
+//     cascade passes it, or at once when its bucket or far slot has no live
+//     event left.
+//   * With the wheel empty, earliest_when() and peek() scan the first
+//     non-empty far slot for its minimum (when, seq).
 //   * Callbacks are `InlineFunction<void(), 48>`: captures up to 48 bytes
 //     (a `this` pointer plus a few ids — every callback in this repo) are
 //     stored inline and never touch the allocator.
 #pragma once
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <vector>
@@ -130,8 +149,7 @@ class EventScheduler {
   /// proving via peek() that no scheduled event intervenes.
   void advance_now(Nanos when) {
     assert(when >= now_);
-    now_ = when;
-    migrate_from_heap();
+    set_now(when);
   }
 
   /// Deadline of the innermost run_until() in progress, or Nanos max when
@@ -161,25 +179,38 @@ class EventScheduler {
   void set_coalescing(bool on) { coalescing_ = on; }
   bool coalescing() const { return coalescing_; }
 
-  /// Near-future window covered by the timing wheel, in ticks (= ns).
+  /// Longest near window covered by the timing wheel, in ticks (= ns).
   static constexpr std::uint32_t kWheelSpan = 4096;
+  /// Width of one far-tier slot, in ticks. The near window runs to the end
+  /// of the coarse slot after now's, so it spans 2049..4096 ticks and
+  /// never wraps the wheel.
+  static constexpr std::uint32_t kFarSlotSpan = 2048;
+  static_assert(2 * kFarSlotSpan == kWheelSpan, "a far slot spans half the wheel");
+  /// Far-tier slots; the far horizon is kFarSlots * kFarSlotSpan (~2.1 ms).
+  static constexpr std::uint32_t kFarSlots = 1024;
 
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;
   static constexpr std::uint32_t kWheelMask = kWheelSpan - 1;
-  static constexpr std::uint32_t kWheelWords = kWheelSpan / 64;
-  // `where` values: a bucket index [0, kWheelSpan), or one of these.
+  static constexpr std::uint32_t kFarMask = kFarSlots - 1;
+  static constexpr int kFarShift = std::countr_zero(kFarSlotSpan);
+  // `where` values: a bucket index [0, kWheelSpan), kWhereFar plus a far
+  // slot index, or one of the sentinels.
+  static constexpr std::uint32_t kWhereFar = kWheelSpan;
   static constexpr std::uint32_t kWhereFree = 0xffffffffu;
   static constexpr std::uint32_t kWhereHeap = 0xfffffffeu;
-  static constexpr std::uint32_t kWhereTomb = 0xfffffffdu;  // cancelled, in a bucket list
+  static constexpr std::uint32_t kWhereTomb = 0xfffffffdu;  // cancelled, in a bucket or far list
+  static_assert(kWhereFar + kFarSlots < kWhereTomb);
 
   struct Slot {
     Callback cb;
-    std::uint64_t seq = 0;  // sort key while queued in a wheel bucket
+    std::uint64_t seq = 0;  // sort key while queued in a wheel bucket or far slot
     std::uint32_t generation = 0;  // bumped every release; 0 never matches a live handle twice
-    std::uint32_t where = kWhereFree;  // kWhereHeap/kWhereTomb, a bucket index, or kWhereFree
-    std::uint32_t pos = 0;             // index within heap_ while where == kWhereHeap
-    std::uint32_t next = kNil;  // free-list link when free, FIFO link when in a bucket
+    std::uint32_t where = kWhereFree;  // see the `where` values above
+    // Index within heap_ while where == kWhereHeap; the offset of `when`
+    // inside its coarse slot while in a far slot.
+    std::uint32_t pos = 0;
+    std::uint32_t next = kNil;  // free-list link when free, FIFO link when in a list
   };
 
   // Heap nodes carry the full sort key so sifts stay inside this array.
@@ -189,72 +220,128 @@ class EventScheduler {
     std::uint32_t slot;
   };
 
-  // One wheel tick's FIFO: a singly linked list of pool slots. Cancelled
-  // slots stay linked as tombstones (where == kWhereTomb) and return to the
-  // free list when the pop cursor or a bucket reset reaches them.
-  struct WheelBucket {
+  // A FIFO of pool slots linked through Slot::next: one far slot, or the
+  // base of one wheel tick. Cancelled slots stay linked as tombstones
+  // (where == kWhereTomb) and return to the free list when a pop or a
+  // cascade reaches them, or when the list has no live slot left.
+  struct SlotList {
     std::uint32_t head = kNil;
     std::uint32_t tail = kNil;
-    std::uint32_t live = 0;     // non-tombstone slots in the list
+    std::uint32_t live = 0;  // non-tombstone slots in the list
+  };
+  struct WheelBucket : SlotList {
     std::uint64_t max_seq = 0;  // largest seq appended since last reset
     bool dirty = false;         // an append broke seq order; sort before pop
+  };
+
+  // One bit per entry of a circular array of N buckets, plus a summary word
+  // whose bit w is set iff word w is non-zero.
+  template <std::uint32_t N>
+  struct RingBitmap {
+    static_assert(N % 64 == 0 && N / 64 <= 64);
+    static constexpr std::uint32_t kWords = N / 64;
+    std::uint64_t words[kWords] = {};
+    std::uint64_t summary = 0;
+
+    void set(std::uint32_t i) {
+      words[i >> 6] |= 1ull << (i & 63);
+      summary |= 1ull << (i >> 6);
+    }
+    void clear(std::uint32_t i) {
+      words[i >> 6] &= ~(1ull << (i & 63));
+      if (words[i >> 6] == 0) summary &= ~(1ull << (i >> 6));
+    }
+    /// First set bit in circular order from `from`. Precondition: any bit set.
+    std::uint32_t find_from(std::uint32_t from) const {
+      const std::uint32_t w0 = from >> 6;
+      const std::uint64_t first = words[w0] & (~0ull << (from & 63));
+      if (first != 0) return (w0 << 6) | static_cast<std::uint32_t>(std::countr_zero(first));
+      // Whole words strictly after w0, then wrap around through w0 itself
+      // (covering the bits below `from` that the masked probe skipped).
+      const std::uint64_t later = w0 == kWords - 1 ? 0 : summary & (~0ull << (w0 + 1));
+      const std::uint64_t pool = later != 0 ? later : summary;
+      const std::uint32_t w = static_cast<std::uint32_t>(std::countr_zero(pool));
+      return (w << 6) | static_cast<std::uint32_t>(std::countr_zero(words[w]));
+    }
   };
 
   static bool earlier(const HeapNode& a, const HeapNode& b) {
     return a.when != b.when ? a.when < b.when : a.seq < b.seq;
   }
+  static std::int64_t coarse_of(Nanos when) { return when.count() >> kFarShift; }
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
+  /// Pushes a slot whose callback is already gone onto the free list.
+  void push_free(std::uint32_t slot) {
+    slots_[slot].where = kWhereFree;
+    slots_[slot].next = free_head_;
+    free_head_ = slot;
+  }
   void sift_up(std::size_t pos);
   void sift_down(std::size_t pos);
   void heap_remove(std::size_t pos);
 
-  bool in_wheel_window(Nanos when) const {
-    return when.count() < now_.count() + static_cast<std::int64_t>(kWheelSpan);
-  }
   std::uint32_t bucket_index(Nanos when) const {
     return static_cast<std::uint32_t>(when.count()) & kWheelMask;
   }
+  /// Queues `slot` in the tier that (when, now) selects.
+  void insert(Nanos when, std::uint64_t seq, std::uint32_t slot);
   void wheel_insert(Nanos when, std::uint64_t seq, std::uint32_t slot);
-  /// Unlinks the bucket's front slot and pushes it onto the free list.
-  void free_front(WheelBucket& b);
+  void far_insert(Nanos when, std::uint64_t seq, std::uint32_t slot);
+  /// Appends `slot` at the list's tail and counts it live.
+  void append(SlotList& list, std::uint32_t slot);
+  /// Unlinks the list's front slot and pushes it onto the free list.
+  void free_front(SlotList& list);
   /// Frees leading tombstones; afterwards head is live or the list is empty.
-  void skip_tombstones(WheelBucket& b) {
-    while (b.head != kNil && slots_[b.head].where == kWhereTomb) free_front(b);
+  void skip_tombstones(SlotList& list) {
+    while (list.head != kNil && slots_[list.head].where == kWhereTomb) free_front(list);
   }
   void reset_bucket(std::uint32_t index);
   void sort_bucket(WheelBucket& b);
-  /// First bucket, in circular order from `from`, whose bitmap bit is set.
-  std::uint32_t find_set_bucket(std::uint32_t from) const;
-  void bitmap_set(std::uint32_t index) {
-    words_[index >> 6] |= 1ull << (index & 63);
-    summary_ |= 1ull << (index >> 6);
+  /// Moves far slot `index`, holding coarse slot `coarse`, into the wheel in
+  /// FIFO order, freeing its tombstones.
+  void cascade(std::uint32_t index, std::int64_t coarse);
+  /// Sets now() to `when`; when that crosses a coarse-slot boundary, pulls
+  /// far slots and heap events into the windows that moved. Runs before any
+  /// callback at the new time executes, so bucket FIFOs see cascaded and
+  /// migrated (smaller-seq) entries ahead of same-tick direct inserts.
+  void set_now(Nanos when) {
+    now_ = when;
+    const std::int64_t far_next = coarse_of(when) + 2;
+    if (far_next != far_next_) advance_windows(far_next);
   }
-  void bitmap_clear(std::uint32_t index) {
-    words_[index >> 6] &= ~(1ull << (index & 63));
-    if (words_[index >> 6] == 0) summary_ &= ~(1ull << (index >> 6));
+  void advance_windows(std::int64_t far_next);
+  /// Timestamp of the first non-empty wheel bucket.
+  /// Precondition: wheel_live_ > 0.
+  Nanos wheel_front_when() const {
+    const std::uint32_t start = bucket_index(now_);
+    return now_ + Nanos{(wheel_bits_.find_from(start) - start) & kWheelMask};
   }
-  /// Moves every heap event whose deadline entered [now, now + span) into
-  /// the wheel. Must run after every now_ advance and before any callback
-  /// at the new time executes, so bucket FIFOs see migrated (smaller-seq)
-  /// entries ahead of same-tick direct inserts.
-  void migrate_from_heap();
+  /// Earliest (when, seq) in the first non-empty far slot.
+  /// Precondition: far_live_ > 0.
+  EventKey far_front() const;
   /// Timestamp of the earliest pending event. Precondition: pending_ > 0.
   Nanos earliest_when() const;
   /// Advances to `when` and executes the front event of its bucket.
   void fire_at(Nanos when);
 
   std::vector<Slot> slots_;
-  std::vector<HeapNode> heap_;  // 4-ary min-heap over far-future events
+  std::vector<HeapNode> heap_;  // 4-ary min-heap over events past the far horizon
   std::vector<WheelBucket> buckets_;  // kWheelSpan near-future FIFOs
+  std::vector<SlotList> far_;         // kFarSlots coarse FIFOs
   std::vector<std::uint32_t> sort_scratch_;  // slot ids; reused across sorts
-  std::uint64_t words_[kWheelWords] = {};
-  std::uint64_t summary_ = 0;  // bit w set iff words_[w] != 0
+  RingBitmap<kWheelSpan> wheel_bits_;  // bucket i set iff buckets_[i].live > 0
+  RingBitmap<kFarSlots> far_bits_;     // slot i set iff far_[i].live > 0
   std::uint32_t wheel_live_ = 0;  // live (non-tombstone) wheel entries
-  std::size_t pending_ = 0;       // live events across both tiers
+  std::uint32_t far_live_ = 0;    // live (non-tombstone) far entries
+  std::size_t pending_ = 0;       // live events across all three tiers
   std::uint32_t free_head_ = kNil;
   Nanos now_{0};
+  // Coarse slot (when / kFarSlotSpan) that far slot `far_next_ & kFarMask`
+  // holds: now's coarse slot + 2. Near events sit below it, far events in
+  // [far_next_, far_next_ + kFarSlots), heap events at or beyond that.
+  std::int64_t far_next_ = 2;
   Nanos run_deadline_;  // initialised to Nanos max in the constructor
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;

@@ -300,6 +300,10 @@ struct PollRun {
   bool reclaims;          // the run must reach inactivity reclaims
 };
 
+// Keeps the discovered test names stable (gtest would otherwise print the
+// struct's raw bytes, pointers and padding included).
+void PrintTo(const PollRun& run, std::ostream* os) { *os << run.name; }
+
 class AuditHealthyPoll : public ::testing::TestWithParam<PollRun> {};
 
 TEST_P(AuditHealthyPoll, FullPackSilent) {

@@ -1,13 +1,17 @@
 // Unit tests for the discrete-event scheduler: ordering, determinism,
-// cancellation and deadline semantics, plus the allocation-free guarantees
-// of the slot-pool/indexed-heap implementation.
+// cancellation and deadline semantics, the three tiers (timing wheel, far
+// wheel, overflow heap) checked against a reference ordered set, plus the
+// allocation-free guarantees of the slot-pool implementation.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <new>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -271,13 +275,48 @@ TEST(EventScheduler, StressRunsAreDeterministic) {
   EXPECT_NE(a, c);
 }
 
+// A timer that re-arms itself a fixed period after each fire until told to
+// stop: the DCTCP window pattern.
+struct PeriodicTimer {
+  EventScheduler* sched;
+  std::uint64_t* fired;
+  const bool* running;
+  Nanos period;
+  void operator()() const {
+    ++*fired;
+    if (*running) sched->schedule_after(period, *this);
+  }
+};
+
 // The steady-state schedule/fire cycle must be allocation-free for callbacks
-// with <= 48 bytes of capture: slots and heap storage are recycled, and the
-// InlineFunction callback stays in its inline buffer.
+// with <= 48 bytes of capture: slots, far slots and heap storage are
+// recycled, and the InlineFunction callback stays in its inline buffer. The
+// cycle covers every tier: 3 ns events in the wheel, a 20 µs re-arming timer
+// in the far tier, and 1–5 ms events that wait in the heap, migrate to the
+// far tier and cascade into the wheel as run_until() moves the clock.
 TEST(EventScheduler, SteadyStateScheduleFireIsAllocationFree) {
   EventScheduler sched;
   std::uint64_t fired = 0;
   std::uint64_t pad1 = 0, pad2 = 0;  // widen the capture towards the budget
+  bool running = true;
+  Rng rng(7);
+  const auto cycle = [&](int iterations) {
+    for (int i = 0; i < iterations; ++i) {
+      const auto h = sched.schedule_after(Nanos{3}, [&fired, &pad1, &pad2]() {
+        ++fired;
+        pad1 += pad2;
+      });
+      if ((i & 7) == 0) {
+        sched.cancel(h);
+      } else {
+        sched.step();
+      }
+      if ((i & 255) == 0) {
+        sched.schedule_after(Nanos{rng.uniform(1'000'000, 5'000'000)}, [&fired]() { ++fired; });
+      }
+      if ((i & 63) == 0) sched.run_until(sched.now() + Nanos{50'000});
+    }
+  };
   // Warm up: grow the slot pool and heap vector to steady-state capacity.
   for (int i = 0; i < 512; ++i) {
     sched.schedule_after(Nanos{i % 17}, [&fired, &pad1, &pad2]() {
@@ -285,42 +324,54 @@ TEST(EventScheduler, SteadyStateScheduleFireIsAllocationFree) {
       pad1 += pad2;
     });
   }
+  for (int i = 0; i < 64; ++i) sched.schedule_after(Nanos{3'000'000 + i}, [&fired]() { ++fired; });
   sched.run_all();
+  sched.schedule_after(Nanos{20'000}, PeriodicTimer{&sched, &fired, &running, Nanos{20'000}});
+  cycle(2'000);
   const std::uint64_t before = g_allocations.load();
-  // Steady state: one live event at a time, recycled through the pool.
-  for (int i = 0; i < 10'000; ++i) {
-    const auto h = sched.schedule_after(Nanos{3}, [&fired, &pad1, &pad2]() {
-      ++fired;
-      pad1 += pad2;
-    });
-    if ((i & 7) == 0) {
-      sched.cancel(h);
-    } else {
-      sched.step();
-    }
-  }
+  // Steady state: one live near event at a time, recycled through the pool,
+  // beside the far-tier and heap traffic.
+  cycle(10'000);
+  running = false;
   sched.run_all();
   EXPECT_EQ(g_allocations.load(), before) << "schedule/fire/cancel cycle allocated";
   EXPECT_GT(fired, 0u);
 }
 
-// Deeper steady state: hold a large pending queue while churning events; no
-// allocations once the pool has grown to the high-water mark.
+// Deeper steady state: hold a large pending queue while churning events
+// across every tier (near delays, 20 µs re-arms, and 1–5 ms timers that take
+// heap -> far -> wheel); no allocations once the pool and the heap have grown
+// to the high-water mark.
 TEST(EventScheduler, DeepQueueChurnIsAllocationFree) {
   EventScheduler sched;
   std::uint64_t fired = 0;
   Rng rng(99);
-  for (int i = 0; i < 4096; ++i) {
-    sched.schedule_after(Nanos{rng.uniform(1, 1000)}, [&fired]() { ++fired; });
-  }
+  const auto delay = [&rng](int i) {
+    switch (i & 7) {
+      case 0:
+        return Nanos{20'000};
+      case 1:
+        return Nanos{rng.uniform(1'000'000, 5'000'000)};
+      default:
+        return Nanos{rng.uniform(1, 1000)};
+    }
+  };
+  // Grow the pool and the heap to the queue depth: all of these lie past
+  // the far horizon.
+  for (int i = 0; i < 4096; ++i) sched.schedule_after(Nanos{3'000'000 + i}, [&fired]() { ++fired; });
+  sched.run_all();
+  for (int i = 0; i < 4096; ++i) sched.schedule_after(delay(i), [&fired]() { ++fired; });
+  const Nanos start = sched.now();
   const std::uint64_t before = g_allocations.load();
-  for (int i = 0; i < 20'000; ++i) {
+  for (int i = 0; i < 60'000; ++i) {
     sched.step();
-    sched.schedule_after(Nanos{rng.uniform(1, 1000)}, [&fired]() { ++fired; });
+    sched.schedule_after(delay(i), [&fired]() { ++fired; });
   }
   EXPECT_EQ(g_allocations.load(), before) << "deep-queue churn allocated";
+  // Long enough for the first 1–5 ms timers to have left the heap.
+  EXPECT_GT(sched.now() - start, Nanos{3'000'000});
   sched.run_all();
-  EXPECT_EQ(fired, 4096u + 20'000u);
+  EXPECT_EQ(fired, 2 * 4096u + 60'000u);
 }
 
 // Captures beyond the 48-byte inline budget still work (heap fallback).
@@ -334,69 +385,112 @@ TEST(EventScheduler, OversizedCapturesStillExecute) {
   EXPECT_EQ(got, "xy");
 }
 
-// ---- Two-tier edge cases: timing wheel front-end + heap back-end ----
+// ---- Three-tier edge cases: timing wheel, far wheel, overflow heap ----
 
-// Events beyond the wheel horizon park in the heap and migrate into the
-// wheel as time advances; execution order stays exact (time, then FIFO).
+// Events past the near window wait in the far tier (under ~2.1 ms) or the
+// heap (beyond it) and move down as time advances; execution order stays
+// exact (time, then FIFO).
 TEST(EventScheduler, FarFutureSpillsToHeapAndFiresInOrder) {
   EventScheduler sched;
   std::vector<int> order;
-  sched.schedule_at(Nanos{100'000}, [&]() { order.push_back(2); });  // far: heap
-  sched.schedule_at(Nanos{10}, [&]() { order.push_back(0); });       // near: wheel
-  sched.schedule_at(Nanos{5'000}, [&]() { order.push_back(1); });    // heap, then migrates
-  sched.schedule_at(Nanos{100'000}, [&]() { order.push_back(3); });  // same-tick FIFO in heap
+  sched.schedule_at(Nanos{100'000}, [&]() { order.push_back(2); });    // far tier
+  sched.schedule_at(Nanos{10}, [&]() { order.push_back(0); });         // near: wheel
+  sched.schedule_at(Nanos{5'000}, [&]() { order.push_back(1); });      // far, then cascades
+  sched.schedule_at(Nanos{100'000}, [&]() { order.push_back(3); });    // same-tick FIFO in far
+  sched.schedule_at(Nanos{5'000'000}, [&]() { order.push_back(4); });  // past the horizon: heap
   sched.run_all();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(sched.now(), Nanos{100'000});
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(sched.now(), Nanos{5'000'000});
 }
 
-// A far event that migrated out of the heap keeps FIFO priority over
+// An event that cascaded out of the far tier keeps FIFO priority over
 // same-tick events scheduled later directly into the wheel: FIFO is decided
 // by schedule order, not by which tier the event waited in.
 TEST(EventScheduler, SameTickFifoSurvivesHeapMigration) {
   EventScheduler sched;
   std::vector<int> order;
   const Nanos t{50'000};
-  sched.schedule_at(t, [&]() { order.push_back(1); });  // far: heap
-  sched.run_until(Nanos{49'000});                       // pulls it into the wheel
+  sched.schedule_at(t, [&]() { order.push_back(1); });  // far tier
+  sched.run_until(Nanos{49'000});                       // cascades it into the wheel
   sched.schedule_at(t, [&]() { order.push_back(2); });  // direct wheel inserts
   sched.schedule_at(t, [&]() { order.push_back(3); });
   sched.run_all();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-// Cancel tombstones a wheel slot / unlinks a heap slot; either way the slot
-// recycles and the stale handle must not touch its new occupant.
+// Cancel tombstones a wheel or far slot / unlinks a heap slot; either way
+// the slot recycles and the stale handle must not touch its new occupant.
 TEST(EventScheduler, CancelThenReuseAcrossTiers) {
   EventScheduler sched;
   int fired = 0;
   auto near = sched.schedule_at(Nanos{100}, [&]() { fired += 100; });        // wheel
-  auto far = sched.schedule_at(Nanos{1'000'000}, [&]() { fired += 1000; });  // heap
+  auto far = sched.schedule_at(Nanos{1'000'000}, [&]() { fired += 1000; });  // far tier
+  auto overflow = sched.schedule_at(Nanos{9'000'000}, [&]() { fired += 10'000; });  // heap
   EXPECT_TRUE(sched.cancel(near));
   EXPECT_TRUE(sched.cancel(far));
+  EXPECT_TRUE(sched.cancel(overflow));
   EXPECT_FALSE(sched.is_pending(near));
   EXPECT_FALSE(sched.is_pending(far));
+  EXPECT_FALSE(sched.is_pending(overflow));
   // New events reuse the freed slots (LIFO free list).
   sched.schedule_at(Nanos{200}, [&]() { ++fired; });
   sched.schedule_at(Nanos{2'000'000}, [&]() { ++fired; });
+  sched.schedule_at(Nanos{8'000'000}, [&]() { ++fired; });
   EXPECT_FALSE(sched.cancel(near));
   EXPECT_FALSE(sched.cancel(far));
+  EXPECT_FALSE(sched.cancel(overflow));
   sched.run_all();
-  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(fired, 3);
 }
 
-// A handle from an event that migrated heap->wheel still cancels it, and a
-// cancel-after-fire across the migration stays a no-op.
+// A handle from an event that cascaded far tier -> wheel still cancels it,
+// and a cancel-after-fire across the cascade stays a no-op.
 TEST(EventScheduler, CancelTracksEventAcrossMigration) {
   EventScheduler sched;
   int fired = 0;
   auto h1 = sched.schedule_at(Nanos{30'000}, [&]() { ++fired; });
   auto h2 = sched.schedule_at(Nanos{30'001}, [&]() { ++fired; });
-  sched.run_until(Nanos{29'000});  // both migrate into the wheel
+  sched.run_until(Nanos{29'000});  // both cascade into the wheel
   EXPECT_TRUE(sched.cancel(h1));
   sched.run_all();
   EXPECT_EQ(fired, 1);
   EXPECT_FALSE(sched.cancel(h2));  // already fired
+}
+
+// An event past the far horizon waits in the heap, moves to the far tier and
+// then into the wheel as time advances. Through both moves it keeps its FIFO
+// place against same-tick events scheduled later straight into each tier,
+// and a handle cancels a same-tick sibling at every stage.
+TEST(EventScheduler, OverflowEventMovesHeapFarWheelKeepingFifoAndHandles) {
+  EventScheduler sched;
+  std::vector<int> order;
+  const Nanos t{10'000'000};  // 10 ms: past the ~2.1 ms far horizon
+  const auto expect_front = [&](std::size_t pending) {
+    EXPECT_EQ(sched.pending(), pending);
+    EventScheduler::EventKey key{};
+    ASSERT_TRUE(sched.peek(key));
+    EXPECT_EQ(key.when, t);
+    EXPECT_EQ(key.seq, 1u);
+  };
+  sched.schedule_at(t, [&]() { order.push_back(1); });
+  const auto in_heap = sched.schedule_at(t, [&]() { order.push_back(-1); });
+  const auto in_far = sched.schedule_at(t, [&]() { order.push_back(-2); });
+  const auto in_wheel = sched.schedule_at(t, [&]() { order.push_back(-3); });
+  EXPECT_TRUE(sched.cancel(in_heap));
+  expect_front(3);
+  sched.run_until(t - Nanos{1'000'000});  // 1 ms out: the far tier
+  sched.schedule_at(t, [&]() { order.push_back(2); });
+  EXPECT_TRUE(sched.cancel(in_far));
+  expect_front(3);
+  sched.run_until(t - Nanos{1'000});  // 1 µs out: the wheel
+  sched.schedule_at(t, [&]() { order.push_back(3); });
+  EXPECT_TRUE(sched.cancel(in_wheel));
+  expect_front(3);
+  EXPECT_FALSE(sched.cancel(in_heap));
+  EXPECT_FALSE(sched.cancel(in_far));
+  EXPECT_EQ(sched.run_all(), 3u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(sched.now(), t);
 }
 
 // Past timestamps still clamp to now() after the wheel has wrapped several
@@ -424,6 +518,150 @@ TEST(EventScheduler, SelfRescheduleLoop) {
   EXPECT_EQ(ticks, 10);
   EXPECT_EQ(sched.now(), Nanos{10'000});
 }
+
+// ---- Differential check against a reference ordered set ----
+
+// Drives one scheduler with a seeded mix of operations and checks it against
+// a std::set of (when, seq) keys whose seq counter advances exactly where the
+// scheduler's does. Callbacks schedule across every tier (same-tick, near,
+// far, synchronised 20 µs timers, multi-ms overflow), reserve seqs for later
+// schedule_at_with_seq re-arms, and cancel random pending events; the main
+// loop mixes step(), short run_until() windows and rare 30 ms jumps. Each of
+// the 40 instances below runs one seed.
+class SchedulerDifferential : public ::testing::TestWithParam<int> {
+ protected:
+  SchedulerDifferential() : rng_(static_cast<std::uint64_t>(GetParam())) {}
+
+  void run() {
+    for (int i = 0; i < 64; ++i) schedule_fresh();
+    for (int op = 0; op < 1500 && !HasFailure(); ++op) {
+      const std::int64_t pick = rng_.uniform(0, 99);
+      if (pick < 70) {
+        const bool any = !pending_.empty();
+        EXPECT_EQ(sched_.step(), any);
+      } else {
+        const Nanos deadline =
+            sched_.now() + (pick < 99 ? Nanos{rng_.uniform(0, 50'000)} : Nanos{30'000'000});
+        sched_.run_until(deadline);
+        EXPECT_EQ(sched_.now(), deadline);
+        if (!pending_.empty()) {
+          EXPECT_GT(pending_.begin()->first, deadline.count());
+        }
+      }
+      check_front();
+      while (pending_.size() < 32) schedule_fresh();
+    }
+    draining_ = true;  // fire what is left without scheduling more
+    sched_.run_all();
+    EXPECT_TRUE(pending_.empty());
+    EXPECT_EQ(sched_.pending(), 0u);
+  }
+
+  using Key = std::pair<std::int64_t, std::uint64_t>;  // (when, seq)
+
+  Nanos draw_delay() {
+    switch (rng_.uniform(0, 5)) {
+      case 0:
+        return Nanos{rng_.uniform(0, 3)};
+      case 1:
+        return Nanos{rng_.uniform(0, 5'000)};
+      case 2:
+        return Nanos{rng_.uniform(2'000, 30'000)};
+      case 3:
+        return Nanos{20'000};
+      case 4:
+        return Nanos{rng_.uniform(100'000, 3'000'000)};
+      default:
+        return Nanos{rng_.uniform(2'000'000, 20'000'000)};
+    }
+  }
+
+  void schedule_fresh() {
+    const Nanos when = sched_.now() + draw_delay();
+    const Key key{when.count(), next_seq_++};
+    track(key, sched_.schedule_at(when, [this, key]() { on_fire(key); }));
+  }
+
+  void schedule_reserved() {
+    const auto i = static_cast<std::size_t>(
+        rng_.uniform(0, static_cast<std::int64_t>(reserved_.size()) - 1));
+    const std::uint64_t seq = reserved_[i];
+    reserved_[i] = reserved_.back();
+    reserved_.pop_back();
+    const Nanos when = sched_.now() + draw_delay();
+    const Key key{when.count(), seq};
+    track(key, sched_.schedule_at_with_seq(when, seq, [this, key]() { on_fire(key); }));
+  }
+
+  void track(const Key& key, EventHandle handle) {
+    pending_.insert(key);
+    index_[key.second] = live_.size();
+    live_.emplace_back(key, handle);
+  }
+
+  EventHandle untrack(const Key& key) {
+    pending_.erase(key);
+    const auto it = index_.find(key.second);
+    const std::size_t i = it->second;
+    index_.erase(it);
+    const EventHandle handle = live_[i].second;
+    live_[i] = live_.back();
+    live_.pop_back();
+    if (i < live_.size()) index_[live_[i].first.second] = i;
+    return handle;
+  }
+
+  void on_fire(const Key& key) {
+    EXPECT_EQ(sched_.now().count(), key.first);
+    ASSERT_FALSE(pending_.empty());
+    EXPECT_EQ(*pending_.begin(), key);
+    fired_ = untrack(key);
+    EXPECT_FALSE(sched_.is_pending(fired_));
+    if (draining_) return;
+    const std::int64_t children = rng_.uniform(0, 2);
+    for (std::int64_t c = 0; c < children; ++c) schedule_fresh();
+    if (rng_.chance(0.2)) {
+      EXPECT_EQ(sched_.allocate_seq(), next_seq_);
+      reserved_.push_back(next_seq_++);
+    }
+    if (!reserved_.empty() && rng_.chance(0.25)) schedule_reserved();
+    if (!live_.empty() && rng_.chance(0.2)) {
+      const auto i = static_cast<std::size_t>(
+          rng_.uniform(0, static_cast<std::int64_t>(live_.size()) - 1));
+      const Key victim = live_[i].first;
+      EXPECT_TRUE(sched_.cancel(untrack(victim)));
+    }
+    if (rng_.chance(0.05)) {
+      EXPECT_FALSE(sched_.cancel(fired_));
+    }
+  }
+
+  void check_front() {
+    EXPECT_EQ(sched_.pending(), pending_.size());
+    EventScheduler::EventKey key{};
+    if (pending_.empty()) {
+      EXPECT_FALSE(sched_.peek(key));
+      return;
+    }
+    ASSERT_TRUE(sched_.peek(key));
+    EXPECT_EQ(key.when.count(), pending_.begin()->first);
+    EXPECT_EQ(key.seq, pending_.begin()->second);
+  }
+
+  EventScheduler sched_;
+  Rng rng_;
+  std::uint64_t next_seq_ = 1;  // mirrors the scheduler's seq counter
+  std::set<Key> pending_;
+  std::vector<std::pair<Key, EventHandle>> live_;  // pending events, any order
+  std::map<std::uint64_t, std::size_t> index_;    // seq -> index in live_
+  std::vector<std::uint64_t> reserved_;           // allocated, not yet scheduled
+  EventHandle fired_;
+  bool draining_ = false;
+};
+
+TEST_P(SchedulerDifferential, MatchesReferenceOrderAcrossTiers) { run(); }
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerDifferential, ::testing::Range(1, 41));
 
 }  // namespace
 }  // namespace ceio

@@ -10,8 +10,10 @@
 #                           -Wall/-Wextra/-Wshadow net is a gate), ctest
 #   3. migration safety     every bench binary's stdout (perf_core aside: it
 #                           prints host time), registered ceio_sim scenarios
-#                           (single-tenant, multi-tenant and sharded) and the
-#                           CEIO poll's reclaim-churn and bounded-scan runs,
+#                           (single-tenant, multi-tenant and sharded), the
+#                           CEIO poll's reclaim-churn and bounded-scan runs
+#                           and the sparse-poisson run (scheduler overflow
+#                           heap),
 #                           diffed against the goldens in tools/golden/, also
 #                           with the governor off and with `--trace`
 #                           recording on, and the sharded one at --shards 1
@@ -129,6 +131,8 @@ else
   #     > tools/golden/ceio_sim_reclaim-churn.txt
   #   build/tools/ceio_sim ${bounded_scan_args} \
   #     > tools/golden/ceio_sim_bounded-scan.txt
+  #   build/tools/ceio_sim ${sparse_poisson_args} \
+  #     > tools/golden/ceio_sim_sparse-poisson.txt
   #   build/tools/ceio_sim --scenario ceio-kv-short \
   #     > tools/golden/ceio_sim_ceio-kv-short.txt
   #   build/tools/ceio_sim --scenario multitenant-short \
@@ -148,6 +152,11 @@ else
     --set ceio.poll_scan_limit=4096 --set ceio.inactive_timeout=100us"
   bounded_scan_args="--app=echo --flows=512 --rate-gbps=0.1 --poisson --ms=2
     --warmup-ms=0.5 --set ceio.inactive_timeout=50us --set ceio.poll_scan_limit=32"
+  # Emit gaps (4.1 ms mean) past the scheduler's far-tier horizon (~2.1 ms),
+  # so timers take the overflow heap -> far tier -> wheel path; also a
+  # ctest (tools.golden-sparse-poisson).
+  sparse_poisson_args="--app=echo --flows=256 --rate-gbps=0.001 --poisson
+    --warmup-ms=1 --ms=20"
   golden_status=1
   # shellcheck disable=SC2086  # the lists above split on whitespace
   if cmake --build "${CHECK_ROOT}/release" -j "${JOBS}" \
@@ -165,6 +174,9 @@ else
     # shellcheck disable=SC2086
     diff "${REPO_ROOT}/tools/golden/ceio_sim_bounded-scan.txt" \
       <("${CHECK_ROOT}/release/tools/ceio_sim" ${bounded_scan_args}) || golden_status=1
+    # shellcheck disable=SC2086
+    diff "${REPO_ROOT}/tools/golden/ceio_sim_sparse-poisson.txt" \
+      <("${CHECK_ROOT}/release/tools/ceio_sim" ${sparse_poisson_args}) || golden_status=1
     diff "${REPO_ROOT}/tools/golden/ceio_sim_ceio-kv-short.txt" \
       <("${CHECK_ROOT}/release/tools/ceio_sim" --scenario ceio-kv-short) || golden_status=1
     diff "${REPO_ROOT}/tools/golden/ceio_sim_multitenant-short.txt" \
