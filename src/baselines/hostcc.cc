@@ -1,7 +1,5 @@
 #include "baselines/hostcc.h"
 
-#include <cmath>
-
 #include "telemetry/telemetry.h"
 
 namespace ceio {
@@ -32,27 +30,15 @@ void HostccDatapath::on_packet(Packet pkt) {
 
 void HostccDatapath::monitor_poll() {
   const Nanos now = sched_.now();
-  // The policy layer scales the signal thresholds; at the neutral 1.0 the
-  // comparisons below are performed on the configured values untouched.
-  const double iio_threshold = bp_scale_ == 1.0 ? config_.iio_threshold
-                                                : config_.iio_threshold * bp_scale_;
-  const Nanos dram_threshold =
-      bp_scale_ == 1.0
-          ? config_.dram_queue_threshold
-          : Nanos{std::llround(static_cast<double>(config_.dram_queue_threshold.count()) *
-                               bp_scale_)};
-  const double evict_threshold = bp_scale_ == 1.0
-                                     ? config_.eviction_rate_threshold
-                                     : config_.eviction_rate_threshold * bp_scale_;
-  const bool iio_congested = iio_.occupancy_fraction() > iio_threshold;
-  const bool mem_congested = dram_.queueing_delay(now) > dram_threshold;
+  const bool iio_congested = iio_.occupancy_fraction() > config_.iio_threshold;
+  const bool mem_congested = dram_.queueing_delay(now) > config_.dram_queue_threshold;
   // Premature-eviction rate since the last sample. Note this is reactive by
   // construction: the counted evictions ARE the misses the CPU will pay.
   const std::int64_t premature = llc_.stats().premature_evictions;
   const std::int64_t delta = premature - last_premature_;
   last_premature_ = premature;
   const double evict_rate = static_cast<double>(delta) / to_seconds(config_.poll_interval);
-  const bool ddio_congested = evict_rate > evict_threshold;
+  const bool ddio_congested = evict_rate > config_.eviction_rate_threshold;
   if ((iio_congested || mem_congested || ddio_congested) &&
       (last_signal_ < Nanos{0} || now - last_signal_ >= config_.signal_min_gap)) {
     last_signal_ = now;

@@ -46,11 +46,6 @@ class HostccDatapath : public DatapathBase {
 
   std::int64_t congestion_signals() const { return signals_; }
 
-  /// PolicyHost: scales the monitor's congestion thresholds (< 1.0 signals
-  /// earlier, > 1.0 later). Exact at 1.0 — no threshold is recomputed.
-  void set_backpressure_scale(double scale) override { bp_scale_ = scale; }
-  double backpressure_scale() const override { return bp_scale_; }
-
  protected:
   void on_flow_registered(FlowState& fs) override;
 
@@ -61,7 +56,6 @@ class HostccDatapath : public DatapathBase {
   DramModel& dram_;
   LlcModel& llc_;
   HostccConfig config_;
-  double bp_scale_ = 1.0;
   Nanos last_signal_{-1};
   std::int64_t last_premature_ = 0;
   std::int64_t signals_ = 0;

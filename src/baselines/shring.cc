@@ -53,9 +53,7 @@ void ShringDatapath::maybe_backpressure() {
       host_pool_.total() > 0
           ? static_cast<double>(host_pool_.in_use()) / static_cast<double>(host_pool_.total())
           : 0.0;
-  const double threshold = bp_scale_ == 1.0 ? config_.backpressure_threshold
-                                            : config_.backpressure_threshold * bp_scale_;
-  if (used <= threshold) return;
+  if (used <= config_.backpressure_threshold) return;
   const Nanos now = sched_.now();
   if (last_signal_ >= Nanos{0} && now - last_signal_ < config_.signal_min_gap) return;
   last_signal_ = now;

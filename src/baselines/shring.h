@@ -47,11 +47,6 @@ class ShringDatapath : public DatapathBase {
 
   std::int64_t backpressure_signals() const { return signals_; }
 
-  /// PolicyHost: scales the pool-occupancy backpressure threshold (< 1.0
-  /// signals earlier, > 1.0 later). Exact at 1.0.
-  void set_backpressure_scale(double scale) override { bp_scale_ = scale; }
-  double backpressure_scale() const override { return bp_scale_; }
-
  protected:
   void on_flow_registered(FlowState& fs) override;
   void on_flow_unregistered(FlowState& fs) override;
@@ -68,7 +63,6 @@ class ShringDatapath : public DatapathBase {
   void sweep_stale_messages();
 
   ShringConfig config_;
-  double bp_scale_ = 1.0;
   Nanos last_signal_{-1};
   std::int64_t signals_ = 0;
   std::int64_t stale_reclaims_ = 0;

@@ -265,30 +265,16 @@ void CeioDatapath::on_flow_path_changed(FlowState& fs) {
   Ext* ext = ext_of(id);
   if (ext == nullptr) return;
   arm(*ext);
-  switch (fs.path_override) {
-    case policy::FlowPathOverride::kForceSlow:
-      if (!ext->slow_mode) {
-        ext->slow_mode = true;
-        ++rt_stats_.credit_switches_to_slow;
-        CEIO_T_INSTANT(tele_, TraceTrack::kCreditController, "switch_to_slow", sched_.now(),
-                       static_cast<double>(credits_.credits(id)), id);
-        rmt_.update_action(id, SteerAction::kToNicMem);
-      }
-      kick_drain(id, *ext);
-      break;
-    case policy::FlowPathOverride::kForceFast:
-      if (ext->slow_mode) {
-        ext->slow_mode = false;
-        ++rt_stats_.switches_back_to_fast;
-        CEIO_T_INSTANT(tele_, TraceTrack::kCreditController, "switch_to_fast", sched_.now(),
-                       static_cast<double>(credits_.credits(id)), id);
-        rmt_.update_action(id, SteerAction::kToHost);
-        kick_drain(id, *ext);  // residual slow backlog still drains in order
-      }
-      break;
-    case policy::FlowPathOverride::kAuto:
-      break;  // the controller poll resumes normal steering from here
+  // kAuto: the controller poll resumes normal steering from here.
+  if (fs.path_override != policy::FlowPathOverride::kForceSlow) return;
+  if (!ext->slow_mode) {
+    ext->slow_mode = true;
+    ++rt_stats_.credit_switches_to_slow;
+    CEIO_T_INSTANT(tele_, TraceTrack::kCreditController, "switch_to_slow", sched_.now(),
+                   static_cast<double>(credits_.credits(id)), id);
+    rmt_.update_action(id, SteerAction::kToNicMem);
   }
+  kick_drain(id, *ext);
 }
 
 std::int64_t CeioDatapath::reenable_threshold() const {
@@ -684,14 +670,11 @@ bool CeioDatapath::poll_quiescent(FlowId id, const Ext& ext) const {
       ext.elastic->pending_writes() > 0) {
     return false;
   }
-  const policy::FlowPathOverride ov = fs->path_override;
-  if (!ext.slow_mode) {
-    return ov == policy::FlowPathOverride::kForceFast || credits_.credits(id) > 0;
-  }
+  if (!ext.slow_mode) return credits_.credits(id) > 0;
   // Slow mode: the drain kick must find it already sticky with nothing to
   // issue, and the fast path must not be re-enabled yet.
   if (!ext.elastic->draining() || ext.elastic->can_issue()) return false;
-  if (ov == policy::FlowPathOverride::kForceSlow) return true;
+  if (fs->path_override == policy::FlowPathOverride::kForceSlow) return true;
   const bool drained =
       !fs->rt.app->per_packet_cpu() || slow_backlog(id) <= config_.reenable_backlog;
   return !drained || !credits_.active(id) || credits_.credits(id) < reenable_threshold();
@@ -726,10 +709,9 @@ void CeioDatapath::poll_flow(FlowId id, Ext& ext, Nanos now) {
   {
     FlowState* fs = state_of(id);
     if (fs == nullptr) return;
-    // Policy-layer steering override: force values pin the steering, so the
-    // poll must neither exile a forced-fast flow nor readmit a forced-slow
-    // one. kAuto leaves every branch exactly as it always was.
-    const policy::FlowPathOverride ov = fs->path_override;
+    // Policy-layer steering override: the poll never readmits a forced-slow
+    // flow to the fast path.
+    const bool forced_slow = fs->path_override == policy::FlowPathOverride::kForceSlow;
 
     // Inactivity reclaim (Q3): idle flows surrender their credits.
     if (credits_.active(id) && now - ext.last_packet_at > config_.inactive_timeout) {
@@ -739,7 +721,7 @@ void CeioDatapath::poll_flow(FlowId id, Ext& ext, Nanos now) {
       ++rt_stats_.inactive_reclaims;
       CEIO_T_INSTANT(tele_, TraceTrack::kCreditController, "inactive_reclaim", now,
                      static_cast<double>(credits_.free_pool()), id);
-      if (!ext.slow_mode && ov != policy::FlowPathOverride::kForceFast) {
+      if (!ext.slow_mode) {
         ext.slow_mode = true;
         rmt_.update_action(id, SteerAction::kToNicMem);
       }
@@ -785,10 +767,7 @@ void CeioDatapath::poll_flow(FlowId id, Ext& ext, Nanos now) {
       // PIAS-style decision: priority (not credits) picks the path. Long
       // flows decay below the fast levels and stay exiled until idleness
       // resets their byte count — exactly the behaviour §4.1 rejects.
-      const bool want_slow =
-          ov == policy::FlowPathOverride::kForceSlow ||
-          (ov != policy::FlowPathOverride::kForceFast &&
-           mpq_level(id) >= config_.mpq_fast_levels);
+      const bool want_slow = forced_slow || mpq_level(id) >= config_.mpq_fast_levels;
       if (want_slow && !ext.slow_mode) {
         ext.slow_mode = true;
         ++rt_stats_.credit_switches_to_slow;
@@ -808,7 +787,7 @@ void CeioDatapath::poll_flow(FlowId id, Ext& ext, Nanos now) {
     }
 
     if (!ext.slow_mode) {
-      if (ov != policy::FlowPathOverride::kForceFast && credits_.credits(id) <= 0) {
+      if (credits_.credits(id) <= 0) {
         ext.slow_mode = true;
         ++rt_stats_.credit_switches_to_slow;
         CEIO_T_INSTANT(tele_, TraceTrack::kCreditController, "switch_to_slow", now,
@@ -824,7 +803,7 @@ void CeioDatapath::poll_flow(FlowId id, Ext& ext, Nanos now) {
     // need it — message accounting tolerates mixed paths, and waiting would
     // trap small-packet flows behind the request-rate-bound drain.
     kick_drain(id, ext);
-    if (ov == policy::FlowPathOverride::kForceSlow) return;
+    if (forced_slow) return;
     const bool drained = !involved || slow_bk <= config_.reenable_backlog;
     if (drained && credits_.active(id) && credits_.credits(id) >= reenable_threshold()) {
       ext.slow_mode = false;

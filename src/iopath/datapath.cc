@@ -27,20 +27,6 @@ void DatapathBase::register_flow(const FlowRuntime& rt) {
   }
 }
 
-void DatapathBase::set_flow_path(FlowId id, policy::FlowPathOverride path) {
-  FlowState* fs = state_of(id);
-  if (fs == nullptr) return;
-  fs->path_pinned = true;
-  if (fs->path_override == path) return;
-  fs->path_override = path;
-  on_flow_path_changed(*fs);
-}
-
-policy::FlowPathOverride DatapathBase::flow_path(FlowId id) const {
-  const FlowState* fs = flows_.find(id);
-  return fs == nullptr ? policy::FlowPathOverride::kAuto : fs->path_override;
-}
-
 void DatapathBase::set_kind_path(FlowKind kind, policy::FlowPathOverride path) {
   auto& slot = kind_path_[static_cast<std::size_t>(kind)];
   if (slot == path) return;
@@ -48,15 +34,10 @@ void DatapathBase::set_kind_path(FlowKind kind, policy::FlowPathOverride path) {
   // Id-ordered sweep: the change notification order is deterministic (CEIO
   // reacts by scheduling drain kicks).
   flows_.for_each([&](FlowId, FlowState& fs) {
-    if (fs.rt.config.kind != kind || fs.path_pinned) return;
-    if (fs.path_override == path) return;
+    if (fs.rt.config.kind != kind || fs.path_override == path) return;
     fs.path_override = path;
     on_flow_path_changed(fs);
   });
-}
-
-policy::FlowPathOverride DatapathBase::kind_path(FlowKind kind) const {
-  return kind_path_[static_cast<std::size_t>(kind)];
 }
 
 void DatapathBase::unregister_flow(FlowId id) {

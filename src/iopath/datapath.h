@@ -95,13 +95,10 @@ class DatapathBase : public IoDatapath {
   void set_telemetry(Telemetry* tele) override { tele_ = tele; }
   void register_metrics(MetricRegistry& registry) override;
 
-  // PolicyHost: path-steering overrides. The base keeps the bookkeeping
+  // PolicyHost: per-kind path steering. The base keeps the bookkeeping
   // (per-flow value, per-kind default applied at registration); policies
   // that can actually steer observe changes via on_flow_path_changed.
-  void set_flow_path(FlowId id, policy::FlowPathOverride path) override;
-  policy::FlowPathOverride flow_path(FlowId id) const override;
   void set_kind_path(FlowKind kind, policy::FlowPathOverride path) override;
-  policy::FlowPathOverride kind_path(FlowKind kind) const override;
 
   const FlowPathStats* flow_stats(FlowId id) const;
 
@@ -118,9 +115,6 @@ class DatapathBase : public IoDatapath {
     BufferId next_bypass_buffer = 0;  // rotating app-memory ids (bypass flows)
     /// Policy-layer steering override (kAuto = the datapath's own machinery).
     policy::FlowPathOverride path_override = policy::FlowPathOverride::kAuto;
-    /// True once set_flow_path pinned this flow explicitly — per-kind
-    /// defaults no longer touch it.
-    bool path_pinned = false;
     FlowPathStats stats;
   };
 
@@ -188,7 +182,7 @@ class DatapathBase : public IoDatapath {
 
  private:
   /// Per-kind default overrides, indexed by FlowKind (applied to new flows
-  /// and to existing unpinned flows of the kind when changed).
+  /// and to existing flows of the kind when changed).
   policy::FlowPathOverride kind_path_[2] = {policy::FlowPathOverride::kAuto,
                                             policy::FlowPathOverride::kAuto};
   void on_host_landed(FlowId flow, PacketRef ref, RxRing* ring);

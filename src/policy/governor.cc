@@ -31,34 +31,7 @@ const char* to_string(GovernorTier tier) {
   return "?";
 }
 
-const char* to_string(FlowPathOverride override_value) {
-  switch (override_value) {
-    case FlowPathOverride::kAuto:
-      return "auto";
-    case FlowPathOverride::kForceFast:
-      return "force-fast";
-    case FlowPathOverride::kForceSlow:
-      return "force-slow";
-  }
-  return "?";
-}
-
-namespace {
-
-ControllerRules governor_rules(const PolicyConfig& config) {
-  ControllerRules rules;
-  rules.reactive = config.governor != GovernorMode::kStatic;
-  rules.min_units = 0;
-  rules.grant_hold_ticks = config.grant_hold_ticks;
-  return rules;
-}
-
-}  // namespace
-
-DatapathGovernor::DatapathGovernor(const PolicyConfig& config)
-    // The governor governs a single datapath: one entity, no unit resource —
-    // it reuses the base's tick counter and grant-hold slot 0 only.
-    : PolicyController(governor_rules(config), {0}, 0), config_(config) {}
+DatapathGovernor::DatapathGovernor(const PolicyConfig& config) : config_(config) {}
 
 GovernorDecision DatapathGovernor::bundle_for(GovernorTier tier) const {
   GovernorDecision d;
@@ -80,7 +53,7 @@ GovernorDecision DatapathGovernor::bundle_for(GovernorTier tier) const {
 }
 
 GovernorDecision DatapathGovernor::decide(const GovernorSample& sample) {
-  advance_tick();
+  ++tick_count_;
 
   // Differentiate the cumulative counters. Harness measurement resets can
   // rewind them mid-run; the clamp turns that into one quiet sample.
@@ -141,9 +114,9 @@ GovernorDecision DatapathGovernor::decide(const GovernorSample& sample) {
   if (want != tier_) {
     // Escalation under sustained pressure is never blocked; de-escalation
     // respects the grant hold so a brief lull cannot flap the actuators.
-    if (want > tier_ || !held(0)) {
+    if (want > tier_ || tick_count_ >= hold_until_) {
       tier_ = want;
-      hold(0);
+      hold_until_ = tick_count_ + config_.grant_hold_ticks;
       hot_streak_ = 0;
       cool_streak_ = 0;
       moved = true;

@@ -6,11 +6,11 @@
 // the multi-tenant way arbiter uses — premature-evict rate, IIO/DDIO
 // occupancy, SW-ring depth, credit starvation — and walks a small tier
 // ladder (calm -> watch -> squeeze), mapping each tier to a bundle of
-// PolicyHost actuator values. Stability comes from the PolicyController
-// grant-hold rules plus escalation/relaxation streaks: a tier changes only
-// after `escalate_ticks` consecutive hot samples (or `relax_ticks` cool
-// ones), and a fresh decision is pinned against de-escalation for
-// `grant_hold_ticks`, so oscillating input cannot flap the actuators.
+// PolicyHost actuator values. Stability comes from escalation/relaxation
+// streaks plus a grant hold: a tier changes only after `escalate_ticks`
+// consecutive hot samples (or `relax_ticks` cool ones), and a fresh decision
+// is pinned against de-escalation for `grant_hold_ticks`, so oscillating
+// input cannot flap the actuators.
 //
 // decide() is pure (sample in, decision out; only controller-internal state
 // advances) and every gauge it consumes is domain-local, so per-domain
@@ -21,7 +21,6 @@
 #include <cstdint>
 
 #include "common/units.h"
-#include "policy/policy_controller.h"
 #include "policy/policy_host.h"
 
 namespace ceio::policy {
@@ -98,7 +97,7 @@ struct GovernorDecision {
   double landed_cap_scale = 1.0;
 };
 
-class DatapathGovernor : public PolicyController {
+class DatapathGovernor {
  public:
   explicit DatapathGovernor(const PolicyConfig& config);
 
@@ -109,6 +108,7 @@ class DatapathGovernor : public PolicyController {
   const GovernorDecision& last_decision() const { return last_; }
   /// Number of ticks whose decision differed from the previous one.
   std::int64_t decision_changes() const { return changes_; }
+  std::int64_t tick_count() const { return tick_count_; }
   const PolicyConfig& config() const { return config_; }
 
  private:
@@ -116,6 +116,10 @@ class DatapathGovernor : public PolicyController {
 
   PolicyConfig config_;
   GovernorTier tier_ = GovernorTier::kCalm;
+  std::int64_t tick_count_ = 0;
+  /// Tick index until which the latest tier change is pinned against
+  /// de-escalation.
+  std::int64_t hold_until_ = 0;
   std::int64_t last_evictions_ = 0;
   std::int64_t last_starvations_ = 0;
   int hot_streak_ = 0;

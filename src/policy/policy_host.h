@@ -1,11 +1,11 @@
 // PolicyHost: the actuator surface a datapath exposes to the policy layer.
 //
-// Every knob here used to be constructor-time configuration scattered across
-// CeioConfig/HostccConfig/ShringConfig. Lifting them behind one interface
-// lets a runtime controller (src/policy/governor.h) retune a *live* datapath
-// — per-flow steering, credit budgets, landing windows, backpressure
-// aggressiveness — without rebuilding it, and gives every backend the same
-// no-op defaults so callers need not care which system is installed.
+// Every knob here used to be constructor-time configuration in CeioConfig.
+// Lifting them behind one interface lets the runtime governor
+// (src/policy/governor.h) retune a *live* datapath — per-kind steering,
+// credit budgets, landing windows — without rebuilding it, and gives every
+// backend the same no-op defaults so callers need not care which system is
+// installed.
 //
 // Contract: every setter is exact at its neutral value. Installing the
 // default override (kAuto, scale 1.0) must leave the datapath bit-identical
@@ -21,41 +21,23 @@
 
 namespace ceio::policy {
 
-/// Per-flow (or per-kind) steering override. kAuto defers to the datapath's
-/// own machinery (CEIO: credit balance / MPQ priority); the force values pin
-/// the flow to one path until the override is lifted.
+/// Per-kind steering override. kAuto defers to the datapath's own machinery
+/// (CEIO: credit balance / MPQ priority); kForceSlow pins the kind's flows
+/// to the slow path until the override is lifted.
 enum class FlowPathOverride {
   kAuto,
-  kForceFast,  // DDIO fast path, never exiled to on-NIC memory
   kForceSlow,  // on-NIC memory + elastic drain, never readmitted
 };
-
-const char* to_string(FlowPathOverride override_value);
 
 class PolicyHost {
  public:
   virtual ~PolicyHost() = default;
 
-  // ---- Per-flow path steering ----
-  /// Pins `id` to a path (or returns it to automatic steering). Unknown
-  /// flows are ignored; the override does not survive re-registration.
-  virtual void set_flow_path(FlowId id, FlowPathOverride path) {
-    (void)id;
-    (void)path;
-  }
-  virtual FlowPathOverride flow_path(FlowId id) const {
-    (void)id;
-    return FlowPathOverride::kAuto;
-  }
-  /// Default override applied to every current and future flow of `kind`
-  /// (flows with an explicit per-flow override keep it).
+  // ---- Per-kind path steering ----
+  /// Default override applied to every current and future flow of `kind`.
   virtual void set_kind_path(FlowKind kind, FlowPathOverride path) {
     (void)kind;
     (void)path;
-  }
-  virtual FlowPathOverride kind_path(FlowKind kind) const {
-    (void)kind;
-    return FlowPathOverride::kAuto;
   }
 
   // ---- Credit budget (CEIO) ----
@@ -71,12 +53,6 @@ class PolicyHost {
     (void)involved_cap;
     (void)bypass_cap;
   }
-
-  // ---- Backpressure aggressiveness (HostCC / ShRing) ----
-  /// Scales the congestion-signal thresholds: < 1.0 signals earlier, > 1.0
-  /// later. Scale 1.0 is exact.
-  virtual void set_backpressure_scale(double scale) { (void)scale; }
-  virtual double backpressure_scale() const { return 1.0; }
 };
 
 }  // namespace ceio::policy

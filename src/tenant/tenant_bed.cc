@@ -132,24 +132,26 @@ void TenantAssembly::apply_budgets() {
   }
 }
 
+std::int64_t TenantAssembly::ring_backlog(std::size_t t) const {
+  std::int64_t backlog = 0;
+  demux_->tenant_datapath(t)->for_each_ring(
+      [&backlog](const RxRing& r) { backlog += static_cast<std::int64_t>(r.size()); });
+  if (ceio_[t] != nullptr) {
+    for (FlowId f = roster_[t].first_flow; f <= roster_[t].last_flow; ++f) {
+      backlog += static_cast<std::int64_t>(ceio_[t]->slow_backlog(f));
+    }
+  }
+  return backlog;
+}
+
 std::vector<TenantGaugeSample> TenantAssembly::sample_gauges() const {
   const LlcModel& llc = bed_.llc();
   std::vector<TenantGaugeSample> out(roster_.size());
   for (std::size_t t = 0; t < roster_.size(); ++t) {
     TenantGaugeSample& s = out[t];
-    s.ddio_occupancy = static_cast<std::int64_t>(llc.tenant_ddio_occupancy(t));
-    s.way_capacity = static_cast<std::int64_t>(llc.tenant_way_capacity(t));
     s.premature_evictions = llc.tenant_stats(t).premature_evictions;
+    s.ring_backlog = ring_backlog(t);
     s.priority = roster_[t].cfg.priority;
-    std::int64_t backlog = 0;
-    demux_->tenant_datapath(t)->for_each_ring(
-        [&backlog](const RxRing& r) { backlog += static_cast<std::int64_t>(r.size()); });
-    if (ceio_[t] != nullptr) {
-      for (FlowId f = roster_[t].first_flow; f <= roster_[t].last_flow; ++f) {
-        backlog += static_cast<std::int64_t>(ceio_[t]->slow_backlog(f));
-      }
-    }
-    s.ring_backlog = backlog;
   }
   return out;
 }
@@ -199,7 +201,7 @@ void TenantAssembly::register_metrics(MetricRegistry& registry) {
       return static_cast<double>(llc.tenant_stats(t).budget_bypasses);
     });
     registry.add_gauge(prefix + "ring_backlog", [this, t]() {
-      return static_cast<double>(sample_gauges()[t].ring_backlog);
+      return static_cast<double>(ring_backlog(t));
     });
   }
   registry.add_gauge("tenant.controller.repartitions",

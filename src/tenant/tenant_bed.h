@@ -59,8 +59,7 @@ class TenantAssembly {
   /// Per-tenant CEIO instance (nullptr for non-CEIO systems).
   CeioDatapath* ceio_of(std::size_t tenant) { return ceio_[tenant]; }
 
-  /// Live gauge snapshot, one sample per tenant (controller input; also
-  /// what the metric gauges report).
+  /// Live gauge snapshot, one sample per tenant (controller input).
   std::vector<TenantGaugeSample> sample_gauges() const;
 
   /// Registers "tenant.<name>.*" gauge subtrees + controller gauges.
@@ -79,6 +78,9 @@ class TenantAssembly {
   WayPartitionController* controller() { return controller_.get(); }
 
  private:
+  /// Packets tenant `t` has waiting in its rings and CEIO slow backlogs
+  /// (the controller's backlog input and the `ring_backlog` gauge).
+  std::int64_t ring_backlog(std::size_t t) const;
   void apply_budgets();
   void arm_tick();
   void tick();

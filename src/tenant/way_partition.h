@@ -2,30 +2,25 @@
 //
 // Periodically samples per-tenant pressure gauges (premature-eviction rate
 // and ring backlog — the same observables IOCA's contention detector and
-// A4's occupancy monitor use) and decides whether to migrate a DDIO way from
-// the least-pressured tenant to the most-pressured one. The arbitration
-// itself — pressure differentiation, priority ladder, grant-hold — lives in
-// the shared policy::PolicyController base (src/policy/); this class is the
-// tenant-facing adapter that maps WayControllerConfig onto ControllerRules
-// and keeps the tenant vocabulary (ways, repartitions) for its callers. The
-// decision function stays pure (state in, decision out) so tests drive it on
-// synthetic gauge traces without a simulation; the event-scheduler wiring
-// lives in TenantAssembly.
+// A4's occupancy monitor use) and decides whether to grow the most-pressured
+// tenant's exclusive slice by one DDIO way: out of the shared pool while one
+// exists, then from the least-pressured tenant that can spare a way. A
+// priority ladder, a donor guard and a grant hold keep the decisions from
+// flapping. The decision function stays pure (state in, decision out) so
+// tests drive it on synthetic gauge traces without a simulation; the
+// event-scheduler wiring lives in TenantAssembly.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "policy/policy_controller.h"
 #include "tenant/tenant_config.h"
 
 namespace ceio::tenant {
 
 /// One tenant's gauge snapshot at a controller tick.
 struct TenantGaugeSample {
-  std::int64_t ddio_occupancy = 0;
-  std::int64_t way_capacity = 0;
   /// Cumulative premature evictions (the controller differentiates).
   std::int64_t premature_evictions = 0;
   /// Ring / slow-path backlog in packets.
@@ -45,7 +40,7 @@ struct WayDecision {
   std::vector<int> ways;
 };
 
-class WayPartitionController : public policy::PolicyController {
+class WayPartitionController {
  public:
   /// `initial_ways` are the tenants' exclusive slices; `total_io_ways` is the
   /// whole DDIO partition width — the difference is the shared pool the
@@ -55,17 +50,25 @@ class WayPartitionController : public policy::PolicyController {
 
   /// One decision tick over the tenants' current gauges. Pure with respect
   /// to the simulation: only controller-internal state (way vector, last
-  /// premature counters) advances.
+  /// premature counters, hold timers) advances.
   WayDecision decide(const std::vector<TenantGaugeSample>& samples);
 
-  const std::vector<int>& ways() const { return units(); }
+  const std::vector<int>& ways() const { return ways_; }
   /// Ways still in the shared pool (not yet carved into a slice).
-  int shared_ways() const { return shared_units(); }
-  std::int64_t repartitions() const { return reallocations(); }
+  int shared_ways() const { return shared_; }
+  std::int64_t repartitions() const { return repartitions_; }
+  std::int64_t tick_count() const { return tick_count_; }
   const WayControllerConfig& config() const { return config_; }
 
  private:
   WayControllerConfig config_;
+  std::vector<int> ways_;
+  int shared_ = 0;
+  std::vector<std::int64_t> last_evictions_;
+  /// Tick index until which each tenant's latest grant is pinned.
+  std::vector<std::int64_t> hold_until_;
+  std::int64_t tick_count_ = 0;
+  std::int64_t repartitions_ = 0;
 };
 
 }  // namespace ceio::tenant

@@ -218,7 +218,11 @@ TEST(WayController, CarvesFromSharedPoolUnderPressure) {
 TEST(WayController, BelowThresholdIsANoOp) {
   WayPartitionController ctl(reactive_config(), {0, 0}, 4);
   EXPECT_FALSE(ctl.decide(gauges({5, 0})).changed);  // 5 < threshold 8
+  // Quiet ticks move nothing either, but every one of them is counted.
+  for (int tick = 1; tick < 50; ++tick) EXPECT_FALSE(ctl.decide(gauges({5, 0})).changed);
   EXPECT_EQ(ctl.shared_ways(), 4);
+  EXPECT_EQ(ctl.repartitions(), 0);
+  EXPECT_EQ(ctl.tick_count(), 50);
 }
 
 TEST(WayController, PressureIsARateNotACumulativeCount) {

@@ -10,7 +10,8 @@
 #                           -Wall/-Wextra/-Wshadow net is a gate), ctest
 #   3. migration safety     every bench binary's stdout (perf_core aside: it
 #                           prints host time), registered ceio_sim scenarios
-#                           (single-tenant, multi-tenant and sharded), the
+#                           (single-tenant on CEIO, governed CEIO, HostCC and
+#                           ShRing, multi-tenant and sharded), the
 #                           CEIO poll's reclaim-churn and bounded-scan runs
 #                           and the sparse-poisson run (scheduler overflow
 #                           heap),
@@ -135,6 +136,12 @@ else
   #     > tools/golden/ceio_sim_sparse-poisson.txt
   #   build/tools/ceio_sim --scenario ceio-kv-short \
   #     > tools/golden/ceio_sim_ceio-kv-short.txt
+  #   build/tools/ceio_sim --scenario governed-kv-short \
+  #     > tools/golden/ceio_sim_governed-kv-short.txt
+  #   build/tools/ceio_sim --scenario ceio-kv-short --system=hostcc \
+  #     > tools/golden/ceio_sim_ceio-kv-short-hostcc.txt
+  #   build/tools/ceio_sim --scenario ceio-kv-short --system=shring \
+  #     > tools/golden/ceio_sim_ceio-kv-short-shring.txt
   #   build/tools/ceio_sim --scenario multitenant-short \
   #     > tools/golden/ceio_sim_multitenant-short.txt
   #   build/tools/ceio_sim --scenario sharded-kv-short \
@@ -179,6 +186,15 @@ else
       <("${CHECK_ROOT}/release/tools/ceio_sim" ${sparse_poisson_args}) || golden_status=1
     diff "${REPO_ROOT}/tools/golden/ceio_sim_ceio-kv-short.txt" \
       <("${CHECK_ROOT}/release/tools/ceio_sim" --scenario ceio-kv-short) || golden_status=1
+    # The same KV load under the datapath governor and on the HostCC and
+    # ShRing baselines, so every controller and datapath is pinned.
+    diff "${REPO_ROOT}/tools/golden/ceio_sim_governed-kv-short.txt" \
+      <("${CHECK_ROOT}/release/tools/ceio_sim" --scenario governed-kv-short) || golden_status=1
+    for system in hostcc shring; do
+      diff "${REPO_ROOT}/tools/golden/ceio_sim_ceio-kv-short-${system}.txt" \
+        <("${CHECK_ROOT}/release/tools/ceio_sim" --scenario ceio-kv-short \
+          --system="${system}") || golden_status=1
+    done
     diff "${REPO_ROOT}/tools/golden/ceio_sim_multitenant-short.txt" \
       <("${CHECK_ROOT}/release/tools/ceio_sim" --scenario multitenant-short) || golden_status=1
     # Sharded output is pinned too, at one worker thread and at four: paced

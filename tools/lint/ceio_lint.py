@@ -413,20 +413,20 @@ def check_cross_shard(findings: list[Finding]) -> None:
 
 
 RAW_ACTUATOR_RE = re.compile(
-    r"(?:\.|->)\s*(set_credit_scale|set_flow_path|set_kind_path|set_landed_caps|"
-    r"set_backpressure_scale|set_total_credits|set_coalescing)\s*\("
+    r"(?:\.|->)\s*(set_credit_scale|set_kind_path|set_landed_caps|"
+    r"set_total_credits|set_coalescing)\s*\("
 )
 
 
 def check_raw_actuator(findings: list[Finding]) -> None:
     """Member calls (`.` or `->`), from src/ outside src/policy/, to the
-    PolicyHost actuators (set_credit_scale, set_flow_path, set_kind_path,
-    set_landed_caps, set_backpressure_scale), to CEIO's credit-budget reset
-    set_total_credits, or to EventScheduler::set_coalescing. The actuators
-    are the governor's write surface; a layer pushing one directly bypasses
-    the decision ladder and its grant-hold rules. Defining a setter stays
-    legal (no member-access operator); call sites that own an actuator (the
-    sharded credit arbiter, the tenant bed) annotate."""
+    PolicyHost actuators (set_credit_scale, set_kind_path, set_landed_caps),
+    to CEIO's credit-budget reset set_total_credits, or to
+    EventScheduler::set_coalescing. The actuators are the governor's write
+    surface; a layer pushing one directly bypasses the decision ladder and
+    its grant-hold rules. Defining a setter stays legal (no member-access
+    operator); call sites that own an actuator (the sharded credit arbiter,
+    the tenant bed) annotate."""
     rule = "raw-actuator"
     for src, lineno, line in raw_lines(rule, ("src",)):
         if src.path.relative_to(REPO_ROOT).parts[1] == "policy":
