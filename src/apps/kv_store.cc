@@ -8,13 +8,12 @@ constexpr BufferId kKvAppBufferBase = 1ULL << 40;
 
 KvStore::KvStore(Rng& rng, const KvConfig& config)
     : rng_(rng), config_(config), next_app_buffer_(kKvAppBufferBase) {
-  keys_.reserve(config_.entries);
+  values_.reserve(config_.entries);
   for (std::size_t i = 0; i < config_.entries; ++i) {
     std::string key = "key-" + std::to_string(i);
     key.resize(static_cast<std::size_t>(config_.key_bytes), 'k');
-    std::string value(static_cast<std::size_t>(config_.value_bytes), 'v');
-    keys_.push_back(key);
-    store_.emplace(std::move(key), std::move(value));
+    index_.emplace(std::move(key), i);
+    values_.emplace_back(static_cast<std::size_t>(config_.value_bytes), 'v');
   }
 }
 
@@ -27,15 +26,11 @@ AppPacketCosts KvStore::packet_costs(const Packet& pkt) {
   } else {
     ++puts_;
   }
-  // Exercise the functional store so the cost model and the real structure
-  // stay honest with each other.
-  const auto& key = keys_[rng_.zipf(keys_.size(), config_.zipf_skew)];
-  if (is_get) {
-    (void)get(key);
-  } else {
-    // Overwrite with a same-sized value (steady-state put).
-    put(key, std::string(static_cast<std::size_t>(config_.value_bytes), 'u'));
-  }
+  // Exercise the store so the cost model and the real structure stay
+  // honest with each other: a get finds the value in place; a put
+  // overwrites it with a same-sized value (steady state, no allocation).
+  std::string& value = values_[rng_.zipf(config_.entries, config_.zipf_skew)];
+  if (!is_get) value.assign(static_cast<std::size_t>(config_.value_bytes), 'u');
   costs.app_cost = config_.lookup_cost + config_.response_cost;
   costs.read_buffer = true;
   if (!config_.zero_copy) {
@@ -52,12 +47,17 @@ AppMessageCosts KvStore::message_costs(const Packet& last_pkt) {
 }
 
 void KvStore::put(const std::string& key, std::string value) {
-  store_[key] = std::move(value);
+  const auto [it, inserted] = index_.try_emplace(key, values_.size());
+  if (inserted) {
+    values_.push_back(std::move(value));
+  } else {
+    values_[it->second] = std::move(value);
+  }
 }
 
 const std::string* KvStore::get(const std::string& key) const {
-  const auto it = store_.find(key);
-  return it == store_.end() ? nullptr : &it->second;
+  const auto it = index_.find(key);
+  return it == index_.end() ? nullptr : &values_[it->second];
 }
 
 }  // namespace ceio

@@ -42,7 +42,7 @@ class KvStore final : public Application {
   // above is what the simulator charges). ----
   void put(const std::string& key, std::string value);
   const std::string* get(const std::string& key) const;
-  std::size_t size() const { return store_.size(); }
+  std::size_t size() const { return values_.size(); }
 
   std::int64_t gets() const { return gets_; }
   std::int64_t puts() const { return puts_; }
@@ -51,10 +51,13 @@ class KvStore final : public Application {
  private:
   Rng& rng_;
   KvConfig config_;
-  // Hash-based on purpose: get/put are the hot ops; the store is never
-  // iterated, so its order cannot reach any output.
-  std::unordered_map<std::string, std::string> store_;
-  std::vector<std::string> keys_;
+  // Values addressed by key index: a simulated op draws an index and works
+  // on values_ directly (no key hashing; a put assigns into the value's
+  // existing capacity). The string index serves the functional put/get;
+  // hash-based on purpose, it is never iterated, so its order cannot reach
+  // any output.
+  std::vector<std::string> values_;
+  std::unordered_map<std::string, std::size_t> index_;
   std::int64_t gets_ = 0;
   std::int64_t puts_ = 0;
   // App-buffer ids for the non-zero-copy variant (requests copied out).

@@ -1,5 +1,6 @@
 #include "audit/invariants.h"
 
+#include <bit>
 #include <utility>
 
 #include "iopath/testbed.h"
@@ -103,12 +104,31 @@ std::optional<std::string> check_sw_ring(const SwRingState& s) {
   return std::nullopt;
 }
 
-std::optional<std::string> check_poll_armed(const std::vector<PollPositionState>& s) {
-  for (std::size_t p = 0; p < s.size(); ++p) {
-    const PollPositionState& pos = s[p];
-    if (pos.armed) continue;
+std::optional<std::string> check_poll_armed(const PollIndexState& s) {
+  const std::size_t n = s.positions.size();
+  for (std::size_t w = 0; w < s.armed_words.size(); ++w) {
+    for (std::uint64_t bits = s.armed_words[w]; bits != 0; bits &= bits - 1) {
+      const std::size_t p = (w << 6) | static_cast<std::size_t>(std::countr_zero(bits));
+      if (p >= n || !s.positions[p].armed) {
+        return "armed bit " + i64(static_cast<std::int64_t>(p)) + " is set but " +
+               (p >= n ? "no such position exists" : "its position is unarmed");
+      }
+    }
+  }
+  for (std::size_t p = 0; p < n; ++p) {
+    const PollPositionState& pos = s.positions[p];
     const std::string where = "position " + i64(static_cast<std::int64_t>(p)) + " (flow " +
                               i64(static_cast<std::int64_t>(pos.flow)) + ")";
+    const std::size_t w = p >> 6;
+    const bool bit = w < s.armed_words.size() && ((s.armed_words[w] >> (p & 63)) & 1u) != 0;
+    if (pos.armed != bit) return where + " is armed but its bit is clear";
+    if (pos.armed) continue;
+    if (w >= s.block_bounds.size() || s.block_bounds[w] > pos.held_deadline) {
+      return where + " holds deadline " + i64(pos.held_deadline.count()) +
+             " below its block's bound " +
+             (w < s.block_bounds.size() ? i64(s.block_bounds[w].count()) : "(none)");
+    }
+    if (pos.forced) continue;
     if (!pos.quiescent) return where + " is unarmed but its poll would act";
     if (pos.held_deadline != pos.deadline) {
       return where + " holds deadline " + i64(pos.held_deadline.count()) +
@@ -196,7 +216,7 @@ void register_sw_ring_invariants(ModelAuditor& auditor, std::string name,
 }
 
 void register_poll_armed_invariants(ModelAuditor& auditor,
-                                    std::function<std::vector<PollPositionState>()> probe) {
+                                    std::function<PollIndexState()> probe) {
   auditor.register_invariant("ceio", "poll-armed",
                              [probe = std::move(probe)](Nanos) { return check_poll_armed(probe()); });
 }
@@ -283,10 +303,14 @@ void register_standard_invariants(ModelAuditor& auditor, Testbed& bed) {
                                });
 
     register_poll_armed_invariants(auditor, [b] {
-      std::vector<PollPositionState> out;
-      for (const auto& d : b->ceio()->debug_poll_positions()) {
-        out.push_back(PollPositionState{d.flow, d.armed, d.quiescent, d.held_deadline, d.deadline});
+      const CeioDatapath& dp = *b->ceio();
+      PollIndexState out;
+      for (const auto& d : dp.debug_poll_positions()) {
+        out.positions.push_back(PollPositionState{d.flow, d.armed, d.quiescent, d.held_deadline,
+                                                  d.deadline, d.forced});
       }
+      out.armed_words = dp.debug_poll_armed_words();
+      out.block_bounds = dp.debug_poll_bounds();
       return out;
     });
   }

@@ -25,7 +25,10 @@
 //     packet count (ordering metadata agrees with occupancy).
 //   * poll-armed — every CEIO controller-poll position the poll may skip
 //     is quiescent (a visit would change nothing) and holds its flow's
-//     current inactivity deadline, so no re-arm went missing.
+//     current inactivity deadline, so no re-arm went missing; the armed
+//     bitmap has a bit set exactly at the armed positions, and each block's
+//     bound is at most every deadline held in that block, so the walk's
+//     jumps skip no due position.
 #pragma once
 
 #include <cstdint>
@@ -93,10 +96,19 @@ struct SwRingState {
 /// One CEIO controller-poll position, in poll order.
 struct PollPositionState {
   std::uint64_t flow = 0;
-  bool armed = false;      // visited at the next pass (armed or forced)
+  bool armed = false;      // visited at the next pass
   bool quiescent = false;  // the disarm predicate holds now
   Nanos held_deadline{0};  // the deadline an unarmed position holds
   Nanos deadline{0};       // the flow's current inactivity deadline
+  bool forced = false;     // visited at the next pass whatever it holds
+};
+
+/// The CEIO controller-poll index: its positions and the structures the
+/// walk jumps through.
+struct PollIndexState {
+  std::vector<PollPositionState> positions;
+  std::vector<std::uint64_t> armed_words;  // bit p of word p / 64: p armed
+  std::vector<Nanos> block_bounds;         // one per 64 positions
 };
 
 /// Per-tenant DDIO accounting snapshot (multi-tenant runs; src/tenant/).
@@ -115,8 +127,10 @@ std::optional<std::string> check_dma_window(const DmaWindowState& s);
 std::optional<std::string> check_credits(const CreditLedgerState& s);
 std::optional<std::string> check_ring(const RingState& s);
 std::optional<std::string> check_sw_ring(const SwRingState& s);
-/// Unarmed positions must be quiescent and hold their flow's deadline.
-std::optional<std::string> check_poll_armed(const std::vector<PollPositionState>& s);
+/// Unarmed, unforced positions must be quiescent and hold their flow's
+/// deadline; a bit is set iff its position is armed; each block's bound is
+/// at most every deadline held in the block.
+std::optional<std::string> check_poll_armed(const PollIndexState& s);
 /// Per-tenant occupancies must sum to the global DDIO occupancy.
 std::optional<std::string> check_tenant_llc_sum(const TenantLlcState& s);
 /// No tenant may exceed its way-slice capacity.
@@ -139,7 +153,7 @@ void register_ring_invariants(ModelAuditor& auditor, std::string name,
 void register_sw_ring_invariants(ModelAuditor& auditor, std::string name,
                                  std::function<SwRingState()> probe);
 void register_poll_armed_invariants(ModelAuditor& auditor,
-                                    std::function<std::vector<PollPositionState>()> probe);
+                                    std::function<PollIndexState()> probe);
 /// Registers both tenant-LLC invariants ("tenant-ddio-sum" and
 /// "tenant-way-bound") against one shared probe.
 void register_tenant_llc_invariants(ModelAuditor& auditor,

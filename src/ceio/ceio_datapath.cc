@@ -1,6 +1,7 @@
 #include "ceio/ceio_datapath.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/det_map.h"
@@ -138,7 +139,12 @@ void CeioDatapath::on_flow_registered(FlowState& fs) {
     ext.next_landing_buffer = kSlowLandingBase + (static_cast<BufferId>(id) << 20);
     ext.poll_pos = reactivation_order_.size();
     reactivation_order_.push_back(id);
-    poll_due_.push_back(kArmed);
+    poll_due_.push_back(Nanos::max());
+    if ((ext.poll_pos & 63) == 0) {
+      poll_armed_.push_back(0);
+      poll_bound_.push_back(Nanos::max());
+    }
+    arm(ext);
   }
   ext.last_packet_at = sched_.now();
   rmt_.install_rule(id, SteerAction::kToHost);
@@ -158,9 +164,17 @@ void CeioDatapath::on_flow_unregistered(FlowState& fs) {
     ext_.erase(id);
     reactivation_order_.erase(reactivation_order_.begin() + static_cast<std::ptrdiff_t>(pos));
     poll_due_.erase(poll_due_.begin() + static_cast<std::ptrdiff_t>(pos));
-    for (std::size_t p = pos; p < reactivation_order_.size(); ++p) {
+    const std::size_t n = reactivation_order_.size();
+    for (std::size_t p = pos; p < n; ++p) {
       ext_of(reactivation_order_[p])->poll_pos = p;
     }
+    // arm_all() below has the walk visit every position before it skips
+    // any, so rather than shift the index, arm every position: no deadline
+    // is held until a visit writes one again.
+    const std::size_t blocks = (n + 63) / 64;
+    poll_armed_.assign(blocks, ~0ull);
+    if (n % 64 != 0) poll_armed_.back() >>= 64 - n % 64;
+    poll_bound_.resize(blocks);
   }
   arm_all();
 }
@@ -266,7 +280,7 @@ void CeioDatapath::on_flow_path_changed(FlowState& fs) {
   if (ext == nullptr) return;
   arm(*ext);
   // kAuto: the controller poll resumes normal steering from here.
-  if (fs.path_override != policy::FlowPathOverride::kForceSlow) return;
+  if (kind_path(fs.rt.config.kind) != policy::FlowPathOverride::kForceSlow) return;
   if (!ext->slow_mode) {
     ext->slow_mode = true;
     ++rt_stats_.credit_switches_to_slow;
@@ -638,27 +652,81 @@ void CeioDatapath::schedule_credit_release(FlowId flow, std::int64_t count) {
 void CeioDatapath::controller_poll() {
   const Nanos now = sched_.now();
   const std::size_t n = reactivation_order_.size();
-  const std::size_t scan = std::min(n, config_.poll_scan_limit);
-  // The window is the `scan` positions after the cursor. Only forced and
-  // armed positions, and those past their inactivity deadline, are
-  // visited: poll_flow on any other would change nothing.
+  std::size_t left = std::min(n, config_.poll_scan_limit);
+  // The window is the `left` positions after the cursor, in order. Only
+  // forced and armed positions, and those past their inactivity deadline,
+  // are visited: poll_flow on any other would change nothing. A visit can
+  // arm later positions or force the rest (arm_all), so the force count
+  // and the index are consulted afresh after each one.
   std::size_t pos = n == 0 ? 0 : (poll_cursor_ + 1) % n;
-  for (std::size_t i = 0; i < scan; ++i) {
-    const bool forced = poll_force_ > 0;
-    if (forced) --poll_force_;
-    if (forced || now > poll_due_[pos]) {
-      const FlowId id = reactivation_order_[pos];
-      Ext* ext = ext_of(id);
-      if (ext != nullptr) {
-        poll_flow(id, *ext, now);
-        poll_due_[pos] = poll_quiescent(id, *ext) ? inactivity_deadline(id, *ext) : kArmed;
-      }
+  if (left > 0) poll_cursor_ = (pos + left - 1) % n;
+  while (left > 0) {
+    bool visit = poll_force_ > 0;
+    if (visit) {
+      --poll_force_;
+    } else {
+      const std::size_t run_end = pos + std::min(left, n - pos);
+      const std::size_t next = next_poll_visit(pos, run_end, now);
+      left -= next - pos;
+      pos = next;
+      visit = next < run_end;
     }
-    poll_cursor_ = pos;
-    if (++pos == n) pos = 0;
+    if (visit) {
+      poll_position(pos, now);
+      --left;
+      ++pos;
+    }
+    if (pos == n) pos = 0;
   }
   poll_timer_ = sched_.schedule_after(config_.poll_interval,
                                       [this]() { controller_poll(); });
+}
+
+std::size_t CeioDatapath::next_poll_visit(std::size_t pos, std::size_t end, Nanos now) {
+  while (pos < end) {
+    const std::size_t block = pos >> 6;
+    const std::size_t block_end = std::min(end, (block + 1) << 6);
+    if (now > poll_bound_[block]) {
+      // A deadline held in this block may have passed: test each position
+      // as the linear walk does, then tighten the bound.
+      for (; pos < block_end; ++pos) {
+        if (poll_armed(pos) || now > poll_due_[pos]) return pos;
+      }
+      refresh_poll_bound(block);
+      continue;
+    }
+    // Every held deadline here lies ahead: only armed bits are due.
+    std::uint64_t bits = poll_armed_[block] >> (pos & 63);
+    const std::size_t span = block_end - pos;
+    if (span < 64) bits &= (1ull << span) - 1;
+    if (bits != 0) return pos + static_cast<std::size_t>(std::countr_zero(bits));
+    pos = block_end;
+  }
+  return end;
+}
+
+void CeioDatapath::poll_position(std::size_t pos, Nanos now) {
+  const FlowId id = reactivation_order_[pos];
+  Ext* ext = ext_of(id);
+  if (ext == nullptr) return;
+  poll_flow(id, *ext, now);
+  if (!poll_quiescent(id, *ext)) {
+    arm(*ext);
+    return;
+  }
+  const Nanos due = inactivity_deadline(id, *ext);
+  poll_armed_[pos >> 6] &= ~(1ull << (pos & 63));
+  poll_due_[pos] = due;
+  poll_bound_[pos >> 6] = std::min(poll_bound_[pos >> 6], due);
+}
+
+void CeioDatapath::refresh_poll_bound(std::size_t block) {
+  Nanos bound = Nanos::max();
+  const std::size_t end = std::min(poll_due_.size(), (block + 1) << 6);
+  for (std::size_t p = block << 6; p < end; ++p) {
+    if (!poll_armed(p)) bound = std::min(bound, poll_due_[p]);
+  }
+  poll_bound_[block] = bound;
 }
 
 bool CeioDatapath::poll_quiescent(FlowId id, const Ext& ext) const {
@@ -674,7 +742,7 @@ bool CeioDatapath::poll_quiescent(FlowId id, const Ext& ext) const {
   // Slow mode: the drain kick must find it already sticky with nothing to
   // issue, and the fast path must not be re-enabled yet.
   if (!ext.elastic->draining() || ext.elastic->can_issue()) return false;
-  if (fs->path_override == policy::FlowPathOverride::kForceSlow) return true;
+  if (kind_path(fs->rt.config.kind) == policy::FlowPathOverride::kForceSlow) return true;
   const bool drained =
       !fs->rt.app->per_packet_cpu() || slow_backlog(id) <= config_.reenable_backlog;
   return !drained || !credits_.active(id) || credits_.credits(id) < reenable_threshold();
@@ -694,9 +762,10 @@ std::vector<CeioDatapath::PollDebug> CeioDatapath::debug_poll_positions() const 
     PollDebug& d = out[p];
     d.flow = reactivation_order_[p];
     d.held_deadline = poll_due_[p];
+    d.armed = poll_armed(p);
     // Forced positions are the next poll_force_ ones after the cursor.
     const std::size_t ahead = (p + n - (poll_cursor_ + 1) % n) % n;
-    d.armed = poll_due_[p] == kArmed || ahead < poll_force_;
+    d.forced = ahead < poll_force_;
     const Ext* ext = ext_of(d.flow);
     if (ext == nullptr) continue;
     d.quiescent = poll_quiescent(d.flow, *ext);
@@ -711,7 +780,8 @@ void CeioDatapath::poll_flow(FlowId id, Ext& ext, Nanos now) {
     if (fs == nullptr) return;
     // Policy-layer steering override: the poll never readmits a forced-slow
     // flow to the fast path.
-    const bool forced_slow = fs->path_override == policy::FlowPathOverride::kForceSlow;
+    const bool forced_slow =
+        kind_path(fs->rt.config.kind) == policy::FlowPathOverride::kForceSlow;
 
     // Inactivity reclaim (Q3): idle flows surrender their credits.
     if (credits_.active(id) && now - ext.last_packet_at > config_.inactive_timeout) {

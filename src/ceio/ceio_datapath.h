@@ -193,12 +193,17 @@ class CeioDatapath final : public DatapathBase {
   /// White-box view of one controller-poll position, in poll order.
   struct PollDebug {
     FlowId flow = 0;
-    bool armed = false;      // the next pass over the position visits it
+    bool armed = false;      // its bit in the armed index is set
+    bool forced = false;     // inside the forced run after the poll cursor
     bool quiescent = false;  // a visit now would change nothing
     Nanos held_deadline{0};  // deadline an unarmed position holds
     Nanos deadline{0};       // the flow's current inactivity deadline
   };
   std::vector<PollDebug> debug_poll_positions() const;
+  /// The poll index itself: armed bits (bit p of word p / 64) and the
+  /// per-block bounds on held deadlines.
+  const std::vector<std::uint64_t>& debug_poll_armed_words() const { return poll_armed_; }
+  const std::vector<Nanos>& debug_poll_bounds() const { return poll_bound_; }
 
  protected:
   void on_flow_registered(FlowState& fs) override;
@@ -255,6 +260,14 @@ class CeioDatapath final : public DatapathBase {
   std::int64_t reenable_threshold() const;
   void apply_total_credits();
   void controller_poll();
+  /// First position in [pos, end) the linear walk would visit (armed, or
+  /// past its held deadline), or `end`. Forced positions are the caller's.
+  std::size_t next_poll_visit(std::size_t pos, std::size_t end, Nanos now);
+  /// Visits `pos`, then re-arms it or has it hold its inactivity deadline.
+  void poll_position(std::size_t pos, Nanos now);
+  /// Sets the block's bound to the least deadline it holds.
+  void refresh_poll_bound(std::size_t block);
+  bool poll_armed(std::size_t pos) const { return (poll_armed_[pos >> 6] >> (pos & 63)) & 1u; }
   void poll_flow(FlowId id, Ext& ext, Nanos now);
   /// True when poll_flow on the flow is a no-op until one of its inputs
   /// changes (or its inactivity deadline passes).
@@ -263,7 +276,7 @@ class CeioDatapath final : public DatapathBase {
   Nanos inactivity_deadline(FlowId id, const Ext& ext) const;
   /// Marks the flow for a visit at its next poll position: called at every
   /// event that changes one of its poll inputs.
-  void arm(const Ext& ext) { poll_due_[ext.poll_pos] = kArmed; }
+  void arm(const Ext& ext) { poll_armed_[ext.poll_pos >> 6] |= 1ull << (ext.poll_pos & 63); }
   void arm(FlowId id) {
     if (const Ext* ext = ext_of(id); ext != nullptr) arm(*ext);
   }
@@ -293,12 +306,17 @@ class CeioDatapath final : public DatapathBase {
   std::vector<FlowId> reactivation_order_;  // RR + poll-scan cursor domain
   std::size_t reactivation_cursor_ = 0;
   std::size_t poll_cursor_ = 0;
-  // Controller-poll arming, one entry per reactivation_order_ position: the
-  // poll visits a position once `now` passes its entry. kArmed means at the
-  // next pass; a quiescent flow holds its inactivity deadline instead.
-  static constexpr Nanos kArmed = Nanos::min();
+  // Controller-poll index over reactivation_order_ positions. The poll
+  // visits a position whose bit in poll_armed_ is set; an unarmed
+  // (quiescent) position holds its inactivity deadline in poll_due_ and is
+  // visited once `now` passes it. poll_bound_ keeps, per 64 positions, a
+  // lower bound on the deadlines held there: it drops on every deadline
+  // write and becomes exact after a linear pass over the block, so the
+  // walk jumps between armed bits wherever `now` has not reached it.
+  std::vector<std::uint64_t> poll_armed_;
   std::vector<Nanos> poll_due_;
-  // Positions the poll visits unconditionally before consulting poll_due_.
+  std::vector<Nanos> poll_bound_;
+  // Positions the poll visits unconditionally before consulting the index.
   std::size_t poll_force_ = 0;
   double reactivation_tokens_ = 0.0;
   Nanos last_token_refill_{0};

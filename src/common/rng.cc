@@ -66,32 +66,26 @@ double Rng::exponential(double mean) {
 
 bool Rng::chance(double p) { return next_double() < p; }
 
+ZipfTable::ZipfTable(std::size_t n, double s) : skew_(s), cdf_(n), guide_(n) {
+  double sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    sum += 1.0 / std::pow(static_cast<double>(i + 1), s);
+    cdf_[i] = sum;
+  }
+  for (auto& c : cdf_) c /= sum;
+  std::size_t i = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const double u = static_cast<double>(j) / static_cast<double>(n);
+    while (i + 1 < n && cdf_[i] < u) ++i;
+    guide_[j] = i;
+  }
+}
+
 std::size_t Rng::zipf(std::size_t n, double s) {
   if (n == 0) return 0;
   if (s <= 0.0) return static_cast<std::size_t>(uniform(0, static_cast<std::int64_t>(n) - 1));
-  if (n != zipf_n_ || s != zipf_s_) {
-    zipf_n_ = n;
-    zipf_s_ = s;
-    zipf_cdf_.resize(n);
-    double sum = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      sum += 1.0 / std::pow(static_cast<double>(i + 1), s);
-      zipf_cdf_[i] = sum;
-    }
-    for (auto& c : zipf_cdf_) c /= sum;
-  }
-  const double u = next_double();
-  // Binary search for the first CDF entry >= u.
-  std::size_t lo = 0, hi = n - 1;
-  while (lo < hi) {
-    const std::size_t mid = (lo + hi) / 2;
-    if (zipf_cdf_[mid] < u) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
+  if (n != zipf_.size() || s != zipf_.skew()) zipf_ = ZipfTable(n, s);
+  return zipf_.sample(next_double());
 }
 
 }  // namespace ceio

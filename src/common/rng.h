@@ -7,6 +7,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -19,6 +20,38 @@ namespace ceio {
 /// independent stream while the whole sweep stays reproducible from one
 /// seed.
 std::uint64_t derive_seed(std::uint64_t base, std::uint64_t index);
+
+/// Inverse-CDF sampler for the Zipf law over [0, n) with skew s > 0:
+/// sample(u) is the first index whose CDF entry is >= u, or n - 1 when none
+/// is — exactly what a bisection over the CDF returns. A guide table makes
+/// it O(1) expected: guide_[j] is the answer for u = j / n, so the search
+/// starts at guide_[min(n - 1, floor(u * n))] and steps down, then up, to
+/// the first entry >= u (the steps absorb rounding in u * n).
+class ZipfTable {
+ public:
+  ZipfTable() = default;
+  ZipfTable(std::size_t n, double s);
+
+  std::size_t size() const { return cdf_.size(); }
+  double skew() const { return skew_; }
+  /// Normalised cumulative weights, non-decreasing, ending at 1.
+  const std::vector<double>& cdf() const { return cdf_; }
+
+  /// Index for a uniform draw `u` in [0, 1). Precondition: size() > 0.
+  std::size_t sample(double u) const {
+    const std::size_t n = cdf_.size();
+    const auto j = static_cast<std::size_t>(u * static_cast<double>(n));
+    std::size_t i = guide_[j < n ? j : n - 1];
+    while (i > 0 && cdf_[i - 1] >= u) --i;
+    while (i + 1 < n && cdf_[i] < u) ++i;
+    return i;
+  }
+
+ private:
+  double skew_ = -1.0;
+  std::vector<double> cdf_;
+  std::vector<std::size_t> guide_;
+};
 
 class Rng {
  public:
@@ -57,10 +90,8 @@ class Rng {
 
  private:
   std::array<std::uint64_t, 4> state_{};
-  // Cached Zipf normalisation: recomputed only when (n, s) changes.
-  std::size_t zipf_n_ = 0;
-  double zipf_s_ = -1.0;
-  std::vector<double> zipf_cdf_;
+  // Cached Zipf table: rebuilt only when (n, s) changes.
+  ZipfTable zipf_;
 };
 
 }  // namespace ceio

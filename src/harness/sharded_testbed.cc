@@ -188,7 +188,7 @@ class DomainSlice final : public ShardDomain {
   /// every single-domain source.
   FlowSource* add_source(const FlowConfig& fc, std::uint64_t run_seed) {
     sources_.push_back(
-        make_flow_source(bed_->sched(), *egress_, fc, bed_->config().dctcp, run_seed));
+        make_flow_source(bed_->windows(), *egress_, fc, run_seed));
     sources_.back()->arm_start();
     return sources_.back().get();
   }

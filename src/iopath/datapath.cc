@@ -17,12 +17,11 @@ void DatapathBase::register_flow(const FlowRuntime& rt) {
     // Bypass flows write into distinct app-memory regions; keep per-flow id
     // spaces disjoint (a 24-bit region per flow, far above any pool range).
     fs.next_bypass_buffer = kBypassBufferBase + (static_cast<BufferId>(rt.config.id) << 24);
-    // The per-kind policy default covers flows added mid-run (dynamic
-    // schedules register flows while the governor is already steering).
-    fs.path_override = kind_path_[static_cast<std::size_t>(rt.config.kind)];
   }
   on_flow_registered(fs);
-  if (inserted && fs.path_override != policy::FlowPathOverride::kAuto) {
+  // The per-kind override covers flows added mid-run (dynamic schedules
+  // register flows while the governor is already steering).
+  if (inserted && kind_path(rt.config.kind) != policy::FlowPathOverride::kAuto) {
     on_flow_path_changed(fs);
   }
 }
@@ -34,9 +33,7 @@ void DatapathBase::set_kind_path(FlowKind kind, policy::FlowPathOverride path) {
   // Id-ordered sweep: the change notification order is deterministic (CEIO
   // reacts by scheduling drain kicks).
   flows_.for_each([&](FlowId, FlowState& fs) {
-    if (fs.rt.config.kind != kind || fs.path_override == path) return;
-    fs.path_override = path;
-    on_flow_path_changed(fs);
+    if (fs.rt.config.kind == kind) on_flow_path_changed(fs);
   });
 }
 

@@ -95,9 +95,9 @@ class DatapathBase : public IoDatapath {
   void set_telemetry(Telemetry* tele) override { tele_ = tele; }
   void register_metrics(MetricRegistry& registry) override;
 
-  // PolicyHost: per-kind path steering. The base keeps the bookkeeping
-  // (per-flow value, per-kind default applied at registration); policies
-  // that can actually steer observe changes via on_flow_path_changed.
+  // PolicyHost: per-kind path steering. The base keeps the per-kind value;
+  // policies that can actually steer read it through kind_path and observe
+  // changes via on_flow_path_changed.
   void set_kind_path(FlowKind kind, policy::FlowPathOverride path) override;
 
   const FlowPathStats* flow_stats(FlowId id) const;
@@ -113,16 +113,21 @@ class DatapathBase : public IoDatapath {
     std::unordered_map<std::uint64_t, std::uint32_t> delivered_count;
     std::unordered_map<std::uint64_t, std::uint32_t> processed_count;
     BufferId next_bypass_buffer = 0;  // rotating app-memory ids (bypass flows)
-    /// Policy-layer steering override (kAuto = the datapath's own machinery).
-    policy::FlowPathOverride path_override = policy::FlowPathOverride::kAuto;
     FlowPathStats stats;
   };
+
+  /// Policy-layer steering override for flows of `kind` (kAuto = the
+  /// datapath's own machinery).
+  policy::FlowPathOverride kind_path(FlowKind kind) const {
+    return kind_path_[static_cast<std::size_t>(kind)];
+  }
 
   /// Hook: called after register_flow creates the state (set up rings/rules).
   virtual void on_flow_registered(FlowState& fs) { (void)fs; }
   virtual void on_flow_unregistered(FlowState& fs) { (void)fs; }
-  /// Hook: called when the policy layer changes a flow's path override
-  /// (CEIO re-steers the flow's remap-table entry immediately).
+  /// Hook: called when the policy layer changes the path override of the
+  /// flow's kind, and at registration under a non-kAuto one (CEIO re-steers
+  /// the flow's remap-table entry immediately).
   virtual void on_flow_path_changed(FlowState& fs) { (void)fs; }
   /// Hook: called when the CPU finished one packet (CEIO releases credits).
   virtual void on_packet_processed_hook(FlowState& fs, const Packet& pkt) {
@@ -181,8 +186,7 @@ class DatapathBase : public IoDatapath {
   Telemetry* tele_ = nullptr;
 
  private:
-  /// Per-kind default overrides, indexed by FlowKind (applied to new flows
-  /// and to existing flows of the kind when changed).
+  /// Per-kind path overrides, indexed by FlowKind.
   policy::FlowPathOverride kind_path_[2] = {policy::FlowPathOverride::kAuto,
                                             policy::FlowPathOverride::kAuto};
   void on_host_landed(FlowId flow, PacketRef ref, RxRing* ring);

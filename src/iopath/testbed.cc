@@ -43,7 +43,8 @@ CeioConfig derive_ceio_auto_credits(CeioConfig cfg, std::size_t ddio_capacity) {
   return cfg;
 }
 
-Testbed::Testbed(TestbedConfig config) : config_(std::move(config)), rng_(config_.seed) {
+Testbed::Testbed(TestbedConfig config)
+    : config_(std::move(config)), rng_(config_.seed), windows_(sched_, config_.dctcp) {
   llc_ = std::make_unique<LlcModel>(config_.llc);
   dram_ = std::make_unique<DramModel>(config_.dram);
   iio_ = std::make_unique<IioBuffer>(config_.iio);
@@ -170,11 +171,6 @@ KvStore& Testbed::make_kv_store() {
   return static_cast<KvStore&>(*apps_.back());
 }
 
-KvStore& Testbed::make_kv_store(const KvConfig& config) {
-  apps_.push_back(std::make_unique<KvStore>(rng_, config));
-  return static_cast<KvStore&>(*apps_.back());
-}
-
 LineFs& Testbed::make_linefs() {
   apps_.push_back(std::make_unique<LineFs>());
   return static_cast<LineFs&>(*apps_.back());
@@ -259,17 +255,16 @@ void Testbed::install_datapath(std::unique_ptr<IoDatapath> datapath) {
   }
 }
 
-std::unique_ptr<FlowSource> make_flow_source(EventScheduler& sched, NetworkLink& link,
-                                             const FlowConfig& config,
-                                             const DctcpConfig& dctcp, std::uint64_t run_seed) {
+std::unique_ptr<FlowSource> make_flow_source(DctcpWindowStream& windows, NetworkLink& link,
+                                             const FlowConfig& config, std::uint64_t run_seed) {
   return std::make_unique<FlowSource>(
-      sched, Rng(run_seed + 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(config.id)),
-      link, config, dctcp);
+      windows, Rng(run_seed + 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(config.id)),
+      link, config);
 }
 
 FlowSource& Testbed::add_flow(const FlowConfig& config, Application& app) {
   std::unique_ptr<FlowSource> owned =
-      make_flow_source(sched_, *link_, config, config_.dctcp, config_.seed);
+      make_flow_source(windows_, *link_, config, config_.seed);
   FlowSource& source = *owned;
   add_receiver(config, app, source);
   flows_[config.id].source = std::move(owned);

@@ -137,10 +137,10 @@ double aggregate_message_gbps(const std::vector<FlowReport>& reports,
 /// Sender half of a flow: its FlowSource emitting onto `link`, on an RNG
 /// stream keyed on (run seed, flow id) — arrival randomness is a pure
 /// function of the flow's identity, so no event-domain layout can reorder
-/// anyone's draws. Call arm_start() once the receiver half is registered.
-std::unique_ptr<FlowSource> make_flow_source(EventScheduler& sched, NetworkLink& link,
-                                             const FlowConfig& config,
-                                             const DctcpConfig& dctcp, std::uint64_t run_seed);
+/// anyone's draws. It runs on `windows`' scheduler, where its DCTCP window
+/// rollovers queue. Call arm_start() once the receiver half is registered.
+std::unique_ptr<FlowSource> make_flow_source(DctcpWindowStream& windows, NetworkLink& link,
+                                             const FlowConfig& config, std::uint64_t run_seed);
 
 class Testbed {
  public:
@@ -152,9 +152,6 @@ class Testbed {
 
   // ---- Applications (owned by the testbed) ----
   class KvStore& make_kv_store();
-  /// KV store with an explicit config (e.g. SSO-sized values for the
-  /// zero-allocation steady-state test).
-  class KvStore& make_kv_store(const struct KvConfig& config);
   class LineFs& make_linefs();
   class EchoApp& make_echo();
   class RawRdmaApp& make_raw_rdma();
@@ -249,6 +246,8 @@ class Testbed {
 
   // ---- Substrate access (white-box tests, benches) ----
   EventScheduler& sched() { return sched_; }
+  /// The DCTCP window rollovers of every source on sched() (config().dctcp).
+  DctcpWindowStream& windows() { return windows_; }
   Rng& rng() { return rng_; }
   LlcModel& llc() { return *llc_; }
   DramModel& dram() { return *dram_; }
@@ -277,6 +276,7 @@ class Testbed {
   TestbedConfig config_;
   Rng rng_;
   EventScheduler sched_;
+  DctcpWindowStream windows_;
 
   std::unique_ptr<LlcModel> llc_;
   std::unique_ptr<DramModel> dram_;

@@ -6,13 +6,14 @@
 
 namespace ceio {
 
-FlowSource::FlowSource(EventScheduler& sched, Rng rng, NetworkLink& link,
-                       const FlowConfig& config, const DctcpConfig& dctcp_config)
-    : sched_(sched),
+FlowSource::FlowSource(DctcpWindowStream& windows, Rng rng, NetworkLink& link,
+                       const FlowConfig& config)
+    : windows_(windows),
+      sched_(windows.sched()),
       rng_(rng),
       link_(link),
       config_(config),
-      dctcp_(dctcp_config, std::min(config.offered_rate, dctcp_config.max_rate)) {}
+      dctcp_(windows.config(), std::min(config.offered_rate, windows.config().max_rate)) {}
 
 BitsPerSec FlowSource::current_rate() const {
   return std::min(config_.offered_rate, dctcp_.rate());
@@ -21,7 +22,7 @@ BitsPerSec FlowSource::current_rate() const {
 void FlowSource::start() {
   if (active_) return;
   active_ = true;
-  arm_window_timer();
+  windows_.push(*this, window_epoch_);
   if (config_.closed_loop_outstanding > 0) {
     while (outstanding_messages_ < config_.closed_loop_outstanding) send_message();
   } else {
@@ -41,17 +42,14 @@ void FlowSource::stop() {
   if (!active_) return;
   active_ = false;
   sched_.cancel(pending_emit_);
-  sched_.cancel(window_timer_);
   pending_emit_ = EventHandle{};
-  window_timer_ = EventHandle{};
+  ++window_epoch_;
 }
 
-void FlowSource::arm_window_timer() {
-  window_timer_ = sched_.schedule_after(dctcp_.config().window, [this]() {
-    if (!active_) return;
-    dctcp_.on_window(sched_.now());
-    arm_window_timer();
-  });
+void FlowSource::roll_window(std::uint64_t epoch) {
+  if (epoch != window_epoch_) return;
+  dctcp_.on_window(sched_.now());
+  windows_.push(*this, window_epoch_);
 }
 
 bool FlowSource::has_work() const {

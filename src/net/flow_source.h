@@ -22,6 +22,7 @@
 #include "common/stats.h"
 #include "common/units.h"
 #include "net/dctcp.h"
+#include "net/dctcp_window_stream.h"
 #include "net/flow.h"
 #include "net/flow_feedback.h"
 #include "net/network_link.h"
@@ -40,22 +41,24 @@ struct FlowSourceStats {
 
 class FlowSource : public FlowFeedback {
  public:
-  /// `rng` is copied: the source owns a private stream, so its draws (Poisson
-  /// interarrival gaps) depend only on the seed it was handed — not on which
-  /// event domain hosts the flow or what its neighbors drew.
-  FlowSource(EventScheduler& sched, Rng rng, NetworkLink& link, const FlowConfig& config,
-             const DctcpConfig& dctcp_config = {});
+  /// The source runs on `windows`' scheduler, which also queues its DCTCP
+  /// window rollovers and supplies its DCTCP parameters. `rng` is copied:
+  /// the source owns a private stream, so its draws (Poisson interarrival
+  /// gaps) depend only on the seed it was handed — not on which event domain
+  /// hosts the flow or what its neighbors drew.
+  FlowSource(DctcpWindowStream& windows, Rng rng, NetworkLink& link, const FlowConfig& config);
 
   const FlowConfig& config() const { return config_; }
   FlowId id() const { return config_.id; }
 
-  /// Begins emission (schedules the first packet / message and the DCTCP
-  /// window timer). Idempotent while already running.
+  /// Begins emission (schedules the first packet / message and queues the
+  /// first DCTCP window rollover). Idempotent while already running.
   void start();
   /// start() at config().start_time: now when that time has passed, else
   /// from a scheduled event.
   void arm_start();
-  /// Stops emission. In-flight packets still drain.
+  /// Stops emission and voids the queued window rollover. In-flight packets
+  /// still drain.
   void stop();
   bool active() const { return active_; }
 
@@ -108,14 +111,18 @@ class FlowSource : public FlowFeedback {
   void reset_measurement();
 
  private:
+  friend class DctcpWindowStream;
+  /// A rollover queued under `epoch` came due: applies the DCTCP window
+  /// update and queues the next one, unless stop() voided it.
+  void roll_window(std::uint64_t epoch);
   /// Schedules the next emission no earlier than last_emit_ + pacing gap.
   void schedule_emit();
   void emit_packet();
   /// True when the emitter has anything to send right now.
   bool has_work() const;
   void send_message();
-  void arm_window_timer();
 
+  DctcpWindowStream& windows_;
   EventScheduler& sched_;
   Rng rng_;
   NetworkLink& link_;
@@ -130,7 +137,8 @@ class FlowSource : public FlowFeedback {
   int queued_messages_ = 0;  // closed-loop messages waiting for the emitter
   Nanos last_emit_ = -kNanosPerSec;  // pacing anchor
   EventHandle pending_emit_;
-  EventHandle window_timer_;
+  // Tag of the rollover chain start() began; stop() bumps it.
+  std::uint64_t window_epoch_ = 0;
 
   // Dense ring keyed by the monotone message id: inserting a start time is
   // an array store instead of a tree-node allocation (one per RPC on the KV

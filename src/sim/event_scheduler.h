@@ -23,11 +23,11 @@
 //     amortised and independent of queue depth.
 //   * Far tier: a coarse wheel of kFarSlots slots of kFarSlotSpan ticks
 //     each, covering the kFarSlots coarse slots after the near window
-//     (~2.1 ms). DCTCP windows (20 µs), credit epochs (100 µs), Poisson
-//     gaps and controller polls land here with an O(1) append to the
-//     slot's intrusive FIFO; `Slot::pos` keeps the event's offset inside
-//     its coarse slot. A 16-word bitmap with a summary word finds the next
-//     non-empty slot.
+//     (~2.1 ms). The DCTCP window stream's next rollover (20 µs), credit
+//     epochs (100 µs), Poisson gaps and controller polls land here with an
+//     O(1) append to the slot's intrusive FIFO; `Slot::pos` keeps the
+//     event's offset inside its coarse slot. A 16-word bitmap with a
+//     summary word finds the next non-empty slot.
 //   * Overflow tier: events beyond the far horizon (start times, multi-ms
 //     timers) sit in an indexed 4-ary min-heap over (when, seq).
 //   * Clock advance: whenever now() crosses a coarse-slot boundary, and

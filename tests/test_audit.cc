@@ -179,20 +179,53 @@ TEST(AuditFaultInjection, SwRingSegmentCoherence) {
   expect_fires(a, "ceio", "sw-ring-coherent");
 }
 
+// A healthy three-position poll index: position 0 armed, 1 holding a
+// deadline, 2 holding none (an inactive flow).
+PollIndexState healthy_poll_index() {
+  PollIndexState s;
+  s.positions.resize(3);
+  s.positions[0] = {/*flow=*/1, /*armed=*/true, /*quiescent=*/false, Nanos{0}, Nanos{500}};
+  s.positions[1] = {/*flow=*/2, /*armed=*/false, /*quiescent=*/true, Nanos{700}, Nanos{700}};
+  s.positions[2] = {/*flow=*/3, /*armed=*/false, /*quiescent=*/true, Nanos::max(), Nanos::max()};
+  s.armed_words = {0b001};
+  s.block_bounds = {Nanos{600}};
+  return s;
+}
+
 TEST(AuditFaultInjection, PollArmedPositions) {
-  std::vector<PollPositionState> s(3);
-  s[0] = {/*flow=*/1, /*armed=*/true, /*quiescent=*/false, Nanos{0}, Nanos{500}};
-  s[1] = {/*flow=*/2, /*armed=*/false, /*quiescent=*/true, Nanos{700}, Nanos{700}};
-  s[2] = {/*flow=*/3, /*armed=*/false, /*quiescent=*/true, Nanos::max(), Nanos::max()};
+  PollIndexState s = healthy_poll_index();
   ModelAuditor a;
   register_poll_armed_invariants(a, [&s] { return s; });
   EXPECT_EQ(a.check_all(Nanos{0}), 0u) << a.summary();
 
-  s[1].quiescent = false;  // an input changed with no re-arm
+  s.positions[1].quiescent = false;  // an input changed with no re-arm
   expect_fires(a, "ceio", "poll-armed");
-  s[1].quiescent = true;
+  s.positions[1].quiescent = true;
 
-  s[2].deadline = Nanos{900};  // reactivated, yet the position never learns it
+  s.positions[2].deadline = Nanos{900};  // reactivated, yet the position never learns it
+  expect_fires(a, "ceio", "poll-armed");
+}
+
+TEST(AuditFaultInjection, PollArmedBitsMatchPositions) {
+  PollIndexState s = healthy_poll_index();
+  ModelAuditor a;
+  register_poll_armed_invariants(a, [&s] { return s; });
+  EXPECT_EQ(a.check_all(Nanos{0}), 0u) << a.summary();
+
+  // A removal shifted positions down but left the last one's bit behind.
+  s.armed_words[0] |= 1ull << 3;
+  expect_fires(a, "ceio", "poll-armed");
+}
+
+TEST(AuditFaultInjection, PollBlockBoundsBelowDeadlines) {
+  PollIndexState s = healthy_poll_index();
+  ModelAuditor a;
+  register_poll_armed_invariants(a, [&s] { return s; });
+  EXPECT_EQ(a.check_all(Nanos{0}), 0u) << a.summary();
+
+  // A deadline write that did not lower the block's bound: the walk would
+  // jump over position 1 between 700 and 800.
+  s.block_bounds[0] = Nanos{800};
   expect_fires(a, "ceio", "poll-armed");
 }
 

@@ -118,6 +118,67 @@ TEST(Rng, ZipfBoundary) {
   EXPECT_EQ(rng.zipf(1, 0.99), 0u);
 }
 
+// The bisection ZipfTable's guide table replaced: the first CDF entry
+// >= u, or n - 1 when none is.
+std::size_t zipf_by_bisection(const std::vector<double>& cdf, double u) {
+  std::size_t lo = 0;
+  std::size_t hi = cdf.size() - 1;
+  while (lo < hi) {
+    const std::size_t mid = (lo + hi) / 2;
+    if (cdf[mid] < u) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+TEST(Rng, ZipfGuideTableMatchesBisectionOnDraws) {
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{1000}}) {
+    for (const double s : {0.99, 1.5}) {
+      const ZipfTable table(n, s);
+      // zipf() consumes one next_double per call, so a second generator on
+      // the same seed sees every u it drew.
+      Rng sampler(29 + n);
+      Rng shadow(29 + n);
+      std::size_t mismatches = 0;
+      for (int i = 0; i < 1'000'000; ++i) {
+        const std::size_t got = sampler.zipf(n, s);
+        if (got != zipf_by_bisection(table.cdf(), shadow.next_double())) ++mismatches;
+      }
+      EXPECT_EQ(mismatches, 0u) << "n=" << n << " s=" << s;
+    }
+  }
+}
+
+TEST(Rng, ZipfGuideTableMatchesBisectionAtBoundaries) {
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{1000}}) {
+    for (const double s : {0.5, 0.99, 2.0}) {
+      const ZipfTable table(n, s);
+      const std::vector<double>& cdf = table.cdf();
+      ASSERT_EQ(cdf.size(), n);
+      EXPECT_EQ(cdf.back(), 1.0);
+      // Every CDF entry and every guide point j / n, each with both
+      // neighbouring doubles: where a guide start or a tie could go wrong.
+      std::vector<double> us{0.0};
+      for (std::size_t i = 0; i < n; ++i) {
+        us.push_back(cdf[i]);
+        us.push_back(static_cast<double>(i) / static_cast<double>(n));
+      }
+      std::size_t checked = 0;
+      for (const double at : us) {
+        for (const double u : {std::nextafter(at, 0.0), at, std::nextafter(at, 1.0)}) {
+          if (u < 0.0 || u >= 1.0) continue;
+          EXPECT_EQ(table.sample(u), zipf_by_bisection(cdf, u)) << "n=" << n << " u=" << u;
+          ++checked;
+        }
+      }
+      EXPECT_GE(checked, 2 * n);
+    }
+  }
+}
+
 TEST(Rng, ShufflePermutes) {
   Rng rng(23);
   std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8};

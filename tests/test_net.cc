@@ -6,6 +6,7 @@
 
 #include "apps/echo.h"
 #include "net/dctcp.h"
+#include "net/dctcp_window_stream.h"
 #include "net/flow_source.h"
 #include "net/network_link.h"
 #include "nic/nic.h"
@@ -175,6 +176,7 @@ INSTANTIATE_TEST_SUITE_P(Both, DctcpConvergence, ::testing::Values(true, false))
 
 struct SourceHarness {
   EventScheduler sched;
+  DctcpWindowStream windows{sched, DctcpConfig{}};
   Nic nic{sched, NicConfig{Nanos{0}}};
   CollectSink sink;
   Rng rng{7};
@@ -189,7 +191,7 @@ TEST(FlowSource, OpenLoopPacesAtOfferedRate) {
   fc.id = 1;
   fc.packet_size = Bytes{1'000};
   fc.offered_rate = gbps(8.0);  // 1 us per packet
-  FlowSource src(h.sched, h.rng, h.link, fc);
+  FlowSource src(h.windows, h.rng, h.link, fc);
   src.start();
   h.sched.run_until(millis(1));
   src.stop();
@@ -202,13 +204,36 @@ TEST(FlowSource, StopHaltsEmission) {
   FlowConfig fc;
   fc.id = 1;
   fc.offered_rate = gbps(10.0);
-  FlowSource src(h.sched, h.rng, h.link, fc);
+  FlowSource src(h.windows, h.rng, h.link, fc);
   src.start();
   h.sched.run_until(micros(100));
   src.stop();
   const auto sent = src.stats().packets_sent;
   h.sched.run_until(millis(1));
   EXPECT_EQ(src.stats().packets_sent, sent);
+}
+
+// An idle source (nothing acks what reaches the sink) probes upward by a
+// quarter of the additive increase, 0.5 Gbps, per window. stop() at 10 µs
+// must void the rollover start() queued for 20 µs, and start() at 15 µs
+// must begin exactly one new chain: rollovers at 35, 55, 75 and 95 µs lift
+// 1 Gbps to exactly 3 Gbps by 100 µs. A surviving first chain (20, 40, ...)
+// would read 5 Gbps, a missing second one 1 Gbps.
+TEST(FlowSource, RestartRunsOneWindowChain) {
+  SourceHarness h;
+  FlowConfig fc;
+  fc.id = 1;
+  fc.offered_rate = gbps(1.0);
+  FlowSource src(h.windows, h.rng, h.link, fc);
+  src.start();
+  h.sched.run_until(micros(10));
+  src.stop();
+  h.sched.run_until(micros(15));
+  src.start();
+  h.sched.run_until(micros(34));
+  EXPECT_EQ(src.dctcp().rate(), gbps(1.0));
+  h.sched.run_until(micros(100));
+  EXPECT_EQ(src.dctcp().rate(), gbps(3.0));
 }
 
 TEST(FlowSource, MessageFraming) {
@@ -218,7 +243,7 @@ TEST(FlowSource, MessageFraming) {
   fc.packet_size = Bytes{500};
   fc.message_pkts = 4;
   fc.offered_rate = gbps(100.0);
-  FlowSource src(h.sched, h.rng, h.link, fc);
+  FlowSource src(h.windows, h.rng, h.link, fc);
   src.start();
   h.sched.run_until(micros(10));
   src.stop();
@@ -240,7 +265,7 @@ TEST(FlowSource, ClosedLoopKeepsOutstandingBound) {
   fc.packet_size = Bytes{500};
   fc.closed_loop_outstanding = 4;
   fc.offered_rate = gbps(100.0);
-  FlowSource src(h.sched, h.rng, h.link, fc);
+  FlowSource src(h.windows, h.rng, h.link, fc);
   src.start();
   h.sched.run_until(micros(50));
   // Without completions, exactly 4 messages were emitted.
@@ -257,7 +282,7 @@ TEST(FlowSource, CompletionRecordsLatency) {
   FlowConfig fc;
   fc.id = 1;
   fc.closed_loop_outstanding = 1;
-  FlowSource src(h.sched, h.rng, h.link, fc);
+  FlowSource src(h.windows, h.rng, h.link, fc);
   src.start();
   h.sched.run_until(micros(5));
   src.notify_message_complete(1, h.sched.now());
@@ -271,7 +296,7 @@ TEST(FlowSource, DroppedPacketsRetransmitPaced) {
   fc.id = 1;
   fc.packet_size = Bytes{500};
   fc.offered_rate = gbps(1.0);
-  FlowSource src(h.sched, h.rng, h.link, fc);
+  FlowSource src(h.windows, h.rng, h.link, fc);
   src.start();
   h.sched.run_until(micros(20));
   const auto sent_before = src.stats().packets_sent;
@@ -298,7 +323,7 @@ TEST(FlowSource, EcnFeedbackReducesRate) {
   FlowConfig fc;
   fc.id = 1;
   fc.offered_rate = gbps(100.0);
-  FlowSource src(h.sched, h.rng, h.link, fc);
+  FlowSource src(h.windows, h.rng, h.link, fc);
   src.start();
   const auto initial = src.current_rate();
   Packet marked;
@@ -319,7 +344,7 @@ TEST(FlowSource, BurstModeGatesEmission) {
   fc.offered_rate = gbps(40.0);  // 100 ns per packet when on
   fc.burst_on = micros(50);
   fc.burst_off = micros(150);
-  FlowSource src(h.sched, h.rng, h.link, fc);
+  FlowSource src(h.windows, h.rng, h.link, fc);
   src.start();
   h.sched.run_until(millis(1));
   src.stop();
@@ -342,7 +367,7 @@ TEST(FlowSource, PoissonModeVariesGaps) {
   fc.packet_size = Bytes{500};
   fc.offered_rate = gbps(4.0);  // 1 us mean gap
   fc.poisson = true;
-  FlowSource src(h.sched, h.rng, h.link, fc);
+  FlowSource src(h.windows, h.rng, h.link, fc);
   src.start();
   h.sched.run_until(millis(1));
   src.stop();

@@ -5,6 +5,8 @@
 #include "apps/echo.h"
 #include "apps/kv_store.h"
 #include "apps/linefs.h"
+#include "config/config_ops.h"
+#include "harness/experiment.h"
 #include "iopath/testbed.h"
 
 namespace ceio {
@@ -168,6 +170,50 @@ TEST(Testbed, BurstCoalescingPreservesEveryTimestamp) {
       EXPECT_EQ(burst[i].p999, per_packet[i].p999);
     }
   }
+}
+
+// The same contract at scale: 1,024 Poisson echo flows on CEIO with a full
+// scan window. Every DCTCP window, the rollovers of all flows started
+// together fall due at one instant on the window stream, and the
+// controller poll jumps between armed flows across 1,024 positions; every
+// report field must match the one-event-per-item run bit for bit.
+TEST(Testbed, BurstCoalescingPreservesPoissonEchoAtScale) {
+  auto run = [](bool coalesce) {
+    harness::ExperimentSpec spec;
+    std::string error;
+    EXPECT_TRUE(config::apply_text(spec,
+                                   "workload.app = echo\n"
+                                   "workload.flows = 1024\n"
+                                   "workload.offered_rate = 0.04Gbps\n"
+                                   "workload.poisson = true\n"
+                                   "ceio.fast_ring_entries = 16\n"
+                                   "ceio.poll_scan_limit = 4096\n"
+                                   "ceio.inactive_timeout = 200us\n",
+                                   &error))
+        << error;
+    Testbed bed(spec.testbed);
+    bed.sched().set_coalescing(coalesce);
+    Application* app = make_app(bed, spec.workload.app);
+    harness::for_each_flow(spec, [&](const FlowConfig& fc) { bed.add_flow(fc, *app); });
+    harness::settle_and_measure(bed, micros(250), micros(500));
+    return bed.all_reports();
+  };
+  const auto burst = run(/*coalesce=*/true);
+  const auto per_item = run(/*coalesce=*/false);
+  ASSERT_EQ(burst.size(), 1024u);
+  ASSERT_EQ(burst.size(), per_item.size());
+  std::int64_t messages = 0;
+  for (std::size_t i = 0; i < burst.size(); ++i) {
+    EXPECT_EQ(burst[i].messages, per_item[i].messages) << "flow " << burst[i].id;
+    EXPECT_EQ(burst[i].drops, per_item[i].drops) << "flow " << burst[i].id;
+    EXPECT_EQ(burst[i].mpps, per_item[i].mpps) << "flow " << burst[i].id;
+    EXPECT_EQ(burst[i].gbps, per_item[i].gbps) << "flow " << burst[i].id;
+    EXPECT_EQ(burst[i].p50, per_item[i].p50) << "flow " << burst[i].id;
+    EXPECT_EQ(burst[i].p99, per_item[i].p99) << "flow " << burst[i].id;
+    EXPECT_EQ(burst[i].p999, per_item[i].p999) << "flow " << burst[i].id;
+    messages += burst[i].messages;
+  }
+  EXPECT_GT(messages, 1000);  // the run moved traffic
 }
 
 }  // namespace

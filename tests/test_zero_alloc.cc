@@ -6,11 +6,8 @@
 // the application and back touches no allocator at all. This binary replaces
 // global operator new with a counting shim (same pattern as the scheduler's
 // allocation tests) and asserts the count stays flat across a measurement
-// window of a full CEIO + KV run.
-//
-// The KV values are sized under libstdc++'s 15-byte SSO threshold so the
-// application's steady-state put (overwrite with a same-sized value) stays
-// on the stack; larger values would allocate in the app layer by design.
+// window of a full CEIO + KV run, at the default 64-byte values: a
+// steady-state put overwrites its value in place.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -76,9 +73,7 @@ TEST(ZeroAlloc, KvPipelineSteadyStateDoesNotAllocate) {
   tc.system = SystemKind::kCeio;
   tc.seed = 7;
   Testbed bed(tc);
-  KvConfig kv_config;
-  kv_config.value_bytes = Bytes{8};  // under SSO: steady-state puts stay inline
-  KvStore& kv = bed.make_kv_store(kv_config);
+  KvStore& kv = bed.make_kv_store();
   harness::WorkloadSpec rpc;
   rpc.offered_rate = gbps(10.0);  // light enough that no ring/queue drops occur
   for (FlowId id = 1; id <= 4; ++id) {

@@ -25,11 +25,13 @@
 #   7. tsan sweep           CEIO_SANITIZE=thread; a multi-axis ceio_sim sweep
 #                           at --jobs 4, byte-compared against --jobs 1
 #   8. tsan shards          CEIO_SANITIZE=thread; the sharded-kv-short,
-#                           governed-kv-short (sim.domains=4) and
+#                           governed-kv-short (sim.domains=4),
 #                           multitenant-short (sim.domains=2, Poisson tenant)
-#                           scenarios at --shards 4, byte-compared against
-#                           --shards 1 (conservative-lookahead determinism,
-#                           including the datapath governor's decisions)
+#                           and flowscale-1m (4,096 Poisson flows over 8
+#                           domains) scenarios at --shards 4, byte-compared
+#                           against --shards 1 (conservative-lookahead
+#                           determinism, including the datapath governor's
+#                           decisions)
 #   9. clang-tidy           over src/ using the .clang-tidy profile
 #  10. perf gate            bench/perf_core from the release tree vs the
 #                           committed BENCH_perf_core.json baseline; fails on
@@ -275,7 +277,7 @@ else
   # ThreadSanitizer and require the report to be byte-identical to the
   # --shards 1 expansion (the same determinism contract stage 7 gives the
   # sweep runner's --jobs).
-  note "tsan sharded runs (sharded, governed and multi-tenant; --shards 4 vs --shards 1)"
+  note "tsan sharded runs (sharded, governed, multi-tenant and flowscale; --shards 4 vs --shards 1)"
   tsan_shards_status=1
   tsan_sharded() {  # tsan_sharded <shards>
     TSAN_OPTIONS="halt_on_error=1" "${tsan_tree}/tools/ceio_sim" \
@@ -294,9 +296,15 @@ else
     TSAN_OPTIONS="halt_on_error=1" "${tsan_tree}/tools/ceio_sim" \
       --scenario multitenant-short --set sim.domains=2 --shards "$1"
   }
+  # The only Poisson run at scale across domains: 4,096 flows over 8, each
+  # domain's DCTCP window stream draining a synchronised rollover train.
+  tsan_flowscale() {  # tsan_flowscale <shards>
+    TSAN_OPTIONS="halt_on_error=1" "${tsan_tree}/tools/ceio_sim" \
+      --scenario flowscale-1m --flows=4096 --shards "$1"
+  }
   if [[ -x "${tsan_tree}/tools/ceio_sim" ]]; then
     tsan_shards_status=0
-    for run in tsan_sharded tsan_governed tsan_tenants; do
+    for run in tsan_sharded tsan_governed tsan_tenants tsan_flowscale; do
       if diff <("${run}" 1) <("${run}" 4); then
         echo "${run#tsan_} report byte-identical under TSan at --shards 4"
       else
