@@ -251,7 +251,7 @@ std::size_t CeioDatapath::driver_pending(FlowId id) const {
 }
 
 void CeioDatapath::apply_total_credits() {
-  // Exact at scale 1.0 (the governor-off / sharded-arbitration case): no
+  // Exact at scale 1.0 (the governor-off case): no
   // float round-trip may perturb the installed total.
   credits_.set_total(credit_scale_ == 1.0
                          ? base_total_credits_

@@ -133,9 +133,9 @@ class CeioDatapath final : public DatapathBase {
   void set_telemetry(Telemetry* tele) override;
 
   const CreditController& credits() const { return credits_; }
-  /// Host-shard credit arbitration (sharded runs): installs this domain's
-  /// rebalanced share of the global C_total. Composes with the policy
-  /// layer's credit scale: effective total = round(base * scale).
+  /// Installs a new base C_total. Only the tenant way partitioner calls it,
+  /// re-deriving Eq. 1 when a tenant's DDIO ways change. Composes with the
+  /// policy layer's credit scale: effective total = round(base * scale).
   void set_total_credits(std::int64_t v) {
     base_total_credits_ = v;
     apply_total_credits();
@@ -291,7 +291,7 @@ class CeioDatapath final : public DatapathBase {
   NicMemory& nic_mem_;
   CeioConfig config_;
   CreditController credits_;
-  /// Unscaled C_total (config or sharded arbitration); the effective total
+  /// Unscaled C_total (config or tenant way resize); the effective total
   /// handed to the controller is round(base * credit_scale_), computed
   /// exactly (no rounding) while the scale is 1.0.
   std::int64_t base_total_credits_;

@@ -1,75 +1,31 @@
-// Compile-time annotations for sharded-domain state ownership.
+// Compile-time gate for cross-domain message payloads.
 //
 // The sharded harness (src/harness/sharded_testbed.*) partitions one
 // deployment into conservative-lookahead event domains that may run on
 // different worker threads. Its correctness contract — bitwise-identical
 // reports at any shard count — holds only while every piece of mutable state
 // is touched by exactly one domain, and everything crossing a boundary goes
-// through an SPSC mailbox as an owned value. Nothing in plain C++ marks that
-// ownership, so a refactor can silently leak a mutable reference across a
-// boundary; TSan only catches the leak on paths a test actually races.
+// through a per-epoch channel (src/sim/epoch_channel.h) as an owned value.
+// Domain state itself is held by plain std::unique_ptr members of the
+// domain's slice.
 //
-// These wrappers make the ownership explicit in the type system:
-//
-//   DomainLocal<T>    state owned by one event domain. Move-only (a copy
-//                     would silently fork domain state) and heap-backed, so
-//                     moving the owner never invalidates event callbacks
-//                     holding the address. Accessors mirror std::unique_ptr.
-//
-//   CEIO_DOMAIN_MESSAGE(T)  declares T a mailbox payload: an owned value
+//   CEIO_DOMAIN_MESSAGE(T)  declares T a channel payload: an owned value
 //                     that is safe to hand to another domain. Statically
 //                     rejects payloads that carry raw pointers or references
 //                     outright (a pointer in a payload aliases the producing
 //                     domain's state from the consuming one).
 //
-// The cross-domain rule of tools/lint/ceio_lint.py leans on these types: it
+// The cross-domain rule of tools/lint/ceio_lint.py leans on this gate: it
 // flags raw pointer/reference members of any CEIO_DOMAIN_MESSAGE type and
-// pointer/reference SpscMailbox payload types, either of which would alias
+// pointer/reference EpochChannel payload types, either of which would alias
 // the producing domain's state from the consuming one.
 #pragma once
 
-#include <memory>
 #include <type_traits>
-#include <utility>
 
 namespace ceio {
 
-/// State owned by exactly one event domain. Move-only and heap-backed:
-/// the owning object may move (vector growth, struct reshuffles) without
-/// invalidating pointers that in-flight event callbacks hold.
-template <typename T>
-class DomainLocal {
- public:
-  DomainLocal() = default;
-  explicit DomainLocal(T value) : ptr_(std::make_unique<T>(std::move(value))) {}
-
-  DomainLocal(DomainLocal&&) noexcept = default;
-  DomainLocal& operator=(DomainLocal&&) noexcept = default;
-  DomainLocal(const DomainLocal&) = delete;  // a copy would fork domain state
-  DomainLocal& operator=(const DomainLocal&) = delete;
-
-  /// Constructs the owned value in place (replacing any previous one).
-  template <typename... Args>
-  T& emplace(Args&&... args) {
-    ptr_ = std::make_unique<T>(std::forward<Args>(args)...);
-    return *ptr_;
-  }
-
-  void reset() { ptr_.reset(); }
-
-  T* get() { return ptr_.get(); }
-  const T* get() const { return ptr_.get(); }
-  T& operator*() { return *ptr_; }
-  const T& operator*() const { return *ptr_; }
-  T* operator->() { return ptr_.get(); }
-  const T* operator->() const { return ptr_.get(); }
-  explicit operator bool() const { return static_cast<bool>(ptr_); }
-
- private:
-  std::unique_ptr<T> ptr_;
-};
-
-/// Trait gate for SpscMailbox payloads. Types opt in via
+/// Trait gate for EpochChannel payloads. Types opt in via
 /// CEIO_DOMAIN_MESSAGE(T), which also runs the compile-time safety checks.
 template <typename T>
 struct is_domain_message : std::false_type {};
@@ -84,7 +40,7 @@ struct is_domain_message<T> : std::true_type {};
 
 }  // namespace ceio
 
-/// Declares `TYPE` safe to ship through a cross-domain mailbox. Place at
+/// Declares `TYPE` safe to ship through a cross-domain channel. Place at
 /// GLOBAL namespace scope, after the type's definition (the explicit
 /// specialization of ceio::is_domain_message must live in an enclosing
 /// namespace of ceio). The payload must be an owned value: movable, and not

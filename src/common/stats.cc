@@ -6,61 +6,6 @@
 
 namespace ceio {
 
-void OnlineStats::add(double x) {
-  ++n_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
-double OnlineStats::variance() const {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
-
-PercentileTracker::PercentileTracker(std::size_t cap) : cap_(cap) {
-  samples_.reserve(std::min<std::size_t>(cap_, 4096));
-}
-
-void PercentileTracker::add(double x) {
-  ++total_;
-  sorted_ = false;
-  if (samples_.size() < cap_) {
-    samples_.push_back(x);
-    return;
-  }
-  // Reservoir sampling: keep each of the `total_` samples with equal
-  // probability cap_/total_.
-  lcg_ = lcg_ * 6364136223846793005ULL + 1442695040888963407ULL;
-  const auto r = static_cast<std::int64_t>((lcg_ >> 16) % static_cast<std::uint64_t>(total_));
-  if (r < static_cast<std::int64_t>(cap_)) {
-    samples_[static_cast<std::size_t>(r)] = x;
-  }
-}
-
-double PercentileTracker::percentile(double p) const {
-  if (samples_.empty()) return 0.0;
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-  const double rank = std::clamp(p, 0.0, 100.0) / 100.0 * static_cast<double>(samples_.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const auto hi = std::min(lo + 1, samples_.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
-}
-
-void PercentileTracker::clear() {
-  samples_.clear();
-  total_ = 0;
-  sorted_ = false;
-}
-
 void RateMeter::record(Nanos now, Bytes bytes, std::int64_t packets) {
   bytes_ += bytes;
   packets_ += packets;

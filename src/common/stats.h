@@ -1,19 +1,17 @@
-// Measurement primitives: online moments, percentile tracking, windowed
-// throughput meters and log-bucketed latency histograms.
+// Measurement primitives: windowed throughput meters and log-bucketed
+// latency histograms.
 //
 // Every experiment in bench/ reports through these types, so they are written
-// for predictable memory use: `PercentileTracker` keeps raw samples up to a
-// cap and then switches to uniform reservoir sampling; `LatencyHistogram`
-// uses fixed log-spaced buckets (HdrHistogram-style, coarse) allocated
-// lazily in chunks — a flow whose latencies cluster in one band (they all
-// do) pays for one chunk, not the full range.
+// for predictable memory use: `LatencyHistogram` uses fixed log-spaced
+// buckets (HdrHistogram-style, coarse) allocated lazily in chunks — a flow
+// whose latencies cluster in one band (they all do) pays for one chunk, not
+// the full range.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -30,55 +28,6 @@ inline double safe_rate(double ops, double seconds) {
   if (ops <= 0.0 || seconds <= 0.0) return 0.0;
   return ops / seconds;
 }
-
-/// Welford online mean/variance plus min/max.
-class OnlineStats {
- public:
-  void add(double x);
-
-  std::int64_t count() const { return n_; }
-  double mean() const { return n_ > 0 ? mean_ : 0.0; }
-  double variance() const;
-  double stddev() const;
-  double min() const { return n_ > 0 ? min_ : 0.0; }
-  double max() const { return n_ > 0 ? max_ : 0.0; }
-  double sum() const { return sum_; }
-
- private:
-  std::int64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double sum_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Exact percentiles while sample count <= cap, reservoir sampling beyond.
-class PercentileTracker {
- public:
-  explicit PercentileTracker(std::size_t cap = 1 << 20);
-
-  void add(double x);
-
-  /// Percentile in [0, 100]. Returns 0 when empty. Sorts lazily.
-  double percentile(double p) const;
-
-  double p50() const { return percentile(50.0); }
-  double p99() const { return percentile(99.0); }
-  double p999() const { return percentile(99.9); }
-
-  std::int64_t count() const { return total_; }
-  bool empty() const { return total_ == 0; }
-  void clear();
-
- private:
-  std::size_t cap_;
-  std::int64_t total_ = 0;
-  mutable bool sorted_ = false;
-  mutable std::vector<double> samples_;
-  // Cheap deterministic LCG for reservoir replacement (statistics-grade only).
-  mutable std::uint64_t lcg_ = 0x853c49e6748fea9bULL;
-};
 
 /// Counts bytes/packets over the full run and over a sliding window, to
 /// report both steady-state and instantaneous throughput.

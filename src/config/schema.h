@@ -420,8 +420,6 @@ template <class V>
 void visit_fields(SimConfig& c, V&& v) {
   v.field("domains", c.domains, 1, 1024);
   v.field("shards", c.shards, 1, 1024);
-  v.field("credit_epoch", c.credit_epoch, Nanos{1}, seconds(1));
-  v.field("mailbox_entries", c.mailbox_entries, std::size_t{2}, std::size_t{1} << 24);
 }
 
 // -- iopath/ -----------------------------------------------------------------

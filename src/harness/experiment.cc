@@ -117,6 +117,10 @@ RunResult collect_domains(std::vector<FlowReport> flows, const std::vector<Testb
       out.ceio_cca_triggers += rs.cca_triggers;
       out.ceio_reclaims += rs.inactive_reclaims;
     }
+    if (const policy::DatapathGovernor* gov = bed->governor()) {
+      out.governor_ticks += gov->tick_count();
+      out.governor_changes += gov->decision_changes();
+    }
   }
   out.llc_miss_rate = llc.miss_rate();
   out.dram_utilization = util / static_cast<double>(beds.size());

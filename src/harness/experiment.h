@@ -78,6 +78,10 @@ struct RunResult {
   // controller's way-migration count.
   std::vector<tenant::TenantReport> tenants;
   std::int64_t way_repartitions = 0;
+  // Governed runs (policy.governor != off): decision ticks and ticks whose
+  // decision changed, summed over domains.
+  std::int64_t governor_ticks = 0;
+  std::int64_t governor_changes = 0;
 };
 
 // The application-name table lives with the Testbed (iopath/testbed.h) so

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <deque>
+#include <cassert>
 #include <stdexcept>
 #include <utility>
 
@@ -13,7 +13,7 @@
 #include "net/flow_source.h"
 #include "net/network_link.h"
 #include "sim/coalesced_stream.h"
-#include "sim/spsc_mailbox.h"
+#include "sim/epoch_channel.h"
 
 namespace ceio::harness {
 
@@ -26,8 +26,6 @@ enum class WireKind : std::uint8_t {
   kDropped,
   kHostCongestion,
   kMessageComplete,
-  kCreditReport,
-  kBudgetGrant,
 };
 
 struct WireEntry {
@@ -39,7 +37,6 @@ struct WireEntry {
   FlowId flow = 0;       // feedback routing
   std::uint64_t message_id = 0;  // kMessageComplete
   Nanos done{0};                 // kMessageComplete
-  std::int64_t value = 0;        // kCreditReport demand / kBudgetGrant total
 };
 
 // The packet channel ships PacketBurst-sized batches, each packet carrying
@@ -54,7 +51,7 @@ struct BurstMsg {
 
 }  // namespace ceio::harness
 
-// Mailbox-payload declarations live at global scope (an explicit
+// Channel-payload declarations live at global scope (an explicit
 // specialization of ceio::is_domain_message must be in an enclosing
 // namespace of ceio). Both types are owned values: stamps, ids and Packet
 // copies — no pointers into the producing domain.
@@ -66,7 +63,7 @@ namespace ceio::harness {
 // One event domain: a full receiver Testbed, the FlowSources whose receivers
 // live one ring-hop downstream, and this domain's side of every channel. All
 // mutable state here is touched only by the domain's own phases (plus the
-// producer side of outgoing mailboxes) — the coordinator's barriers are the
+// producer slot of outgoing channels) — the coordinator's barriers are the
 // only synchronization.
 class DomainSlice final : public ShardDomain {
  public:
@@ -74,24 +71,21 @@ class DomainSlice final : public ShardDomain {
       : owner_(owner),
         id_(id),
         domains_(spec.testbed.sim.domains),
-        net_propagation_(spec.testbed.net.propagation),
-        pcie_propagation_(spec.testbed.pcie.propagation),
-        in_pkts_(spec.testbed.sim.mailbox_entries),
-        in_fb_(spec.testbed.sim.mailbox_entries) {
+        net_propagation_(spec.testbed.net.propagation) {
     TestbedConfig cfg = spec.testbed;
     cfg.seed = derive_seed(spec.testbed.seed, static_cast<std::uint64_t>(id));
-    bed_.emplace(std::move(cfg));
+    bed_ = std::make_unique<Testbed>(std::move(cfg));
     if (spec.tenant.enabled) {
       // Every slice mounts the full tenant assembly (pools, per-tenant
       // datapaths, way partition, domain-local controller) even though only
       // a subset of each tenant's flows lands here: construction order is
       // part of the per-domain RNG contract, and the demux needs the whole
       // flow-id map to route any block member.
-      assembly_.emplace(*bed_, spec.tenant, spec.controller);
+      assembly_ = std::make_unique<tenant::TenantAssembly>(*bed_, spec.tenant, spec.controller);
     } else {
       app_ = make_app(*bed_, spec.workload.app);
     }
-    egress_.emplace(
+    egress_ = std::make_unique<NetworkLink>(
         bed_->sched(),
         NetworkLink::Deliver([this](Packet pkt) { on_egress(std::move(pkt)); }),
         spec.testbed.net);
@@ -100,22 +94,27 @@ class DomainSlice final : public ShardDomain {
     egress_->set_drop_handler([this](const Packet& pkt) {
       owner_.flows_[pkt.flow - 1]->notify_dropped(pkt);
     });
-    inject_.emplace(
-        bed_->sched(),
-        [this](Nanos when, WireEntry e) { dispatch(when, std::move(e)); });
+    inject_ = std::make_unique<CoalescedStream<WireEntry>>(
+        bed_->sched(), [this](Nanos when, WireEntry e) { dispatch(when, std::move(e)); });
   }
 
   // ---- ShardDomain ----
 
   void drain_phase(Nanos epoch_end) override {
-    // Stage everything the mailboxes hold (frees the rings), then pop the
-    // prefix arriving inside this epoch. Channel delays can exceed the
-    // lookahead (net propagation vs a PCIe-derived epoch), so messages may
-    // sit staged for several epochs.
-    scratch_bursts_.clear();
-    in_pkts_.drain_into(scratch_bursts_);
+    ++epoch_;
+    // Every channel's delay is the lookahead, so what was sent last epoch
+    // arrives in [epoch start, epoch_end], plus what the previous drain held
+    // back. An arrival at exactly epoch_end was sent at the last instant of
+    // the previous epoch (runs include their stop time): it waits for the
+    // next drain, so each drain injects exactly the arrivals in
+    // [epoch start, epoch_end), merged by (arrival, source domain, seq).
+    // Injecting it now would reorder same-timestamp events and move
+    // results (governed-kv-short --ms 1 at 4 domains gains one message on
+    // each of flows 5-8).
+    eligible_.swap(held_);
+    held_.clear();
     const int up = (id_ + 1) % domains_;
-    for (auto& b : scratch_bursts_) {
+    in_pkts_.drain(epoch_, [&](BurstMsg& b) {
       for (std::uint32_t i = 0; i < b.count; ++i) {
         WireEntry e;
         e.when = b.when[i];
@@ -123,22 +122,10 @@ class DomainSlice final : public ShardDomain {
         e.src = up;
         e.kind = WireKind::kPacket;
         e.pkt = std::move(b.pkts[i]);
-        stage_pkts_.push_back(std::move(e));
+        eligible_.push_back(std::move(e));
       }
-    }
-    scratch_ctrl_.clear();
-    in_fb_.drain_into(scratch_ctrl_);
-    for (auto& e : scratch_ctrl_) stage_fb_.push_back(std::move(e));
-    for (std::size_t i = 0; i < in_credit_.size(); ++i) {
-      scratch_ctrl_.clear();
-      in_credit_[i]->drain_into(scratch_ctrl_);
-      for (auto& e : scratch_ctrl_) stage_credit_[i].push_back(std::move(e));
-    }
-
-    eligible_.clear();
-    pop_eligible(stage_pkts_, epoch_end);
-    pop_eligible(stage_fb_, epoch_end);
-    for (auto& st : stage_credit_) pop_eligible(st, epoch_end);
+    });
+    in_fb_.drain(epoch_, [&](WireEntry& e) { eligible_.push_back(std::move(e)); });
     std::sort(eligible_.begin(), eligible_.end(),
               [](const WireEntry& a, const WireEntry& b) {
                 if (a.when != b.when) return a.when < b.when;
@@ -146,8 +133,13 @@ class DomainSlice final : public ShardDomain {
                 return a.seq < b.seq;
               });
     for (auto& e : eligible_) {
+      assert(e.when <= epoch_end);
       const Nanos when = e.when;
-      inject_->push(when, std::move(e));
+      if (when < epoch_end) {
+        inject_->push(when, std::move(e));
+      } else {
+        held_.push_back(std::move(e));
+      }
     }
   }
 
@@ -160,25 +152,15 @@ class DomainSlice final : public ShardDomain {
 
   // ---- Channel wiring (called by ShardedTestbed during construction) ----
 
-  SpscMailbox<BurstMsg>* pkt_inbox() { return &in_pkts_; }
-  SpscMailbox<WireEntry>* fb_inbox() { return &in_fb_; }
-  SpscMailbox<WireEntry>* add_credit_inbox(std::size_t entries) {
-    in_credit_.push_back(std::make_unique<SpscMailbox<WireEntry>>(entries));
-    stage_credit_.emplace_back();
-    return in_credit_.back().get();
-  }
-  void set_out_pkts(SpscMailbox<BurstMsg>* box) { out_pkts_ = box; }
-  void set_out_fb(SpscMailbox<WireEntry>* box) { out_fb_ = box; }
-  void set_out_credit(SpscMailbox<WireEntry>* box) { out_credit_ = box; }
-  void set_grant_box(int target, SpscMailbox<WireEntry>* box) {
-    grant_boxes_.resize(static_cast<std::size_t>(domains_), nullptr);
-    grant_boxes_[static_cast<std::size_t>(target)] = box;
-  }
+  EpochChannel<BurstMsg>* pkt_inbox() { return &in_pkts_; }
+  EpochChannel<WireEntry>* fb_inbox() { return &in_fb_; }
+  void set_out_pkts(EpochChannel<BurstMsg>* channel) { out_pkts_ = channel; }
+  void set_out_fb(EpochChannel<WireEntry>* channel) { out_fb_ = channel; }
 
   // ---- Flow setup ----
 
   /// Receiver half through this domain's Testbed, reporting to a
-  /// mailbox-backed feedback proxy.
+  /// channel-backed feedback proxy.
   void add_receiver(const FlowConfig& fc) {
     proxies_.push_back(std::make_unique<RemoteFeedback>(*this, fc.id));
     bed_->add_receiver(fc, assembly_ ? assembly_->app_of_flow(fc.id) : *app_, *proxies_.back());
@@ -193,33 +175,6 @@ class DomainSlice final : public ShardDomain {
     return sources_.back().get();
   }
 
-  // ---- Host-shard credit arbitration ----
-
-  void arm_credit_report(Nanos period) {
-    bed_->sched().schedule_after(period, [this, period]() {
-      send_credit_report();
-      arm_credit_report(period);
-    });
-  }
-
-  void apply_self_grant(std::int64_t v) {
-    bed_->sched().schedule_after(pcie_propagation_, [this, v]() {
-      // Epoch-barrier credit arbitration owns the base budget; the
-      // governor's credit_scale composes on top.
-      bed_->ceio()->set_total_credits(v);  // lint: allow-raw-actuator
-    });
-  }
-
-  void send_grant(int target, std::int64_t v) {
-    WireEntry e;
-    e.kind = WireKind::kBudgetGrant;
-    e.value = v;
-    e.src = static_cast<std::int32_t>(id_);
-    e.seq = next_seq_++;
-    e.when = bed_->sched().now() + pcie_propagation_;
-    grant_boxes_[static_cast<std::size_t>(target)]->push(std::move(e));
-  }
-
   // ---- Introspection ----
 
   Testbed& bed() { return *bed_; }
@@ -228,15 +183,10 @@ class DomainSlice final : public ShardDomain {
   void reset_sources() {
     for (auto& s : sources_) s->reset_measurement();
   }
-  std::uint64_t spill_events() const {
-    std::uint64_t n = in_pkts_.spill_events() + in_fb_.spill_events();
-    for (const auto& box : in_credit_) n += box->spill_events();
-    return n;
-  }
 
  private:
   // Receiver-domain proxy standing in for the remote FlowSource: forwards
-  // each notification into the feedback mailbox with one link propagation as
+  // each notification into the feedback channel with one link propagation as
   // transit. FlowSource::apply_remote_* account for the delay already spent.
   class RemoteFeedback final : public FlowFeedback {
    public:
@@ -280,31 +230,11 @@ class DomainSlice final : public ShardDomain {
     e.when = bed_->sched().now() + net_propagation_;
     e.seq = next_seq_++;
     e.src = static_cast<std::int32_t>(id_);
-    out_fb_->push(std::move(e));
-  }
-
-  void send_credit_report() {
-    const auto& credits = bed_->ceio()->credits();
-    const std::int64_t demand =
-        std::max<std::int64_t>(credits.total() - credits.free_pool(), 0);
-    if (id_ == 0) {
-      // The host shard's own report takes the same PCIe transit, locally.
-      bed_->sched().schedule_after(pcie_propagation_, [this, demand]() {
-        owner_.on_credit_report(0, demand);
-      });
-    } else {
-      WireEntry e;
-      e.kind = WireKind::kCreditReport;
-      e.value = demand;
-      e.src = static_cast<std::int32_t>(id_);
-      e.seq = next_seq_++;
-      e.when = bed_->sched().now() + pcie_propagation_;
-      out_credit_->push(std::move(e));
-    }
+    out_fb_->push(epoch_, std::move(e));
   }
 
   void on_egress(Packet pkt) {
-    // Fires at serialization exit; the propagation rides in the mailbox as
+    // Fires at serialization exit; the propagation rides in the channel as
     // the arrival stamp (it is the cross-domain lookahead).
     BurstMsg& b = pending_;
     b.when[b.count] = bed_->sched().now() + net_propagation_;
@@ -315,15 +245,8 @@ class DomainSlice final : public ShardDomain {
 
   void flush_pending() {
     if (pending_.count == 0) return;
-    out_pkts_->push(pending_);
+    out_pkts_->push(epoch_, pending_);
     pending_.count = 0;
-  }
-
-  void pop_eligible(std::deque<WireEntry>& stage, Nanos epoch_end) {
-    while (!stage.empty() && stage.front().when < epoch_end) {
-      eligible_.push_back(std::move(stage.front()));
-      stage.pop_front();
-    }
   }
 
   void dispatch(Nanos, WireEntry e) {
@@ -343,12 +266,6 @@ class DomainSlice final : public ShardDomain {
       case WireKind::kMessageComplete:
         owner_.flows_[e.flow - 1]->notify_message_complete(e.message_id, e.done);
         break;
-      case WireKind::kCreditReport:
-        owner_.on_credit_report(static_cast<int>(e.src), e.value);
-        break;
-      case WireKind::kBudgetGrant:
-        bed_->ceio()->set_total_credits(e.value);  // lint: allow-raw-actuator
-        break;
     }
   }
 
@@ -356,37 +273,30 @@ class DomainSlice final : public ShardDomain {
   int id_;
   int domains_;
   Nanos net_propagation_;
-  Nanos pcie_propagation_;
+  // The current epoch (1-based): each drain opens the next one, and the
+  // coordinator runs exactly one drain per epoch in every domain, so all
+  // domains agree on it.
+  std::uint64_t epoch_ = 0;
 
-  // Domain-owned model state: touched only by this domain's phases. The
-  // DomainLocal wrapper makes that ownership explicit (move-only, so a
-  // refactor cannot silently fork or share it across slices).
-  DomainLocal<Testbed> bed_;
-  Application* app_ = nullptr;                   // single-tenant mode
-  DomainLocal<tenant::TenantAssembly> assembly_;  // tenant mode
-  DomainLocal<NetworkLink> egress_;  // toward domain (id-1) mod domains
-  DomainLocal<CoalescedStream<WireEntry>> inject_;
+  // Domain-owned model state: touched only by this domain's phases. Heap
+  // allocated so event callbacks may keep the addresses.
+  std::unique_ptr<Testbed> bed_;
+  Application* app_ = nullptr;                       // single-tenant mode
+  std::unique_ptr<tenant::TenantAssembly> assembly_;  // tenant mode
+  std::unique_ptr<NetworkLink> egress_;  // toward domain (id-1) mod domains
+  std::unique_ptr<CoalescedStream<WireEntry>> inject_;
 
-  // Outgoing (producer side; boxes owned by the consuming slice).
-  SpscMailbox<BurstMsg>* out_pkts_ = nullptr;
-  SpscMailbox<WireEntry>* out_fb_ = nullptr;
-  SpscMailbox<WireEntry>* out_credit_ = nullptr;          // d -> 0 (d > 0)
-  std::vector<SpscMailbox<WireEntry>*> grant_boxes_;      // domain 0: 0 -> d
+  // Outgoing (producer side; channels owned by the consuming slice).
+  EpochChannel<BurstMsg>* out_pkts_ = nullptr;
+  EpochChannel<WireEntry>* out_fb_ = nullptr;
   std::uint64_t next_seq_ = 0;
   BurstMsg pending_;
 
   // Incoming (owned here).
-  SpscMailbox<BurstMsg> in_pkts_;  // from (id+1) mod domains
-  SpscMailbox<WireEntry> in_fb_;   // from (id-1) mod domains
-  std::vector<std::unique_ptr<SpscMailbox<WireEntry>>> in_credit_;
-
-  // Per-inbox staging, sorted by arrival (mailbox order is chronological).
-  std::deque<WireEntry> stage_pkts_;
-  std::deque<WireEntry> stage_fb_;
-  std::vector<std::deque<WireEntry>> stage_credit_;
-  std::vector<BurstMsg> scratch_bursts_;
-  std::vector<WireEntry> scratch_ctrl_;
-  std::vector<WireEntry> eligible_;
+  EpochChannel<BurstMsg> in_pkts_;  // from (id+1) mod domains
+  EpochChannel<WireEntry> in_fb_;   // from (id-1) mod domains
+  std::vector<WireEntry> eligible_;  // one drain's merge buffer
+  std::vector<WireEntry> held_;      // arrivals at a drain's epoch_end
 
   // Local halves of the deployment's flows (receiver cores live in bed_).
   std::vector<std::unique_ptr<RemoteFeedback>> proxies_;
@@ -414,27 +324,6 @@ ShardedTestbed::ShardedTestbed(const ExperimentSpec& spec) {
         slices_[static_cast<std::size_t>((s + 1) % P)]->fb_inbox());
   }
 
-  // Tenant mode keeps credit control domain-local: each slice's per-tenant
-  // CEIO instances are sized from that slice's way partition, and the way
-  // controllers already rebalance them. Cross-domain arbitration of one
-  // global pool would couple domains whose partitions evolve independently.
-  const bool ceio = spec.testbed.system == SystemKind::kCeio && !spec.tenant.enabled;
-  if (ceio) {
-    const std::size_t entries = spec.testbed.sim.mailbox_entries;
-    demand_.assign(static_cast<std::size_t>(P), 0);
-    share_.assign(static_cast<std::size_t>(P), 0);
-    for (int d = 1; d < P; ++d) {
-      slices_[static_cast<std::size_t>(d)]->set_out_credit(
-          slices_[0]->add_credit_inbox(entries));
-      slices_[0]->set_grant_box(
-          d, slices_[static_cast<std::size_t>(d)]->add_credit_inbox(entries));
-    }
-    for (int d = 0; d < P; ++d) {
-      global_credits_ += slices_[static_cast<std::size_t>(d)]->bed().ceio()->credits().total();
-      slices_[static_cast<std::size_t>(d)]->arm_credit_report(spec.testbed.sim.credit_epoch);
-    }
-  }
-
   // Flows, in id order (the canonical runner's construction contract).
   for_each_flow(spec, [this, P, &spec](const FlowConfig& fc) {
     const int g = static_cast<int>((fc.id - 1) % static_cast<FlowId>(P));
@@ -443,13 +332,11 @@ ShardedTestbed::ShardedTestbed(const ExperimentSpec& spec) {
         slices_[static_cast<std::size_t>((g + 1) % P)]->add_source(fc, spec.testbed.seed));
   });
 
-  Nanos lookahead = spec.testbed.net.propagation;
-  if (ceio) lookahead = std::min(lookahead, spec.testbed.pcie.propagation);
   std::vector<ShardDomain*> domains;
   domains.reserve(slices_.size());
   for (auto& s : slices_) domains.push_back(s.get());
-  coordinator_ = std::make_unique<ShardCoordinator>(std::move(domains), lookahead,
-                                                    spec.testbed.sim.shards);
+  coordinator_ = std::make_unique<ShardCoordinator>(
+      std::move(domains), spec.testbed.net.propagation, spec.testbed.sim.shards);
 }
 
 ShardedTestbed::~ShardedTestbed() = default;
@@ -475,53 +362,13 @@ FlowSource* ShardedTestbed::source(FlowId id) {
   return flows_[id - 1];
 }
 
-std::uint64_t ShardedTestbed::mailbox_spills() const {
-  std::uint64_t n = 0;
-  for (const auto& s : slices_) n += s->spill_events();
-  return n;
-}
+std::uint64_t ShardedTestbed::mailbox_spills() const { return 0; }
 
 void ShardedTestbed::reset_measurement() {
   measure_start_ = now();
   for (auto& s : slices_) {
     s->bed().reset_measurement();
     s->reset_sources();
-  }
-}
-
-void ShardedTestbed::on_credit_report(int src, std::int64_t demand) {
-  demand_[static_cast<std::size_t>(src)] = demand;
-  if (++reports_ < static_cast<int>(slices_.size())) return;
-  reports_ = 0;
-  const auto P = static_cast<std::int64_t>(slices_.size());
-  std::int64_t sum = 0;
-  for (const std::int64_t d : demand_) sum += d;
-  if (sum == 0) {
-    // No demand anywhere: equal split, remainder to the lowest domain ids.
-    const std::int64_t base = global_credits_ / P;
-    const std::int64_t rem = global_credits_ % P;
-    for (std::int64_t d = 0; d < P; ++d) {
-      share_[static_cast<std::size_t>(d)] = base + (d < rem ? 1 : 0);
-    }
-  } else {
-    // Proportional to demand with a floor, leftovers round-robin from
-    // domain 0. Slight overshoot from the floor is tolerated the same way
-    // the controller tolerates poll-lag overshoot.
-    constexpr std::int64_t kMinShare = 64;
-    std::int64_t assigned = 0;
-    for (std::int64_t d = 0; d < P; ++d) {
-      auto& s = share_[static_cast<std::size_t>(d)];
-      s = std::max(global_credits_ * demand_[static_cast<std::size_t>(d)] / sum, kMinShare);
-      assigned += s;
-    }
-    for (std::int64_t left = global_credits_ - assigned, d = 0; left > 0;
-         --left, d = (d + 1) % P) {
-      ++share_[static_cast<std::size_t>(d)];
-    }
-  }
-  slices_[0]->apply_self_grant(share_[0]);
-  for (std::int64_t d = 1; d < P; ++d) {
-    slices_[0]->send_grant(static_cast<int>(d), share_[static_cast<std::size_t>(d)]);
   }
 }
 

@@ -9,23 +9,21 @@
 // g = (f-1) % domains; its sender (FlowSource, DCTCP state) lives in the ring
 // neighbour s = (g+1) % domains, which owns one egress NetworkLink toward g.
 // The link's queue, ECN marking and drops stay in the sender's domain; its
-// propagation delay is spent as cross-domain mailbox transit and is exactly
+// propagation delay is spent as cross-domain channel transit and is exactly
 // the conservative lookahead.
 //
-// Channels (one SPSC mailbox per ordered pair per type, so per-mailbox
-// arrival times stay non-decreasing):
-//   packets   s -> (s-1) % domains   delay = net.propagation (PacketBurst
-//             batches with per-packet arrival stamps)
-//   feedback  g -> (g+1) % domains   delay = net.propagation (delivered /
-//             dropped / host-congestion / message-complete)
-//   credits   d -> 0 and 0 -> d      delay = pcie.propagation (CEIO only:
-//             the host shard rebalances the global credit budget)
+// Channels (one per-epoch channel, sim/epoch_channel.h, per ordered pair per
+// type; both carry exactly one net.propagation of delay, which is the
+// lookahead for every system):
+//   packets   s -> (s-1) % domains   PacketBurst batches with per-packet
+//             arrival stamps
+//   feedback  g -> (g+1) % domains   delivered / dropped / host-congestion /
+//             message-complete
 //
-// Host shard. Domain 0 arbitrates shared host resources: every
-// sim.credit_epoch each CEIO datapath reports its credit demand, and domain 0
-// redistributes the fixed global budget (sum of the per-domain Eq.-1 totals)
-// proportionally to demand — so the paper's bounded-C_total contention model
-// holds across the whole deployment, not per slice.
+// Host resources are per slice. Each slice owns its LLC, so each CEIO slice
+// keeps the Eq.-1 C_total its own DDIO ways give it, exactly as a
+// single-domain run (and every tenant-mode slice) does; no domain arbitrates
+// another's budget.
 //
 // One deployment path. Each domain's Testbed, applications and tenant
 // assembly are built by the single-domain code; a flow is the same sender
@@ -37,14 +35,14 @@
 //
 // Determinism. Bitwise: reports for shards=1 and shards=N are byte-identical
 // at fixed sim.domains (the same contract the sweep runner gives --jobs, and
-// what the check.sh shards gate enforces). Ingredients: deterministic mailbox
-// merge order by (arrival, source domain, sender seq); per-flow arrival
-// streams keyed on (run seed, flow id), as in a single-domain run; per-domain
-// RNG streams via derive_seed(seed, domain) for everything else (e.g. the KV
-// store's population); and a phase schedule that depends only on the domain
-// count and the lookahead. Changing sim.domains is a *scenario* change
-// (different partitioning, ports and per-domain streams) and legitimately
-// changes results.
+// what the check.sh shards gate enforces). Ingredients: deterministic
+// channel merge order by (arrival, source domain, sender seq); per-flow
+// arrival streams keyed on (run seed, flow id), as in a single-domain run;
+// per-domain RNG streams via derive_seed(seed, domain) for everything else
+// (e.g. the KV store's population); and a phase schedule that depends only
+// on the domain count and the lookahead. Changing sim.domains is a
+// *scenario* change (different partitioning, ports and per-domain streams)
+// and legitimately changes results.
 #pragma once
 
 #include <cstdint>
@@ -68,7 +66,7 @@ class ShardedTestbed {
  public:
   /// Builds the full deployment (domains, channels, flows) from `spec`.
   /// Requires sim.domains >= 2 and a known app; throws std::invalid_argument
-  /// otherwise, or when the derived lookahead is not positive.
+  /// otherwise, or when net.propagation (the lookahead) is not positive.
   explicit ShardedTestbed(const ExperimentSpec& spec);
   ~ShardedTestbed();
 
@@ -96,24 +94,16 @@ class ShardedTestbed {
   Testbed& bed(int domain);
   /// The sender-side FlowSource (lives in domain (recv+1) % domains).
   FlowSource* source(FlowId id);
-  /// Total mailbox-ring overflow spills across all channels.
+  /// Always 0: per-epoch channels grow instead of spilling. Kept for
+  /// callers that report it.
   std::uint64_t mailbox_spills() const;
 
  private:
   friend class DomainSlice;
 
-  /// Host-shard credit arbitration: called by domain 0's events only.
-  void on_credit_report(int src, std::int64_t demand);
-
   std::vector<std::unique_ptr<DomainSlice>> slices_;
   std::vector<FlowSource*> flows_;  // sender halves; index = flow id - 1
   Nanos measure_start_{0};
-
-  // Host-shard arbitration state (touched only by domain 0's events).
-  std::int64_t global_credits_ = 0;
-  std::vector<std::int64_t> demand_;
-  std::vector<std::int64_t> share_;
-  int reports_ = 0;
 
   std::unique_ptr<ShardCoordinator> coordinator_;  // after slices_: dies first
 };

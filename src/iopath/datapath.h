@@ -43,7 +43,7 @@ inline constexpr BufferId kBypassBufferBase = 1ULL << 44;
 
 /// Everything a datapath needs to know about one registered flow. `source`
 /// is the feedback interface only: in sharded runs the actual FlowSource
-/// lives in another event domain and `source` is a mailbox-backed proxy.
+/// lives in another event domain and `source` is a channel-backed proxy.
 struct FlowRuntime {
   FlowConfig config;
   FlowFeedback* source = nullptr;  // feedback + completion reporting

@@ -5,7 +5,7 @@
 // implementation is the FlowSource itself (same scheduler, feedback applied
 // after the modelled propagation delay). In sharded runs the sender lives in
 // a different event domain, so the datapath talks to a RemoteFeedback proxy
-// that forwards the notification through the cross-domain feedback mailbox —
+// that forwards the notification through the cross-domain feedback channel —
 // datapath code never touches another domain's FlowSource directly.
 #pragma once
 

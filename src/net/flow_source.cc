@@ -164,7 +164,7 @@ void FlowSource::notify_host_congestion() {
 }
 
 void FlowSource::apply_remote_delivered(const Packet& pkt) {
-  // The feedback mailbox already added one link propagation in transit, so
+  // The feedback channel already added one link propagation in transit, so
   // the ECN echo lands now — the same receiver-to-sender delay as the local
   // notify_delivered path.
   ++stats_.packets_delivered;

@@ -85,20 +85,20 @@ class FlowSource : public FlowFeedback {
   void notify_message_complete(std::uint64_t message_id, Nanos done) override;
 
   // ---- Sharded-run feedback (called by the harness when the notification
-  // arrives through a cross-domain mailbox) ----
-  // The mailbox transit already spent one link propagation, so these apply
+  // arrives through a cross-domain channel) ----
+  // The channel transit already spent one link propagation, so these apply
   // the remainder of the delays the notify_* forms model: the total
   // receiver-event-to-sender-reaction delay is identical in both paths.
 
-  /// Delivered notification arriving off the feedback mailbox: stats and the
+  /// Delivered notification arriving off the feedback channel: stats and the
   /// ECN echo apply immediately (one propagation was spent in transit).
   void apply_remote_delivered(const Packet& pkt);
 
-  /// Dropped notification off the mailbox: backoff + retransmission enqueue
+  /// Dropped notification off the channel: backoff + retransmission enqueue
   /// after one more propagation (transit spent the first of the two).
   void apply_remote_dropped(const Packet& pkt);
 
-  /// Host-congestion signal off the mailbox: applies immediately.
+  /// Host-congestion signal off the channel: applies immediately.
   void apply_remote_host_congestion();
 
   // ---- Introspection ----

@@ -49,7 +49,7 @@ class NetworkLink {
 
   /// Egress mode, for sharded runs: the receiver NIC lives in another event
   /// domain, so `deliver` fires when a packet *exits the serializer* — the
-  /// propagation delay is then spent as cross-domain mailbox transit (it is
+  /// propagation delay is then spent as cross-domain channel transit (it is
   /// the lookahead), not rescheduled locally. Queueing, ECN marking and
   /// drops still happen here, in the sender's domain.
   NetworkLink(EventScheduler& sched, Deliver deliver, const NetworkLinkConfig& config = {})

@@ -71,8 +71,8 @@ class PacketRef {
 
 /// Slab allocator for in-flight packets, one per pipeline component (NIC
 /// ingress, wire, datapath). Strictly domain-local — a PacketRef must never
-/// cross an event-domain boundary; boundaries move Packet values (mailbox
-/// messages), preserving the sharded harness's DomainLocal isolation.
+/// cross an event-domain boundary; boundaries move Packet values (channel
+/// messages), so no domain holds a ref into another domain's pool.
 ///
 /// Storage is a chunked slab (stable addresses: a resolved Packet* stays
 /// valid across make() calls) with a LIFO free list, so a steady-state

@@ -42,8 +42,8 @@ class PolicyHost {
 
   // ---- Credit budget (CEIO) ----
   /// Scales the credit total: effective C = round(base * scale). The base is
-  /// whatever configuration or sharded arbitration installed, so the two
-  /// compose; scale 1.0 is exact (no rounding drift).
+  /// whatever the configuration or the tenant way partition installed, so
+  /// the two compose; scale 1.0 is exact (no rounding drift).
   virtual void set_credit_scale(double scale) { (void)scale; }
   virtual double credit_scale() const { return 1.0; }
 

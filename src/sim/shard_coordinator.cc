@@ -27,7 +27,7 @@ ShardCoordinator::ShardCoordinator(std::vector<ShardDomain*> domains,
 
 ShardCoordinator::~ShardCoordinator() {
   if (!workers_.empty()) {
-    pending_op_ = Op::kStop;
+    stopping_ = true;
     start_.arrive_and_wait();
     for (auto& t : workers_) t.join();
   }
@@ -36,56 +36,39 @@ ShardCoordinator::~ShardCoordinator() {
 void ShardCoordinator::worker_loop(int worker) {
   for (;;) {
     start_.arrive_and_wait();
-    const Op op = pending_op_;
-    if (op == Op::kStop) return;
-    apply(worker, op, pending_arg_);
+    if (stopping_) return;
+    apply(worker, pending_);
     end_.arrive_and_wait();
   }
 }
 
-void ShardCoordinator::apply(int worker, Op op, Nanos arg) {
+void ShardCoordinator::apply(int worker, const Step& step) {
   for (std::size_t d = static_cast<std::size_t>(worker); d < domains_.size();
        d += static_cast<std::size_t>(shards_)) {
-    switch (op) {
-      case Op::kDrain:
-        domains_[d]->drain_phase(arg);
-        break;
-      case Op::kRun:
-        domains_[d]->run_phase(arg, /*at_epoch_end=*/false);
-        break;
-      case Op::kRunFlush:
-        domains_[d]->run_phase(arg, /*at_epoch_end=*/true);
-        break;
-      case Op::kStop:
-        break;
-    }
+    if (step.drain) domains_[d]->drain_phase(step.epoch_end);
+    domains_[d]->run_phase(step.stop, /*at_epoch_end=*/step.stop == step.epoch_end);
   }
 }
 
-void ShardCoordinator::parallel(Op op, Nanos arg) {
+void ShardCoordinator::parallel(const Step& step) {
   if (workers_.empty()) {
-    apply(0, op, arg);
+    apply(0, step);
     return;
   }
-  pending_op_ = op;
-  pending_arg_ = arg;
+  pending_ = step;
   start_.arrive_and_wait();
-  apply(0, op, arg);
+  apply(0, step);
   end_.arrive_and_wait();
 }
 
 void ShardCoordinator::run_until(Nanos deadline) {
   while (now_ < deadline) {
     const Nanos epoch_end = epoch_start_ + lookahead_;
-    if (!drained_) {
-      parallel(Op::kDrain, epoch_end);
-      drained_ = true;
-    }
     const Nanos stop = std::min(epoch_end, deadline);
-    const bool closes_epoch = stop == epoch_end;
-    parallel(closes_epoch ? Op::kRunFlush : Op::kRun, stop);
+    parallel(Step{!drained_, epoch_end, stop});
+    drained_ = true;
     now_ = stop;
-    if (closes_epoch) {
+    if (stop == epoch_end) {
       epoch_start_ = epoch_end;
       drained_ = false;
       ++epochs_;

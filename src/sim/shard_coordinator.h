@@ -2,25 +2,26 @@
 //
 // One simulated deployment is partitioned into event domains, each with its
 // own EventScheduler. Domains interact only through timestamped messages
-// whose delivery delay is bounded below by a channel *lookahead* (network
-// propagation, PCIe transit). The coordinator advances all domains in
-// epochs of length L = min(lookahead): a message sent at time t arrives at
-// t + delay >= t + L, so every message arriving inside epoch k was sent
-// before epoch k began and is already sitting in its mailbox when the epoch
-// starts. Each epoch is therefore two phases separated by barriers:
+// whose delivery delay equals the *lookahead* L (the network propagation).
+// The coordinator advances all domains in epochs of length L: a message
+// sent during epoch k arrives during epoch k+1, so every message a domain
+// must inject at the start of epoch k+1 was sent, and sits in its per-epoch
+// channel (sim/epoch_channel.h), when epoch k ends. Each epoch is one
+// dispatch per domain, between two barriers:
 //
-//   drain  every domain merges its inbox mailboxes deterministically
-//          (by (arrival, source domain, sender seq)) and injects the
-//          eligible messages into its local scheduler;
-//   run    every domain executes its scheduler up to the epoch end, then
-//          flushes partially filled outgoing bursts so they cross at the
-//          boundary.
+//   drain  the domain merges its inbound channels' previous-epoch slots
+//          deterministically (by (arrival, source domain, sender seq)) and
+//          injects them into its local scheduler;
+//   run    it executes its scheduler up to the epoch end, then flushes
+//          partially filled outgoing bursts so they cross at the boundary.
 //
-// Mid-phase, a thread touches only its own domains' state plus the producer
-// side of outgoing mailboxes — there is no shared mutable state, so results
-// are bit-identical at any worker-thread count: the phase schedule depends
-// only on the domain count and L, and each domain's execution is a pure
-// function of its own event stream. shards=1 runs the identical phase
+// A domain's drain may overlap other domains' runs of the same epoch: those
+// runs write the current epoch's slots, the drain reads the previous
+// epoch's. Mid-epoch, a thread touches only its own domains' state plus the
+// producer slots of outgoing channels — there is no shared mutable state, so
+// results are bit-identical at any worker-thread count: the phase schedule
+// depends only on the domain count and L, and each domain's execution is a
+// pure function of its own event stream. shards=1 runs the identical phase
 // sequence inline on the calling thread.
 #pragma once
 
@@ -34,20 +35,22 @@
 namespace ceio {
 
 /// One event domain as the coordinator sees it. Implementations live in the
-/// harness (ShardedTestbed); the contract is that drain_phase touches only
-/// the domain's inboxes + local scheduler, and run_phase touches only local
-/// state plus the producer side of outgoing mailboxes.
+/// harness (ShardedTestbed). The contract: drain_phase touches only the
+/// domain's inbound channels' previous-epoch slots and its local scheduler,
+/// and may run while other domains run the same epoch; run_phase touches
+/// only local state plus the current-epoch slots of outgoing channels.
 class ShardDomain {
  public:
   virtual ~ShardDomain() = default;
 
-  /// Epoch start: merge inbox messages with arrival < `epoch_end` into the
-  /// local scheduler (deterministic order).
+  /// Epoch start, once per epoch: merge the messages sent to this domain
+  /// during the previous epoch with arrival < `epoch_end` into the local
+  /// scheduler (deterministic order).
   virtual void drain_phase(Nanos epoch_end) = 0;
 
   /// Executes local events up to `stop`. `at_epoch_end` is true when `stop`
   /// closes the epoch: the domain must then flush partial outgoing bursts
-  /// (producer side only — consumers read after the next barrier).
+  /// (producer side only — consumers read them in the next epoch).
   virtual void run_phase(Nanos stop, bool at_epoch_end) = 0;
 };
 
@@ -74,13 +77,18 @@ class ShardCoordinator {
   int shards() const { return shards_; }
 
  private:
-  enum class Op { kDrain, kRun, kRunFlush, kStop };
+  /// One dispatch: drain (at an epoch's start) then run every domain.
+  struct Step {
+    bool drain = false;
+    Nanos epoch_end{0};
+    Nanos stop{0};
+  };
 
-  /// Runs `op` over every domain, split across the workers (worker w takes
+  /// Runs `step` over every domain, split across the workers (worker w takes
   /// domains w, w+shards, w+2*shards, ... in ascending order). The calling
   /// thread acts as worker 0; returns after all workers finish.
-  void parallel(Op op, Nanos arg);
-  void apply(int worker, Op op, Nanos arg);
+  void parallel(const Step& step);
+  void apply(int worker, const Step& step);
   void worker_loop(int worker);
 
   std::vector<ShardDomain*> domains_;
@@ -93,13 +101,13 @@ class ShardCoordinator {
   std::uint64_t epochs_ = 0;
 
   // Worker pool (only when shards_ > 1): a start barrier publishes the
-  // pending op, an end barrier signals completion. Both include the
+  // pending step, an end barrier signals completion. Both include the
   // calling thread.
   std::vector<std::thread> workers_;
   std::barrier<> start_;
   std::barrier<> end_;
-  Op pending_op_ = Op::kStop;
-  Nanos pending_arg_{0};
+  Step pending_;
+  bool stopping_ = false;
 };
 
 }  // namespace ceio

@@ -7,12 +7,10 @@
 // `shards` is the *execution* knob: how many worker threads advance those
 // domains. Results are bit-identical for every shards value — the same
 // contract the sweep runner gives `--jobs` — which is what the check.sh
-// shards=4-vs-1 gate enforces.
+// shards=4-vs-1 gate enforces. There is nothing else to tune: every
+// cross-domain channel carries one `net.propagation` of delay, which is the
+// coordinator's lookahead, and channels grow as needed.
 #pragma once
-
-#include <cstddef>
-
-#include "common/units.h"
 
 namespace ceio {
 
@@ -23,12 +21,6 @@ struct SimConfig {
   /// Worker threads advancing the domains (clamped to `domains`). Never
   /// affects results, only wall-clock.
   int shards = 1;
-  /// Period of the host shard's credit-budget arbitration round (CEIO only:
-  /// per-domain datapaths report demand, the host shard rebalances C_total).
-  Nanos credit_epoch = micros(100);
-  /// SPSC ring capacity per cross-domain channel; overflow spills safely
-  /// (see sim/spsc_mailbox.h), so this only sizes the steady-state ring.
-  std::size_t mailbox_entries = 256;
 };
 
 }  // namespace ceio

@@ -191,69 +191,6 @@ TEST(Rng, ShufflePermutes) {
 
 // ---------- stats ----------
 
-TEST(OnlineStats, MomentsMatchClosedForm) {
-  OnlineStats s;
-  for (const double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), std::sqrt(32.0 / 7.0), 1e-9);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(OnlineStats, EmptyIsZero) {
-  OnlineStats s;
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(PercentileTracker, ExactWhenUnderCap) {
-  PercentileTracker t(1024);
-  for (int i = 1; i <= 100; ++i) t.add(i);
-  EXPECT_NEAR(t.percentile(50), 50.5, 0.6);
-  EXPECT_NEAR(t.percentile(99), 99.0, 1.0);
-  EXPECT_DOUBLE_EQ(t.percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(t.percentile(100), 100.0);
-}
-
-TEST(PercentileTracker, ReservoirApproximatesBeyondCap) {
-  PercentileTracker t(512);
-  for (int i = 0; i < 100'000; ++i) t.add(i % 1000);
-  EXPECT_EQ(t.count(), 100'000);
-  EXPECT_NEAR(t.percentile(50), 500.0, 100.0);
-}
-
-TEST(PercentileTracker, ReservoirDeterministicAcrossRuns) {
-  // Replacement uses a fixed-seed LCG, so two identically-fed trackers hold
-  // identical reservoirs and every quantile matches bit for bit.
-  PercentileTracker a(256);
-  PercentileTracker b(256);
-  for (int i = 0; i < 50'000; ++i) {
-    const double x = static_cast<double>((i * 7919) % 100'000);
-    a.add(x);
-    b.add(x);
-  }
-  EXPECT_EQ(a.count(), 50'000);
-  EXPECT_EQ(b.count(), 50'000);
-  for (const double p : {0.0, 10.0, 50.0, 90.0, 99.0, 99.9, 100.0}) {
-    EXPECT_DOUBLE_EQ(a.percentile(p), b.percentile(p)) << "p=" << p;
-  }
-}
-
-TEST(PercentileTracker, ReservoirQuantilesNearExact) {
-  // A linear ramp makes the exact quantiles trivial: percentile p of
-  // 0..n-1 is p% of n. A 4096-sample reservoir over 200k inputs has a
-  // standard error around range/sqrt(cap) ~ 1.6% of range; 5% is generous.
-  const int n = 200'000;
-  PercentileTracker t(4096);
-  for (int i = 0; i < n; ++i) t.add(i);
-  EXPECT_EQ(t.count(), n);
-  const double tol = 0.05 * n;
-  EXPECT_NEAR(t.percentile(50.0), 0.50 * n, tol);
-  EXPECT_NEAR(t.percentile(90.0), 0.90 * n, tol);
-  EXPECT_NEAR(t.percentile(99.0), 0.99 * n, tol);
-}
-
 TEST(LatencyHistogram, PercentilesBracketInputs) {
   LatencyHistogram h;
   for (Nanos v{1}; v <= Nanos{1'000}; v += Nanos{1}) h.add(v);

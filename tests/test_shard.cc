@@ -1,9 +1,9 @@
-// Tests for the sharded simulation stack: the SPSC mailbox, the
+// Tests for the sharded simulation stack: the per-epoch channel, the
 // conservative-lookahead coordinator's epoch/barrier edge cases, per-domain
 // seed derivation, the headline contract — shards=1 and shards=N runs are
 // bitwise identical for CEIO and ShRing alike — and the one deployment path
-// (per-flow arrival streams and per-domain flow tables match a single-domain
-// run's).
+// (per-flow arrival streams, per-domain flow tables and per-slice credit
+// budgets match a single-domain run's).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,51 +15,37 @@
 #include "harness/experiment.h"
 #include "harness/scenario_registry.h"
 #include "harness/sharded_testbed.h"
+#include "iopath/testbed.h"
 #include "net/flow_source.h"
+#include "sim/epoch_channel.h"
 #include "sim/shard_coordinator.h"
-#include "sim/spsc_mailbox.h"
 
 namespace ceio::harness {
 namespace {
 
-// ---------- SPSC mailbox ----------
+// ---------- per-epoch channel ----------
 
-TEST(SpscMailbox, RoundsCapacityToPowerOfTwo) {
-  SpscMailbox<int> box(5);
-  EXPECT_EQ(box.ring_capacity(), 8u);
-  SpscMailbox<int> tiny(0);
-  EXPECT_EQ(tiny.ring_capacity(), 2u);
-}
-
-TEST(SpscMailbox, DrainPreservesOrderAcrossWraparound) {
-  SpscMailbox<int> box(8);
-  std::vector<int> got;
-  // Several fill/drain rounds so head/tail wrap the ring repeatedly.
-  int next = 0;
-  for (int round = 0; round < 5; ++round) {
-    for (int i = 0; i < 6; ++i) box.push(next++);
-    box.drain_into(got);
+TEST(EpochChannel, ItemsCrossExactlyOneEpochInPushOrder) {
+  EpochChannel<int> channel;
+  const auto drain = [&](std::uint64_t epoch) {
+    std::vector<int> got;
+    channel.drain(epoch, [&](int& v) { got.push_back(v); });
+    return got;
+  };
+  // In epoch k the producer pushes 10k, 10k+1 and 10k+2. The consumer's
+  // epoch-k drain runs between the second and third push (a drain may
+  // overlap the producer's run) and must see exactly epoch k-1's items.
+  for (std::uint64_t k = 1; k <= 4; ++k) {
+    const int base = 10 * static_cast<int>(k);
+    channel.push(k, base);
+    channel.push(k, base + 1);
+    const std::vector<int> previous =
+        k == 1 ? std::vector<int>{} : std::vector<int>{base - 10, base - 9, base - 8};
+    EXPECT_EQ(drain(k), previous) << "epoch " << k;
+    channel.push(k, base + 2);
   }
-  ASSERT_EQ(got.size(), 30u);
-  for (int i = 0; i < 30; ++i) EXPECT_EQ(got[static_cast<std::size_t>(i)], i);
-  EXPECT_EQ(box.spill_events(), 0u);
-}
-
-TEST(SpscMailbox, OverflowSpillsWithoutLosingOrder) {
-  SpscMailbox<int> box(4);
-  for (int i = 0; i < 100; ++i) box.push(i);  // far beyond the ring
-  std::vector<int> got;
-  box.drain_into(got);
-  ASSERT_EQ(got.size(), 100u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(got[static_cast<std::size_t>(i)], i);
-  EXPECT_GT(box.spill_events(), 0u);
-  EXPECT_TRUE(box.empty());
-  // The ring is usable again after a spill drain.
-  box.push(7);
-  got.clear();
-  box.drain_into(got);
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0], 7);
+  EXPECT_EQ(drain(5), (std::vector<int>{40, 41, 42}));
+  EXPECT_TRUE(drain(6).empty());
 }
 
 // ---------- coordinator edge cases ----------
@@ -206,21 +192,6 @@ TEST(ShardedExperiment, ShringBitwiseIdenticalAcrossShardCounts) {
   EXPECT_FALSE(one.has_ceio);
 }
 
-TEST(ShardedExperiment, MailboxCapacityNeverAffectsResults) {
-  // Force constant ring overflow: the spill path must preserve the exact
-  // message order the default-sized ring produces.
-  ExperimentSpec spec = sharded_spec(SystemKind::kCeio, "echo", 4);
-  spec.testbed.sim.shards = 2;
-  const RunResult roomy = run_experiment(spec);
-  spec.testbed.sim.mailbox_entries = 2;
-  const RunResult cramped = run_experiment(spec);
-  expect_identical(roomy, cramped);
-
-  ShardedTestbed bed(spec);
-  bed.run_until(spec.warmup);
-  EXPECT_GT(bed.mailbox_spills(), 0u);
-}
-
 TEST(ShardedExperiment, FewerFlowsThanDomainsLeavesEmptyDomains) {
   // Domains 3..7 host no flows at all; their epochs are pure barrier
   // traffic and the run must still complete and deliver.
@@ -321,6 +292,25 @@ TEST(ShardedPlacement, EachDomainTestbedSeesExactlyItsFlows) {
       EXPECT_EQ(bed.bed(d).flow_ids(), expected) << "domain " << d;
       for (const FlowId f : expected) EXPECT_NE(bed.bed(d).core(f), nullptr) << "flow " << f;
     }
+  }
+}
+
+TEST(ShardedPlacement, EachSliceKeepsItsOwnCredits) {
+  // Every slice owns its LLC, so every CEIO slice keeps the Eq.-1 C_total its
+  // own DDIO ways give it — also when most slices host no flow at all, and
+  // long after the first few 100 us.
+  ExperimentSpec spec = sharded_spec(SystemKind::kCeio, "kv", 4);
+  spec.workload.flows = 2;
+  spec.testbed.llc.ddio_ways = 1;
+  ShardedTestbed sharded(spec);
+  sharded.run_until(micros(550));
+
+  Testbed single(spec.testbed);
+  ASSERT_NE(single.ceio(), nullptr);
+  const std::int64_t own = single.ceio()->credits().total();
+  for (int d = 0; d < sharded.domains(); ++d) {
+    ASSERT_NE(sharded.bed(d).ceio(), nullptr);
+    EXPECT_EQ(sharded.bed(d).ceio()->credits().total(), own) << "domain " << d;
   }
 }
 

@@ -266,6 +266,11 @@ void print_single(const harness::ExperimentSpec& spec, const harness::RunResult&
                 static_cast<long long>(result.ceio_cca_triggers),
                 static_cast<long long>(result.ceio_reclaims));
   }
+  if (spec.testbed.policy.governor != policy::GovernorMode::kOff) {
+    std::printf("governor: %lld ticks, %lld decision changes\n",
+                static_cast<long long>(result.governor_ticks),
+                static_cast<long long>(result.governor_changes));
+  }
   // Tenant table only for multi-tenant runs: single-tenant output stays
   // byte-identical to the pre-tenant format.
   if (!result.tenants.empty()) {

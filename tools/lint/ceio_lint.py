@@ -425,8 +425,8 @@ def check_raw_actuator(findings: list[Finding]) -> None:
     EventScheduler::set_coalescing. The actuators are the governor's write
     surface; a layer pushing one directly bypasses the decision ladder and
     its grant-hold rules. Defining a setter stays legal (no member-access
-    operator); call sites that own an actuator (the sharded credit arbiter,
-    the tenant bed) annotate."""
+    operator); call sites that own an actuator (the tenant bed's Eq.-1
+    re-derivation) annotate."""
     rule = "raw-actuator"
     for src, lineno, line in raw_lines(rule, ("src",)):
         if src.path.relative_to(REPO_ROOT).parts[1] == "policy":
@@ -817,21 +817,21 @@ def check_unordered_iter(findings: list[Finding]) -> None:
                     "if provably order-invariant"))
 
 
-MAILBOX_PTR_RE = re.compile(r"\bSpscMailbox\s*<\s*[^;>]*[*&][^;>]*>")
+CHANNEL_PTR_RE = re.compile(r"\bEpochChannel\s*<\s*[^;>]*[*&][^;>]*>")
 
 
 def check_cross_domain(findings: list[Finding]) -> None:
-    """Mailbox payloads must be owned values. A raw pointer or reference
+    """Channel payloads must be owned values. A raw pointer or reference
     member in a CEIO_DOMAIN_MESSAGE type, or a pointer/reference
-    SpscMailbox payload type, aliases the producing domain's mutable state
+    EpochChannel payload type, aliases the producing domain's mutable state
     from the consuming domain — a race the epoch barriers cannot see."""
     rule = "cross-domain"
     for src in sources(TREE_DIRS):
         for lineno, line in enumerate(src.code_lines, 1):
-            if MAILBOX_PTR_RE.search(line) and not src.suppressed(rule, lineno):
+            if CHANNEL_PTR_RE.search(line) and not src.suppressed(rule, lineno):
                 findings.append(Finding(
                     rule, src.path, lineno,
-                    "SpscMailbox payload carries a pointer/reference; it "
+                    "EpochChannel payload carries a pointer/reference; it "
                     "aliases the producing domain's state from the consuming "
                     "domain — ship an owned value"))
     index = symbol_index()

@@ -1,5 +1,5 @@
-// Seeded cross-domain violations for the ceio_lint self-test: mailbox
-// message types carrying raw pointer/reference members, and a mailbox whose
+// Seeded cross-domain violations for the ceio_lint self-test: channel
+// message types carrying raw pointer/reference members, and a channel whose
 // payload type is itself a pointer. GoodBatch and the suppressed handle must
 // NOT be reported.
 #include <cstdint>
@@ -11,12 +11,12 @@ namespace ceio {
 
 // Minimal stand-in so the fixture parses without the simulator headers.
 template <typename T>
-class SpscMailbox {
+class EpochChannel {
  public:
-  bool push(T v);
+  void push(unsigned long epoch, T v);
 
  private:
-  T slot_{};
+  T slots_[2]{};
 };
 
 }  // namespace ceio
@@ -45,8 +45,8 @@ struct AllowedHandle {
   void* opaque = nullptr;  // lint: allow-cross-domain (fixture: suppressed)
 };
 
-ceio::SpscMailbox<Sample*> bad_channel;  // violation: pointer payload
-ceio::SpscMailbox<Sample> good_channel;
+ceio::EpochChannel<Sample*> bad_channel;  // violation: pointer payload
+ceio::EpochChannel<Sample> good_channel;
 
 }  // namespace fixture
 
