@@ -192,12 +192,11 @@ Result bench_testbed_pipeline() {
 }
 
 /// Sharded pipeline throughput: the same deployment partitioned into 8
-/// conservative-lookahead event domains, advanced by `shards` worker
-/// threads. Run at shards=1 and shards=4 the pair gives the parallel
-/// speedup; the multi-shard ops/sec is the `sharded_pkts_per_sec` headline.
-/// (On a single-core container the speedup degenerates to ~1x — barrier
-/// overhead without parallelism — so the perf gate tracks regression of the
-/// headline, not the speedup ratio.)
+/// independent receiver slices, advanced by `shards` worker threads. Run at
+/// shards=1 and shards=4 the pair gives the parallel speedup; the
+/// multi-shard ops/sec is the `sharded_pkts_per_sec` headline. (On a
+/// single-core container the speedup degenerates to ~1x, so the perf gate
+/// tracks regression of the headline, not the speedup ratio.)
 Result bench_sharded_pipeline(int shards) {
   ceio::harness::ExperimentSpec spec;
   spec.testbed.system = ceio::SystemKind::kCeio;

@@ -90,16 +90,6 @@ CeioDatapath::SlowDebug CeioDatapath::debug_slow_state(FlowId id) const {
   return out;
 }
 
-std::int64_t CeioDatapath::debug_unworked(FlowId id) const {
-  const Ext* ext = ext_of(id);
-  return ext == nullptr ? 0 : ext->slow_landed_unworked;
-}
-
-std::size_t CeioDatapath::debug_open_messages(FlowId id) const {
-  const Ext* ext = ext_of(id);
-  return ext == nullptr ? 0 : ext->msg_path_counts.size();
-}
-
 void CeioDatapath::on_flow_registered(FlowState& fs) {
   const FlowId id = fs.rt.config.id;
   fs.ring = std::make_unique<RxRing>(config_.fast_ring_entries, pool_, "ceio-fast");

@@ -187,8 +187,6 @@ class CeioDatapath final : public DatapathBase {
     std::size_t host_pool_free = 0;
   };
   SlowDebug debug_slow_state(FlowId id) const;
-  std::int64_t debug_unworked(FlowId id) const;
-  std::size_t debug_open_messages(FlowId id) const;
 
   /// White-box view of one controller-poll position, in poll order.
   struct PollDebug {

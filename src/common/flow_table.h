@@ -184,9 +184,6 @@ class FlowTable {
     return order_;
   }
 
-  /// Slab chunks currently allocated (white-box: memory-shape tests).
-  std::size_t chunk_count() const { return chunks_.size(); }
-
  private:
   static constexpr std::size_t kPageShift = 12;
   static constexpr std::size_t kPageSize = std::size_t{1} << kPageShift;

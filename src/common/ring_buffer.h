@@ -60,10 +60,6 @@ class RingBuffer {
     return slots_[static_cast<std::size_t>((head_ + i) % capacity())];
   }
 
-  T& peek_mut(std::size_t i = 0) {
-    return slots_[static_cast<std::size_t>((head_ + i) % capacity())];
-  }
-
   void clear() { head_ = tail_; }
 
  private:

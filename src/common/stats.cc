@@ -6,11 +6,9 @@
 
 namespace ceio {
 
-void RateMeter::record(Nanos now, Bytes bytes, std::int64_t packets) {
+void RateMeter::record(Bytes bytes, std::int64_t packets) {
   bytes_ += bytes;
   packets_ += packets;
-  if (first_ < Nanos{0}) first_ = now;
-  last_ = std::max(last_, now);
 }
 
 double RateMeter::mpps(Nanos t_begin, Nanos t_end) const {
@@ -28,8 +26,6 @@ double RateMeter::gbps(Nanos t_begin, Nanos t_end) const {
 void RateMeter::reset() {
   bytes_ = Bytes{};
   packets_ = 0;
-  first_ = Nanos{-1};
-  last_ = Nanos{-1};
 }
 
 std::size_t LatencyHistogram::bucket_index(Nanos v) const {

@@ -29,11 +29,11 @@ inline double safe_rate(double ops, double seconds) {
   return ops / seconds;
 }
 
-/// Counts bytes/packets over the full run and over a sliding window, to
-/// report both steady-state and instantaneous throughput.
+/// Counts bytes/packets; rates are the totals over a caller-given interval
+/// (a measurement window: reset() at its start).
 class RateMeter {
  public:
-  void record(Nanos now, Bytes bytes, std::int64_t packets = 1);
+  void record(Bytes bytes, std::int64_t packets = 1);
 
   /// Average over [t_begin, t_end]. Zero if the interval is empty.
   double mpps(Nanos t_begin, Nanos t_end) const;
@@ -41,16 +41,12 @@ class RateMeter {
 
   Bytes total_bytes() const { return bytes_; }
   std::int64_t total_packets() const { return packets_; }
-  Nanos first_event() const { return first_; }
-  Nanos last_event() const { return last_; }
 
   void reset();
 
  private:
   Bytes bytes_{0};
   std::int64_t packets_ = 0;
-  Nanos first_{-1};
-  Nanos last_{-1};
 };
 
 /// Fixed log-spaced latency histogram covering [1 ns, ~17 s] with

@@ -1,48 +1,33 @@
 // Sharded deployment harness: one simulated deployment partitioned into
-// `sim.domains` conservative-lookahead event domains (sim/shard_coordinator.h),
-// advanced by `sim.shards` worker threads.
+// `sim.domains` independent receiver slices, advanced in parallel by
+// `sim.shards` worker threads (sim/shard_coordinator.h).
 //
-// Partitioning. Each domain d is a complete vertical receiver slice — its own
-// Testbed with LLC/DRAM/IIO, memory controller, PCIe/DMA, NIC, RMT and
-// datapath — modelling one port/NUMA slice of a multi-port deployment. Flow
-// f's receiver stack (RX rings, pinned core, app state) lives in domain
-// g = (f-1) % domains; its sender (FlowSource, DCTCP state) lives in the ring
-// neighbour s = (g+1) % domains, which owns one egress NetworkLink toward g.
-// The link's queue, ECN marking and drops stay in the sender's domain; its
-// propagation delay is spent as cross-domain channel transit and is exactly
-// the conservative lookahead.
+// Partitioning. Each domain d is one port/NUMA slice of a multi-port
+// deployment: a complete single-domain Testbed (its own ingress link,
+// LLC/DRAM/IIO, memory controller, PCIe/DMA, NIC, RMT and datapath) seeded
+// derive_seed(seed, d), holding the flows f with (f-1) % domains == d. A
+// flow lives whole in its slice: its FlowSource sends on the slice's link,
+// and its arrival stream is keyed on (run seed, flow id), exactly as in a
+// single-domain run. Each slice owns its LLC, so each CEIO slice keeps the
+// Eq.-1 C_total its own DDIO ways give it.
 //
-// Channels (one per-epoch channel, sim/epoch_channel.h, per ordered pair per
-// type; both carry exactly one net.propagation of delay, which is the
-// lookahead for every system):
-//   packets   s -> (s-1) % domains   PacketBurst batches with per-packet
-//             arrival stamps
-//   feedback  g -> (g+1) % domains   delivered / dropped / host-congestion /
-//             message-complete
+// Slices share no state and exchange no messages. A slice built alone as
+// that Testbed reports every one of its flows exactly as the sharded run
+// does, and the coordinator needs no epoch boundary inside a run: each
+// run_until is one dispatch per domain.
 //
-// Host resources are per slice. Each slice owns its LLC, so each CEIO slice
-// keeps the Eq.-1 C_total its own DDIO ways give it, exactly as a
-// single-domain run (and every tenant-mode slice) does; no domain arbitrates
-// another's budget.
+// One deployment path. Slices are built by the single-domain code (Testbed,
+// make_app or TenantAssembly, Testbed::add_flow), flows come from the one
+// spec enumeration (for_each_flow) and reports from the one collector
+// (collect_domains). So domain d's Testbed sees exactly its flows
+// (flow_ids(), core(), source(), governor gauges, audit invariants).
 //
-// One deployment path. Each domain's Testbed, applications and tenant
-// assembly are built by the single-domain code; a flow is the same sender
-// half (make_flow_source) and receiver half (Testbed::add_receiver) that
-// Testbed::add_flow puts on one bed, here split over two; flows come from
-// the one spec enumeration (for_each_flow) and reports from the one
-// collector (collect_domains). So domain g's Testbed sees exactly its flows
-// (flow_ids(), core(), governor gauges, audit invariants).
-//
-// Determinism. Bitwise: reports for shards=1 and shards=N are byte-identical
-// at fixed sim.domains (the same contract the sweep runner gives --jobs, and
-// what the check.sh shards gate enforces). Ingredients: deterministic
-// channel merge order by (arrival, source domain, sender seq); per-flow
-// arrival streams keyed on (run seed, flow id), as in a single-domain run;
-// per-domain RNG streams via derive_seed(seed, domain) for everything else
-// (e.g. the KV store's population); and a phase schedule that depends only
-// on the domain count and the lookahead. Changing sim.domains is a
-// *scenario* change (different partitioning, ports and per-domain streams)
-// and legitimately changes results.
+// Determinism. Reports for shards=1 and shards=N are byte-identical at fixed
+// sim.domains (the same contract the sweep runner gives --jobs, and what
+// the check.sh shards gate enforces): each slice's run depends only on its
+// own construction. Changing sim.domains is a *scenario* change (different
+// partitioning, ports and per-slice RNG streams) and legitimately changes
+// results.
 #pragma once
 
 #include <cstdint>
@@ -64,19 +49,18 @@ class DomainSlice;
 
 class ShardedTestbed {
  public:
-  /// Builds the full deployment (domains, channels, flows) from `spec`.
-  /// Requires sim.domains >= 2 and a known app; throws std::invalid_argument
-  /// otherwise, or when net.propagation (the lookahead) is not positive.
+  /// Builds every slice and its flows from `spec`. Requires sim.domains >= 2
+  /// and a known app; throws std::invalid_argument otherwise.
   explicit ShardedTestbed(const ExperimentSpec& spec);
   ~ShardedTestbed();
 
   ShardedTestbed(const ShardedTestbed&) = delete;
   ShardedTestbed& operator=(const ShardedTestbed&) = delete;
 
-  /// Advances every domain to `deadline` (absolute, global simulated time).
+  /// Advances every domain to `deadline` (absolute simulated time).
   void run_until(Nanos deadline);
-  /// Clears per-flow meters and per-domain host stats at the current global
-  /// time; reports cover the window from this call to now().
+  /// Clears per-flow meters and per-domain host stats at the current time;
+  /// reports cover the window from this call to now().
   void reset_measurement();
   Nanos now() const;
 
@@ -84,26 +68,25 @@ class ShardedTestbed {
   /// order, aggregates in the same summation order, host stats merged over
   /// domains in domain order.
   RunResult collect() const;
-  FlowReport report(FlowId id) const;
 
   // ---- Introspection (tests, benches) ----
   int domains() const { return static_cast<int>(slices_.size()); }
   int shards() const;
+  /// The coordinator's epoch length: the spec's horizon (warmup + measure).
+  /// Slices exchange nothing, so no delay bounds how far one may run ahead;
+  /// the horizon is a finite stand-in that makes each run_until up to it
+  /// one dispatch.
   Nanos lookahead() const;
   std::uint64_t epochs_completed() const;
   Testbed& bed(int domain);
-  /// The sender-side FlowSource (lives in domain (recv+1) % domains).
+  /// Flow `id`'s source, in its slice's Testbed; nullptr for an unknown id.
   FlowSource* source(FlowId id);
-  /// Always 0: per-epoch channels grow instead of spilling. Kept for
-  /// callers that report it.
+  /// Always 0: slices exchange nothing. Kept for callers that report it.
   std::uint64_t mailbox_spills() const;
 
  private:
-  friend class DomainSlice;
-
   std::vector<std::unique_ptr<DomainSlice>> slices_;
-  std::vector<FlowSource*> flows_;  // sender halves; index = flow id - 1
-  Nanos measure_start_{0};
+  FlowId flows_ = 0;  // flow ids 1..flows_
 
   std::unique_ptr<ShardCoordinator> coordinator_;  // after slices_: dies first
 };

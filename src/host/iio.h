@@ -31,7 +31,6 @@ class IioBuffer {
     }
     occupancy_ += size;
     peak_ = occupancy_ > peak_ ? occupancy_ : peak_;
-    ++admits_;
     return true;
   }
 
@@ -45,7 +44,6 @@ class IioBuffer {
                : 0.0;
   }
   Bytes peak_occupancy() const { return peak_; }
-  std::int64_t admits() const { return admits_; }
   std::int64_t rejects() const { return rejects_; }
   const IioConfig& config() const { return config_; }
 
@@ -53,7 +51,6 @@ class IioBuffer {
   IioConfig config_;
   Bytes occupancy_{0};
   Bytes peak_{0};
-  std::int64_t admits_ = 0;
   std::int64_t rejects_ = 0;
 };
 

@@ -152,7 +152,6 @@ void DatapathBase::process_packet(FlowState& fs, Packet pkt, RxRing* ring) {
     host_pool_.release(done_pkt.host_buffer);
     mc_.release_buffer(done_pkt.host_buffer);
     CEIO_T_PATH_DONE(tele_, done_pkt.flow, done_pkt.seq, PathHop::kProcessed, done);
-    on_packet_processed_hook(*fs2, done_pkt);
     note_processed_message_progress(*fs2, done_pkt, done);
     fs2->pumping = false;
     pump(*fs2, ring);
@@ -192,7 +191,7 @@ void DatapathBase::note_processed_message_progress(FlowState& fs, const Packet& 
 void DatapathBase::run_message_work(FlowState& fs, const Packet& last_pkt, Nanos now) {
   const AppMessageCosts costs = fs.rt.app->message_costs(last_pkt);
   const std::uint64_t message_id = last_pkt.message_id;
-  FlowFeedback* source = fs.rt.source;
+  FlowSource* source = fs.rt.source;
   if (costs.app_cost == Nanos{0} && costs.copy_bytes == Bytes{0}) {
     if (source != nullptr) source->notify_message_complete(message_id, now);
     on_message_work_done(fs, last_pkt, now);

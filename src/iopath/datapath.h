@@ -22,7 +22,7 @@
 #include "common/flow_table.h"
 #include "host/cpu_core.h"
 #include "net/flow.h"
-#include "net/flow_feedback.h"
+#include "net/flow_source.h"
 #include "nic/buffer_pool.h"
 #include "nic/nic.h"
 #include "nic/packet.h"
@@ -41,12 +41,10 @@ class Telemetry;
 /// the host RX pool.
 inline constexpr BufferId kBypassBufferBase = 1ULL << 44;
 
-/// Everything a datapath needs to know about one registered flow. `source`
-/// is the feedback interface only: in sharded runs the actual FlowSource
-/// lives in another event domain and `source` is a channel-backed proxy.
+/// Everything a datapath needs to know about one registered flow.
 struct FlowRuntime {
   FlowConfig config;
-  FlowFeedback* source = nullptr;  // feedback + completion reporting
+  FlowSource* source = nullptr;    // feedback + completion reporting
   Application* app = nullptr;      // cost model
   CpuCore* core = nullptr;         // pinned core (per-packet or message work)
 };
@@ -129,12 +127,6 @@ class DatapathBase : public IoDatapath {
   /// flow's kind, and at registration under a non-kAuto one (CEIO re-steers
   /// the flow's remap-table entry immediately).
   virtual void on_flow_path_changed(FlowState& fs) { (void)fs; }
-  /// Hook: called when the CPU finished one packet (CEIO releases credits).
-  virtual void on_packet_processed_hook(FlowState& fs, const Packet& pkt) {
-    (void)fs;
-    (void)pkt;
-  }
-
   /// Hook: called when a message's completion work has fully retired — the
   /// moment buffer ownership returns to the driver (CEIO replenishes a
   /// bypass flow's credits here, per the write-with-immediate protocol).

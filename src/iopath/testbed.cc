@@ -70,7 +70,7 @@ Testbed::Testbed(TestbedConfig config)
   nic_->attach(host_.datapath.get());
   link_->set_drop_handler([this](const Packet& pkt) {
     const FlowRecord* record = flows_.find(pkt.flow);
-    if (record != nullptr && record->source) record->source->notify_dropped(pkt);
+    if (record != nullptr) record->source->notify_dropped(pkt);
   });
 
   if (config_.policy.governor != policy::GovernorMode::kOff) {
@@ -255,39 +255,32 @@ void Testbed::install_datapath(std::unique_ptr<IoDatapath> datapath) {
   }
 }
 
-std::unique_ptr<FlowSource> make_flow_source(DctcpWindowStream& windows, NetworkLink& link,
-                                             const FlowConfig& config, std::uint64_t run_seed) {
-  return std::make_unique<FlowSource>(
-      windows, Rng(run_seed + 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(config.id)),
-      link, config);
-}
-
 FlowSource& Testbed::add_flow(const FlowConfig& config, Application& app) {
-  std::unique_ptr<FlowSource> owned =
-      make_flow_source(windows_, *link_, config, config_.seed);
-  FlowSource& source = *owned;
-  add_receiver(config, app, source);
-  flows_[config.id].source = std::move(owned);
-  source.arm_start();
-  return source;
+  return add_flow(config, app, config_.seed);
 }
 
-void Testbed::add_receiver(const FlowConfig& config, Application& app, FlowFeedback& feedback) {
+FlowSource& Testbed::add_flow(const FlowConfig& config, Application& app,
+                              std::uint64_t stream_seed) {
   FlowRecord& record = flows_[config.id];
+  record.source = std::make_unique<FlowSource>(
+      windows_, Rng(stream_seed + 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(config.id)),
+      *link_, config);
   record.core = std::make_unique<CpuCore>(sched_, *mc_, config_.cpu);
 
   FlowRuntime rt;
   rt.config = config;
-  rt.source = &feedback;
+  rt.source = record.source.get();
   rt.app = &app;
   rt.core = record.core.get();
   host_.datapath->register_flow(rt);
+  record.source->arm_start();
+  return *record.source;
 }
 
 void Testbed::remove_flow(FlowId id) {
   FlowRecord* record = flows_.find(id);
   if (record == nullptr) return;
-  if (record->source) record->source->stop();
+  record->source->stop();
   host_.datapath->unregister_flow(id);
   // Park the record: in-flight events may still call into the core/source.
   retired_flows_.push_back(std::move(*record));
@@ -402,12 +395,14 @@ Nanos Testbed::now() const { return sched_.now(); }
 void Testbed::reset_measurement() {
   measure_start_ = sched_.now();
   llc_->reset_stats();
-  flows_.for_each([](FlowId, FlowRecord& record) {
-    if (record.source) record.source->reset_measurement();
-  });
+  flows_.for_each([](FlowId, FlowRecord& record) { record.source->reset_measurement(); });
 }
 
-FlowReport make_flow_report(const FlowSource& src, Nanos span) {
+FlowReport Testbed::report(FlowId id) const {
+  const FlowRecord* record = flows_.find(id);
+  if (record == nullptr) return FlowReport{};
+  const FlowSource& src = *record->source;
+  const Nanos span = sched_.now() - measure_start_;
   FlowReport out;
   out.id = src.id();
   out.kind = src.config().kind;
@@ -426,12 +421,6 @@ FlowReport make_flow_report(const FlowSource& src, Nanos span) {
         static_cast<double>(out.messages) * message_bytes * 8.0 / to_seconds(span) / 1e9;
   }
   return out;
-}
-
-FlowReport Testbed::report(FlowId id) const {
-  const FlowRecord* record = flows_.find(id);
-  if (record == nullptr || !record->source) return FlowReport{};
-  return make_flow_report(*record->source, sched_.now() - measure_start_);
 }
 
 std::vector<FlowReport> Testbed::all_reports() const {

@@ -95,9 +95,9 @@ struct TestbedConfig {
   /// Telemetry subsystem parameters (only consulted by enable_telemetry).
   TelemetryConfig telemetry;
 
-  /// Simulation partitioning (`sim.domains` > 1 engages the sharded
-  /// harness; see src/harness/sharded_testbed.h). A plain Testbed ignores
-  /// everything here — it is the single-domain degenerate case.
+  /// Simulation partitioning (`sim.domains` > 1 runs that many independent
+  /// receiver slices; see src/harness/sharded_testbed.h). A plain Testbed
+  /// ignores everything here: it is one slice.
   SimConfig sim;
 
   std::uint64_t seed = 1;
@@ -120,11 +120,6 @@ struct FlowReport {
   std::int64_t drops = 0;
 };
 
-/// Summarises what `source` delivered over a measurement window `span`
-/// long. Testbed::report and ShardedTestbed::report both go through here,
-/// so a flow reads the same from a single-domain and a sharded run.
-FlowReport make_flow_report(const FlowSource& source, Nanos span);
-
 /// Kind-filtered sums over `reports` (every flow when `kind` is nullopt),
 /// added in report order.
 double aggregate_mpps(const std::vector<FlowReport>& reports,
@@ -133,14 +128,6 @@ double aggregate_gbps(const std::vector<FlowReport>& reports,
                       std::optional<FlowKind> kind = std::nullopt);
 double aggregate_message_gbps(const std::vector<FlowReport>& reports,
                               std::optional<FlowKind> kind = std::nullopt);
-
-/// Sender half of a flow: its FlowSource emitting onto `link`, on an RNG
-/// stream keyed on (run seed, flow id) — arrival randomness is a pure
-/// function of the flow's identity, so no event-domain layout can reorder
-/// anyone's draws. It runs on `windows`' scheduler, where its DCTCP window
-/// rollovers queue. Call arm_start() once the receiver half is registered.
-std::unique_ptr<FlowSource> make_flow_source(DctcpWindowStream& windows, NetworkLink& link,
-                                             const FlowConfig& config, std::uint64_t run_seed);
 
 class Testbed {
  public:
@@ -179,14 +166,15 @@ class Testbed {
   void install_datapath(std::unique_ptr<IoDatapath> datapath);
 
   // ---- Flows ----
-  /// Both halves of a flow on this testbed: the sender half on its link,
-  /// then the receiver half reporting to the source. Emission starts at
-  /// config.start_time (scheduled).
+  /// Both halves of a flow on this testbed: its FlowSource on link(), then a
+  /// pinned core and the FlowRuntime registered with the datapath, reporting
+  /// to that source. Emission starts at config.start_time (scheduled). The
+  /// source draws from an RNG stream keyed on (`stream_seed`, flow id), so
+  /// arrival randomness is a pure function of the flow's identity: a sharded
+  /// slice passes the run seed and its flows send exactly what they send in
+  /// a single-domain run. The two-argument form keys on config().seed.
   FlowSource& add_flow(const FlowConfig& config, Application& app);
-  /// Receiver half of a flow: a pinned core and the FlowRuntime registered
-  /// with the datapath, reporting to `feedback` (the local FlowSource, or a
-  /// proxy when the sender half is in another event domain).
-  void add_receiver(const FlowConfig& config, Application& app, FlowFeedback& feedback);
+  FlowSource& add_flow(const FlowConfig& config, Application& app, std::uint64_t stream_seed);
   void remove_flow(FlowId id);
   FlowSource* source(FlowId id);
   CpuCore* core(FlowId id);
@@ -222,7 +210,7 @@ class Testbed {
   /// Clears per-flow meters and host-level stats; reports cover the window
   /// from this call to `now()`.
   void reset_measurement();
-  /// FlowReport{} for an unknown flow or one whose sender is remote.
+  /// FlowReport{} for an unknown flow.
   FlowReport report(FlowId id) const;
   std::vector<FlowReport> all_reports() const;
   /// Aggregate delivered Mpps over flows of `kind` (or all when nullopt).
@@ -270,7 +258,7 @@ class Testbed {
  private:
   struct FlowRecord {
     std::unique_ptr<CpuCore> core;
-    std::unique_ptr<FlowSource> source;  // null when the sender is remote
+    std::unique_ptr<FlowSource> source;
   };
 
   TestbedConfig config_;

@@ -48,7 +48,6 @@ class Dctcp {
     host_congested_ = true;
     ++marked_;
     ++acked_;
-    ++host_signals_;
   }
 
   void on_loss() {
@@ -76,7 +75,6 @@ class Dctcp {
   }
 
   std::int64_t losses() const { return losses_; }
-  std::int64_t host_signals() const { return host_signals_; }
   const DctcpConfig& config() const { return config_; }
 
  private:
@@ -93,7 +91,6 @@ class Dctcp {
   std::int64_t acked_ = 0;
   std::int64_t marked_ = 0;
   std::int64_t losses_ = 0;
-  std::int64_t host_signals_ = 0;
 };
 
 }  // namespace ceio

@@ -134,7 +134,7 @@ void FlowSource::send_message() {
 void FlowSource::notify_delivered(const Packet& pkt) {
   ++stats_.packets_delivered;
   stats_.bytes_delivered += pkt.size;
-  delivered_.record(sched_.now(), pkt.size);
+  delivered_.record(pkt.size);
   // Echo the ECN mark to the sender half an RTT later.
   const bool marked = pkt.ecn;
   sched_.schedule_after(link_.config().propagation, [this, marked]() {
@@ -162,34 +162,6 @@ void FlowSource::notify_dropped(const Packet& pkt) {
 void FlowSource::notify_host_congestion() {
   sched_.schedule_after(link_.config().propagation, [this]() { dctcp_.on_host_congestion(); });
 }
-
-void FlowSource::apply_remote_delivered(const Packet& pkt) {
-  // The feedback channel already added one link propagation in transit, so
-  // the ECN echo lands now — the same receiver-to-sender delay as the local
-  // notify_delivered path.
-  ++stats_.packets_delivered;
-  stats_.bytes_delivered += pkt.size;
-  delivered_.record(sched_.now(), pkt.size);
-  dctcp_.on_ack(pkt.ecn);
-}
-
-void FlowSource::apply_remote_dropped(const Packet& pkt) {
-  // Transit spent the first propagation of the ~1 RTT loss-detection delay;
-  // the second half is scheduled here.
-  ++stats_.packets_dropped;
-  Packet retx = pkt;
-  retx.ecn = false;
-  retx.created = pkt.created;
-  sched_.schedule_after(link_.config().propagation,
-                        [this, retx = std::move(retx)]() mutable {
-                          dctcp_.on_loss();
-                          if (!active_) return;
-                          retx_queue_.push_back(std::move(retx));
-                          schedule_emit();
-                        });
-}
-
-void FlowSource::apply_remote_host_congestion() { dctcp_.on_host_congestion(); }
 
 void FlowSource::notify_message_complete(std::uint64_t message_id, Nanos done) {
   Nanos start{0};

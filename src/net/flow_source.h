@@ -9,9 +9,10 @@
 // which both records end-to-end latency and drives the closed loop.
 //
 // Feedback wiring: the receiving datapath calls `notify_delivered` /
-// `notify_dropped` / `notify_host_congestion`; the source internally applies
-// the feedback after the appropriate propagation delay, so baselines get
-// their (slow) reactive loop and CEIO its (rare) slow-path CCA trigger.
+// `notify_dropped` / `notify_host_congestion` / `notify_message_complete`
+// on the flow's source (FlowRuntime::source); the source applies the
+// feedback after the appropriate propagation delay, so baselines get their
+// (slow) reactive loop and CEIO its (rare) slow-path CCA trigger.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +25,6 @@
 #include "net/dctcp.h"
 #include "net/dctcp_window_stream.h"
 #include "net/flow.h"
-#include "net/flow_feedback.h"
 #include "net/network_link.h"
 #include "sim/event_scheduler.h"
 
@@ -39,13 +39,13 @@ struct FlowSourceStats {
   std::int64_t packets_dropped = 0;
 };
 
-class FlowSource : public FlowFeedback {
+class FlowSource {
  public:
   /// The source runs on `windows`' scheduler, which also queues its DCTCP
   /// window rollovers and supplies its DCTCP parameters. `rng` is copied:
   /// the source owns a private stream, so its draws (Poisson interarrival
-  /// gaps) depend only on the seed it was handed — not on which event domain
-  /// hosts the flow or what its neighbors drew.
+  /// gaps) depend only on the seed it was handed — not on which slice hosts
+  /// the flow or what its neighbors drew.
   FlowSource(DctcpWindowStream& windows, Rng rng, NetworkLink& link, const FlowConfig& config);
 
   const FlowConfig& config() const { return config_; }
@@ -62,44 +62,26 @@ class FlowSource : public FlowFeedback {
   void stop();
   bool active() const { return active_; }
 
-  // ---- Receiver-side feedback (called by the datapath/harness) ----
-  // FlowFeedback implementation: the single-domain path, where receiver and
-  // sender share one scheduler and the propagation delay is modelled by
-  // scheduling the reaction `link propagation` later.
+  // ---- Receiver-side feedback (called by the datapath/testbed) ----
+  // Receiver and sender share one scheduler; each reaction is scheduled the
+  // modelled propagation delay later.
 
   /// Packet landed in host (or on-NIC) memory; echoes the ECN mark back to
   /// the sender after ~RTT/2.
-  void notify_delivered(const Packet& pkt) override;
+  void notify_delivered(const Packet& pkt);
 
   /// Packet was lost (link queue or RX ring overflow). The sender detects
   /// the loss after ~1 RTT and backs off multiplicatively.
-  void notify_dropped(const Packet& pkt) override;
+  void notify_dropped(const Packet& pkt);
 
   /// Host congestion signal (HostCC kernel module / ShRing backpressure):
   /// reaches the sender after ~RTT/2 and is treated as an ECN mark.
-  void notify_host_congestion() override;
+  void notify_host_congestion();
 
   /// Message fully processed at the receiver at time `done`. Records
   /// request latency (send -> processed + response flight time) and, in
   /// closed-loop mode, triggers the next message.
-  void notify_message_complete(std::uint64_t message_id, Nanos done) override;
-
-  // ---- Sharded-run feedback (called by the harness when the notification
-  // arrives through a cross-domain channel) ----
-  // The channel transit already spent one link propagation, so these apply
-  // the remainder of the delays the notify_* forms model: the total
-  // receiver-event-to-sender-reaction delay is identical in both paths.
-
-  /// Delivered notification arriving off the feedback channel: stats and the
-  /// ECN echo apply immediately (one propagation was spent in transit).
-  void apply_remote_delivered(const Packet& pkt);
-
-  /// Dropped notification off the channel: backoff + retransmission enqueue
-  /// after one more propagation (transit spent the first of the two).
-  void apply_remote_dropped(const Packet& pkt);
-
-  /// Host-congestion signal off the channel: applies immediately.
-  void apply_remote_host_congestion();
+  void notify_message_complete(std::uint64_t message_id, Nanos done);
 
   // ---- Introspection ----
   BitsPerSec current_rate() const;

@@ -30,10 +30,7 @@ void NetworkLink::send(Packet pkt) {
 
   const Nanos start = std::max(now, egress_free_);
   egress_free_ = start + transmit_time(pkt.size, config_.rate);
-  // Egress mode hands the packet off at serialization exit; the propagation
-  // is accounted as cross-domain transit by the harness.
-  const Nanos at = nic_ != nullptr ? egress_free_ + config_.propagation : egress_free_;
-  arrivals_.push(at, pool_.make(std::move(pkt)));
+  arrivals_.push(egress_free_ + config_.propagation, pool_.make(std::move(pkt)));
 }
 
 }  // namespace ceio

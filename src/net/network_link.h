@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <functional>
 
-#include "common/inline_function.h"
 #include "common/units.h"
 #include "nic/nic.h"
 #include "nic/packet.h"
@@ -38,26 +37,12 @@ class NetworkLink {
  public:
   /// Called when the link had to drop a packet (queue overflow).
   using DropHandler = std::function<void(const Packet&)>;
-  /// Egress-mode delivery: fires at serialization exit (see below).
-  using Deliver = InlineFunction<void(Packet), 48>;
 
   NetworkLink(EventScheduler& sched, Nic& nic, const NetworkLinkConfig& config = {})
       : sched_(sched),
-        nic_(&nic),
+        nic_(nic),
         config_(config),
-        arrivals_(sched, [this](Nanos, PacketRef ref) { dispatch(pool_.take(ref)); }) {}
-
-  /// Egress mode, for sharded runs: the receiver NIC lives in another event
-  /// domain, so `deliver` fires when a packet *exits the serializer* — the
-  /// propagation delay is then spent as cross-domain channel transit (it is
-  /// the lookahead), not rescheduled locally. Queueing, ECN marking and
-  /// drops still happen here, in the sender's domain.
-  NetworkLink(EventScheduler& sched, Deliver deliver, const NetworkLinkConfig& config = {})
-      : sched_(sched),
-        nic_(nullptr),
-        deliver_(std::move(deliver)),
-        config_(config),
-        arrivals_(sched, [this](Nanos, PacketRef ref) { dispatch(pool_.take(ref)); }) {}
+        arrivals_(sched, [this](Nanos, PacketRef ref) { nic_.receive(pool_.take(ref)); }) {}
 
   void set_drop_handler(DropHandler handler) { on_drop_ = std::move(handler); }
 
@@ -71,17 +56,8 @@ class NetworkLink {
   const NetworkLinkConfig& config() const { return config_; }
 
  private:
-  void dispatch(Packet pkt) {
-    if (nic_ != nullptr) {
-      nic_->receive(std::move(pkt));
-    } else {
-      deliver_(std::move(pkt));
-    }
-  }
-
   EventScheduler& sched_;
-  Nic* nic_;          // local mode: deliver into this NIC after propagation
-  Deliver deliver_;   // egress mode: hand off at serialization exit
+  Nic& nic_;  // receives each packet one propagation after serialization exit
   NetworkLinkConfig config_;
   Nanos egress_free_{0};  // when the serializer finishes the current backlog
   NetworkLinkStats stats_;
@@ -89,7 +65,7 @@ class NetworkLink {
   // In-flight wire packets park here; the arrivals stream moves their
   // 4-byte handles (a full 512 KiB queue is thousands of entries).
   PacketPool pool_;
-  // Arrivals are serialisation exits (+ constant propagation in local mode):
+  // Arrivals are serialisation exits plus the constant propagation:
   // non-decreasing, so the wire is a coalesced stream (one event drains a
   // burst of arrivals).
   CoalescedStream<PacketRef> arrivals_;

@@ -38,9 +38,6 @@ class PcieLink {
   const PcieLinkConfig& config() const { return config_; }
   const PcieLinkStats& stats() const { return stats_; }
 
-  /// Time at which the upstream pipe next becomes free (backlog signal).
-  Nanos upstream_free_at() const { return up_free_; }
-
  private:
   Nanos reserve(Nanos now, Bytes payload, Nanos& free_at, Bytes& wire_counter,
                 std::int64_t& transfer_counter);

@@ -14,8 +14,8 @@ ShardCoordinator::ShardCoordinator(std::vector<ShardDomain*> domains,
       end_(shards_) {
   if (lookahead_ <= Nanos{0}) {
     throw std::invalid_argument(
-        "ShardCoordinator: lookahead must be positive (a zero-delay "
-        "cross-domain channel defeats conservative synchronization)");
+        "ShardCoordinator: lookahead must be positive (epochs of zero length "
+        "never advance)");
   }
   if (domains_.empty()) {
     throw std::invalid_argument("ShardCoordinator: no domains");

@@ -1,27 +1,18 @@
-// Conservative-lookahead epoch coordinator for sharded simulation.
+// Epoch coordinator for sharded simulation.
 //
-// One simulated deployment is partitioned into event domains, each with its
-// own EventScheduler. Domains interact only through timestamped messages
-// whose delivery delay equals the *lookahead* L (the network propagation).
-// The coordinator advances all domains in epochs of length L: a message
-// sent during epoch k arrives during epoch k+1, so every message a domain
-// must inject at the start of epoch k+1 was sent, and sits in its per-epoch
-// channel (sim/epoch_channel.h), when epoch k ends. Each epoch is one
-// dispatch per domain, between two barriers:
+// A sharded run is a set of event domains, each with its own EventScheduler.
+// The coordinator advances them all to a deadline on `shards` worker
+// threads, in epochs of length L (the lookahead): a dispatch never crosses
+// an epoch boundary, each epoch opens with every domain's drain_phase, and
+// every dispatch runs each domain's run_phase up to its stop time, between
+// two barriers. The harness's slices (harness/sharded_testbed.h) exchange
+// nothing, so it passes the run's horizon as L and each run_until is one
+// dispatch; perfbench's barrier case times 5,000 idle epochs.
 //
-//   drain  the domain merges its inbound channels' previous-epoch slots
-//          deterministically (by (arrival, source domain, sender seq)) and
-//          injects them into its local scheduler;
-//   run    it executes its scheduler up to the epoch end, then flushes
-//          partially filled outgoing bursts so they cross at the boundary.
-//
-// A domain's drain may overlap other domains' runs of the same epoch: those
-// runs write the current epoch's slots, the drain reads the previous
-// epoch's. Mid-epoch, a thread touches only its own domains' state plus the
-// producer slots of outgoing channels — there is no shared mutable state, so
-// results are bit-identical at any worker-thread count: the phase schedule
-// depends only on the domain count and L, and each domain's execution is a
-// pure function of its own event stream. shards=1 runs the identical phase
+// Mid-dispatch, a worker touches only its own domains' state, so results
+// are bit-identical at any worker-thread count: the phase schedule depends
+// only on the domain count and L, and each domain's execution is a pure
+// function of its own event stream. shards=1 runs the identical phase
 // sequence inline on the calling thread.
 #pragma once
 
@@ -34,41 +25,36 @@
 
 namespace ceio {
 
-/// One event domain as the coordinator sees it. Implementations live in the
-/// harness (ShardedTestbed). The contract: drain_phase touches only the
-/// domain's inbound channels' previous-epoch slots and its local scheduler,
-/// and may run while other domains run the same epoch; run_phase touches
-/// only local state plus the current-epoch slots of outgoing channels.
+/// One event domain as the coordinator sees it (the harness's DomainSlice).
+/// Both phases touch only the domain's own state.
 class ShardDomain {
  public:
   virtual ~ShardDomain() = default;
 
-  /// Epoch start, once per epoch: merge the messages sent to this domain
-  /// during the previous epoch with arrival < `epoch_end` into the local
-  /// scheduler (deterministic order).
-  virtual void drain_phase(Nanos epoch_end) = 0;
+  /// Epoch start, once per epoch, before that epoch's first run_phase; the
+  /// epoch closes at `epoch_end`. Does nothing unless overridden.
+  virtual void drain_phase(Nanos epoch_end) { (void)epoch_end; }
 
   /// Executes local events up to `stop`. `at_epoch_end` is true when `stop`
-  /// closes the epoch: the domain must then flush partial outgoing bursts
-  /// (producer side only — consumers read them in the next epoch).
+  /// closes the epoch.
   virtual void run_phase(Nanos stop, bool at_epoch_end) = 0;
 };
 
 class ShardCoordinator {
  public:
-  /// `lookahead` must be strictly positive (a zero-lookahead channel would
-  /// allow same-instant cross-domain causality and deadlock the epoch
-  /// scheme); throws std::invalid_argument otherwise. `shards` is clamped
-  /// to [1, domains.size()]; domain d runs on worker d % shards.
+  /// `lookahead` (the epoch length) must be strictly positive, or epochs
+  /// would never advance; throws std::invalid_argument otherwise, and for
+  /// an empty `domains`. `shards` is clamped to [1, domains.size()]; domain
+  /// d runs on worker d % shards.
   ShardCoordinator(std::vector<ShardDomain*> domains, Nanos lookahead, int shards);
   ~ShardCoordinator();
 
   ShardCoordinator(const ShardCoordinator&) = delete;
   ShardCoordinator& operator=(const ShardCoordinator&) = delete;
 
-  /// Advances every domain to `deadline` (absolute). Partial epochs are
-  /// supported: stopping mid-epoch (to reset measurement, say) and resuming
-  /// later executes the exact event sequence of an uninterrupted run.
+  /// Advances every domain to `deadline` (absolute), one dispatch per epoch
+  /// the span touches. Partial epochs are supported: stopping mid-epoch (to
+  /// reset measurement, say) and resuming later runs no second drain.
   void run_until(Nanos deadline);
 
   Nanos now() const { return now_; }

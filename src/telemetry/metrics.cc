@@ -54,19 +54,4 @@ double MetricRegistry::read_gauge(const std::string& name) const {
   return it == gauges_.end() ? 0.0 : it->second();
 }
 
-void MetricRegistry::for_each_counter(
-    const std::function<void(const std::string&, std::int64_t)>& fn) const {
-  for (const auto& [name, counter] : counters_) fn(name, counter->value());
-}
-
-void MetricRegistry::for_each_gauge(
-    const std::function<void(const std::string&, double)>& fn) const {
-  for (const auto& [name, gauge] : gauges_) fn(name, gauge());
-}
-
-void MetricRegistry::for_each_histogram(
-    const std::function<void(const std::string&, const LatencyHistogram&)>& fn) const {
-  for (const auto& [name, hist] : histograms_) fn(name, *hist);
-}
-
 }  // namespace ceio

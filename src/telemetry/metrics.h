@@ -64,7 +64,6 @@ class MetricRegistry {
 
   // ---- Introspection / export ----
   std::size_t gauge_count() const { return gauges_.size(); }
-  std::size_t counter_count() const { return counters_.size(); }
   std::size_t histogram_count() const { return histograms_.size(); }
   /// Collisions rejected so far (for tests and export health checks).
   std::size_t collisions() const { return collisions_; }
@@ -75,14 +74,6 @@ class MetricRegistry {
 
   /// Evaluates one gauge by name; returns 0.0 for unknown names.
   double read_gauge(const std::string& name) const;
-
-  /// Visits every counter as (name, value), sorted by name.
-  void for_each_counter(const std::function<void(const std::string&, std::int64_t)>& fn) const;
-  /// Visits every gauge as (name, current value), sorted by name.
-  void for_each_gauge(const std::function<void(const std::string&, double)>& fn) const;
-  /// Visits every histogram as (name, histogram), sorted by name.
-  void for_each_histogram(
-      const std::function<void(const std::string&, const LatencyHistogram&)>& fn) const;
 
  private:
   bool claim_name(const std::string& name);

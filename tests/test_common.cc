@@ -221,8 +221,8 @@ TEST(LatencyHistogram, ClearResets) {
 
 TEST(RateMeter, ComputesRates) {
   RateMeter m;
-  m.record(Nanos{0}, Bytes{500}, 1);
-  m.record(Nanos{1'000}, Bytes{500}, 1);
+  m.record(Bytes{500}, 1);
+  m.record(Bytes{500}, 1);
   // 2 packets over a 1 us span = 2 Mpps.
   EXPECT_NEAR(m.mpps(Nanos{0}, Nanos{1'000}), 2.0, 0.01);
   EXPECT_NEAR(m.gbps(Nanos{0}, Nanos{1'000}), 8.0, 0.1);

@@ -1,14 +1,15 @@
-// Tests for the sharded simulation stack: the per-epoch channel, the
-// conservative-lookahead coordinator's epoch/barrier edge cases, per-domain
-// seed derivation, the headline contract — shards=1 and shards=N runs are
-// bitwise identical for CEIO and ShRing alike — and the one deployment path
-// (per-flow arrival streams, per-domain flow tables and per-slice credit
-// budgets match a single-domain run's).
+// Tests for the sharded simulation stack: the coordinator's epoch/barrier
+// edge cases, per-domain seed derivation, the headline contract — shards=1
+// and shards=N runs are bitwise identical for CEIO and ShRing alike — and
+// the one deployment path (each slice is a single-domain Testbed: per-flow
+// arrival streams, per-domain flow tables, per-slice credit budgets and
+// whole reports match a slice run alone).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -17,36 +18,10 @@
 #include "harness/sharded_testbed.h"
 #include "iopath/testbed.h"
 #include "net/flow_source.h"
-#include "sim/epoch_channel.h"
 #include "sim/shard_coordinator.h"
 
 namespace ceio::harness {
 namespace {
-
-// ---------- per-epoch channel ----------
-
-TEST(EpochChannel, ItemsCrossExactlyOneEpochInPushOrder) {
-  EpochChannel<int> channel;
-  const auto drain = [&](std::uint64_t epoch) {
-    std::vector<int> got;
-    channel.drain(epoch, [&](int& v) { got.push_back(v); });
-    return got;
-  };
-  // In epoch k the producer pushes 10k, 10k+1 and 10k+2. The consumer's
-  // epoch-k drain runs between the second and third push (a drain may
-  // overlap the producer's run) and must see exactly epoch k-1's items.
-  for (std::uint64_t k = 1; k <= 4; ++k) {
-    const int base = 10 * static_cast<int>(k);
-    channel.push(k, base);
-    channel.push(k, base + 1);
-    const std::vector<int> previous =
-        k == 1 ? std::vector<int>{} : std::vector<int>{base - 10, base - 9, base - 8};
-    EXPECT_EQ(drain(k), previous) << "epoch " << k;
-    channel.push(k, base + 2);
-  }
-  EXPECT_EQ(drain(5), (std::vector<int>{40, 41, 42}));
-  EXPECT_TRUE(drain(6).empty());
-}
 
 // ---------- coordinator edge cases ----------
 
@@ -73,8 +48,8 @@ TEST(ShardCoordinator, RejectsZeroAndNegativeLookahead) {
 }
 
 TEST(ShardCoordinator, EveryDomainRunsEveryEpochEvenWhenIdle) {
-  // Domains with no events of their own still get drain+run each epoch —
-  // an "empty" domain must keep pace or its inboxes would stall the merge.
+  // Domains with no events of their own still get drain+run each epoch:
+  // the phase schedule depends only on the domain count and the lookahead.
   CountingDomain a, b, c;
   std::vector<ShardDomain*> domains{&a, &b, &c};
   ShardCoordinator coord(domains, Nanos{100}, 2);
@@ -142,21 +117,21 @@ ExperimentSpec sharded_spec(SystemKind system, const std::string& app, int domai
   return spec;
 }
 
+void expect_same_report(const FlowReport& x, const FlowReport& y) {
+  EXPECT_EQ(x.id, y.id);
+  EXPECT_EQ(x.mpps, y.mpps) << "flow " << x.id;
+  EXPECT_EQ(x.gbps, y.gbps) << "flow " << x.id;
+  EXPECT_EQ(x.message_gbps, y.message_gbps) << "flow " << x.id;
+  EXPECT_EQ(x.p50, y.p50) << "flow " << x.id;
+  EXPECT_EQ(x.p99, y.p99) << "flow " << x.id;
+  EXPECT_EQ(x.p999, y.p999) << "flow " << x.id;
+  EXPECT_EQ(x.messages, y.messages) << "flow " << x.id;
+  EXPECT_EQ(x.drops, y.drops) << "flow " << x.id;
+}
+
 void expect_identical(const RunResult& a, const RunResult& b) {
   ASSERT_EQ(a.flows.size(), b.flows.size());
-  for (std::size_t i = 0; i < a.flows.size(); ++i) {
-    const FlowReport& x = a.flows[i];
-    const FlowReport& y = b.flows[i];
-    EXPECT_EQ(x.id, y.id);
-    EXPECT_EQ(x.mpps, y.mpps) << "flow " << x.id;
-    EXPECT_EQ(x.gbps, y.gbps) << "flow " << x.id;
-    EXPECT_EQ(x.message_gbps, y.message_gbps) << "flow " << x.id;
-    EXPECT_EQ(x.p50, y.p50) << "flow " << x.id;
-    EXPECT_EQ(x.p99, y.p99) << "flow " << x.id;
-    EXPECT_EQ(x.p999, y.p999) << "flow " << x.id;
-    EXPECT_EQ(x.messages, y.messages) << "flow " << x.id;
-    EXPECT_EQ(x.drops, y.drops) << "flow " << x.id;
-  }
+  for (std::size_t i = 0; i < a.flows.size(); ++i) expect_same_report(a.flows[i], b.flows[i]);
   EXPECT_EQ(a.aggregate_mpps, b.aggregate_mpps);
   EXPECT_EQ(a.aggregate_gbps, b.aggregate_gbps);
   EXPECT_EQ(a.aggregate_message_gbps, b.aggregate_message_gbps);
@@ -193,8 +168,8 @@ TEST(ShardedExperiment, ShringBitwiseIdenticalAcrossShardCounts) {
 }
 
 TEST(ShardedExperiment, FewerFlowsThanDomainsLeavesEmptyDomains) {
-  // Domains 3..7 host no flows at all; their epochs are pure barrier
-  // traffic and the run must still complete and deliver.
+  // Domains 2..7 host no flows at all; they only take part in the
+  // coordinator's dispatches, and the run must still complete and deliver.
   ExperimentSpec spec = sharded_spec(SystemKind::kCeio, "echo", 8);
   spec.workload.flows = 2;
   spec.testbed.sim.shards = 4;
@@ -202,23 +177,6 @@ TEST(ShardedExperiment, FewerFlowsThanDomainsLeavesEmptyDomains) {
   ASSERT_EQ(r.flows.size(), 2u);
   EXPECT_GT(r.flows[0].mpps, 0.0);
   EXPECT_GT(r.flows[1].mpps, 0.0);
-}
-
-TEST(ShardedExperiment, PartialBurstsCrossEpochBoundaries) {
-  // One low-rate flow: bursts never fill PacketBurst::kCapacity, so every
-  // packet crosses domains via the epoch-end partial flush. If the flush
-  // were missing, nothing would ever arrive.
-  ExperimentSpec spec = sharded_spec(SystemKind::kCeio, "echo", 2);
-  spec.workload.flows = 1;
-  spec.workload.offered_rate = gbps(0.5);
-  ShardedTestbed bed(spec);
-  bed.run_until(spec.warmup);
-  bed.reset_measurement();
-  bed.run_until(spec.warmup + spec.measure);
-  const RunResult r = bed.collect();
-  ASSERT_EQ(r.flows.size(), 1u);
-  EXPECT_GT(r.flows[0].mpps, 0.0);
-  EXPECT_GT(bed.epochs_completed(), 0u);
 }
 
 TEST(ShardedExperiment, RequiresAtLeastTwoDomains) {
@@ -244,9 +202,9 @@ TEST(ShardedExperiment, DomainCountIsAScenarioParameter) {
 // ---------- one deployment path ----------
 
 TEST(ShardedPlacement, PoissonArrivalsDoNotDependOnDomainCount) {
-  // A flow's arrival stream is keyed on (run seed, flow id) wherever its
-  // sender half lives, so uncongested Poisson flows send the same packets at
-  // any domain count.
+  // A flow's arrival stream is keyed on (run seed, flow id) whichever slice
+  // holds it, so uncongested Poisson flows send the same packets at any
+  // domain count.
   ExperimentSpec spec;
   spec.workload.app = "echo";
   spec.workload.flows = 8;
@@ -275,9 +233,9 @@ TEST(ShardedPlacement, PoissonArrivalsDoNotDependOnDomainCount) {
 }
 
 TEST(ShardedPlacement, EachDomainTestbedSeesExactlyItsFlows) {
-  // Receiver halves register through the domain's own Testbed, so its flow
-  // table — and with it the governor's gauges and the audit invariants —
-  // holds exactly the flows f with (f-1) mod P == d.
+  // Flows register through the domain's own Testbed, so its flow table —
+  // and with it the governor's gauges and the audit invariants — holds
+  // exactly the flows f with (f-1) mod P == d.
   ExperimentSpec tenants = ScenarioRegistry::instance().find("multitenant-short")->spec;
   tenants.testbed.sim.domains = 3;
   for (const ExperimentSpec& spec : {sharded_spec(SystemKind::kCeio, "echo", 4), tenants}) {
@@ -311,6 +269,34 @@ TEST(ShardedPlacement, EachSliceKeepsItsOwnCredits) {
   for (int d = 0; d < sharded.domains(); ++d) {
     ASSERT_NE(sharded.bed(d).ceio(), nullptr);
     EXPECT_EQ(sharded.bed(d).ceio()->credits().total(), own) << "domain " << d;
+  }
+}
+
+TEST(ShardedPlacement, SlicesRunAloneMatchTheShardedRun) {
+  // A sharded run is its slices advanced side by side: slice d, built alone
+  // as a Testbed seeded derive_seed(seed, d) with its flows keyed on the run
+  // seed, reports every one of its flows exactly as the sharded run does.
+  for (const SystemKind system : {SystemKind::kCeio, SystemKind::kShring}) {
+    const ExperimentSpec spec = sharded_spec(system, "kv", 3);
+    const RunResult sharded = run_experiment(spec);
+    ASSERT_EQ(sharded.flows.size(), 13u);
+    for (int d = 0; d < 3; ++d) {
+      TestbedConfig cfg = spec.testbed;
+      cfg.seed = derive_seed(spec.testbed.seed, static_cast<std::uint64_t>(d));
+      Testbed slice(cfg);
+      Application* app = make_app(slice, spec.workload.app);
+      std::vector<FlowId> mine;
+      for (FlowId f = static_cast<FlowId>(d) + 1; f <= 13; f += 3) mine.push_back(f);
+      for (const FlowId f : mine) {
+        slice.add_flow(flow_config(f, spec.workload), *app, spec.testbed.seed);
+      }
+      settle_and_measure(slice, spec.warmup, spec.measure);
+      for (const FlowId f : mine) {
+        SCOPED_TRACE(std::string(to_string(system)) + " domain " + std::to_string(d));
+        EXPECT_GT(slice.report(f).mpps, 0.0);
+        expect_same_report(slice.report(f), sharded.flows[f - 1]);
+      }
+    }
   }
 }
 

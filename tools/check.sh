@@ -29,9 +29,9 @@
 #                           multitenant-short (sim.domains=2, Poisson tenant)
 #                           and flowscale-1m (4,096 Poisson flows over 8
 #                           domains) scenarios at --shards 4, byte-compared
-#                           against --shards 1 (conservative-lookahead
-#                           determinism, including the datapath governor's
-#                           decisions)
+#                           against --shards 1 (slices share nothing, so the
+#                           worker count must not change a byte, including
+#                           the datapath governor's decisions)
 #   9. clang-tidy           over src/ using the .clang-tidy profile
 #  10. perf gate            bench/perf_core from the release tree vs the
 #                           committed BENCH_perf_core.json baseline; fails on
@@ -200,7 +200,9 @@ else
     diff "${REPO_ROOT}/tools/golden/ceio_sim_multitenant-short.txt" \
       <("${CHECK_ROOT}/release/tools/ceio_sim" --scenario multitenant-short) || golden_status=1
     # Sharded output is pinned too, at one worker thread and at four: paced
-    # KV with the governor off, built through the same deployment path.
+    # KV with the governor off over 4 independent slices, each built as a
+    # single-domain Testbed (the --shards 4 run is also a ctest,
+    # tools.golden-sharded-kv-short).
     for shards in 1 4; do
       diff "${REPO_ROOT}/tools/golden/ceio_sim_sharded-kv-short.txt" \
         <("${CHECK_ROOT}/release/tools/ceio_sim" --scenario sharded-kv-short \
@@ -272,11 +274,11 @@ else
   stage_result tsan-sweep "${tsan_status}"
 
   # -- 8: tsan sharded run ---------------------------------------------------
-  # The sharded harness advances event domains on worker threads behind
-  # epoch barriers; run the sharded scenario at --shards 4 under
-  # ThreadSanitizer and require the report to be byte-identical to the
-  # --shards 1 expansion (the same determinism contract stage 7 gives the
-  # sweep runner's --jobs).
+  # The sharded harness advances its independent slices (one Testbed each,
+  # sharing nothing) on worker threads, one dispatch per run_until; run the
+  # sharded scenarios at --shards 4 under ThreadSanitizer and require each
+  # report to be byte-identical to the --shards 1 run (the same determinism
+  # contract stage 7 gives the sweep runner's --jobs).
   note "tsan sharded runs (sharded, governed, multi-tenant and flowscale; --shards 4 vs --shards 1)"
   tsan_shards_status=1
   tsan_sharded() {  # tsan_sharded <shards>
@@ -290,14 +292,14 @@ else
     TSAN_OPTIONS="halt_on_error=1" "${tsan_tree}/tools/ceio_sim" \
       --scenario governed-kv-short --ms 1 --set sim.domains=4 --shards "$1"
   }
-  # The multi-tenant variant runs a Poisson tenant across domains: each
+  # The multi-tenant variant spreads a Poisson tenant over two slices: each
   # flow's arrival stream must not depend on the worker-thread count either.
   tsan_tenants() {  # tsan_tenants <shards>
     TSAN_OPTIONS="halt_on_error=1" "${tsan_tree}/tools/ceio_sim" \
       --scenario multitenant-short --set sim.domains=2 --shards "$1"
   }
-  # The only Poisson run at scale across domains: 4,096 flows over 8, each
-  # domain's DCTCP window stream draining a synchronised rollover train.
+  # The only Poisson run at scale over slices: 4,096 flows over 8, each
+  # slice's DCTCP window stream draining a synchronised rollover train.
   tsan_flowscale() {  # tsan_flowscale <shards>
     TSAN_OPTIONS="halt_on_error=1" "${tsan_tree}/tools/ceio_sim" \
       --scenario flowscale-1m --flows=4096 --shards "$1"

@@ -2,16 +2,15 @@
 """Static checker for the CEIO simulator: project conventions and the
 determinism rules that keep its reports byte-identical.
 
-Thirteen rules, one per check_* function below; each function's docstring
+Eleven rules, one per check_* function below; each function's docstring
 says what the rule matches and why. DESIGN.md §12 catalogues them with
 their scopes. The rules read one of two views of a source file:
 
   convention rules   raw lines, skipping lines that start a comment
                      (//, /* or *);
   determinism rules  the code with comments and string literals blanked,
-                     plus a tree-wide index of classes (members, bases),
-                     unordered-container aliases and CEIO_DOMAIN_MESSAGE
-                     types.
+                     plus a tree-wide index of classes (members, bases)
+                     and unordered-container aliases.
 
 Suppression: `// lint: allow-<rule>` on the offending line, naming the rule
 exactly (a line may carry several). Nothing else silences a finding: not an
@@ -51,8 +50,6 @@ SUPPRESS_RE = re.compile(r"lint: allow-([a-z][a-z0-9-]*)")
 TREE_DIRS = ("src", "tests", "bench", "examples", "tools")
 HOT_PATH_DIRS = ("src/sim", "src/common")
 PACKET_COPY_DIRS = ("src/nic", "src/sim", "src/ceio", "src/baselines", "src/iopath")
-CROSS_SHARD_DIRS = ("src/iopath", "src/baselines", "src/ceio", "src/nic",
-                    "src/pcie", "src/host")
 
 
 @dataclass(frozen=True)
@@ -390,28 +387,6 @@ def check_unreflected_config(findings: list[Finding]) -> None:
                 "it, or annotate '// lint: allow-unreflected-config'"))
 
 
-CROSS_SHARD_RE = re.compile(r"\bFlowSource\b")
-
-
-def check_cross_shard(findings: list[Finding]) -> None:
-    """Receiver-side model code (src/iopath, baselines, ceio, nic, pcie,
-    host) must not name FlowSource: in sharded runs the source lives in
-    another event domain, and a direct reference from an event callback is
-    cross-shard mutable-state access that breaks shards=1 vs shards=N
-    identity. Feedback goes through FlowFeedback (net/flow_feedback.h),
-    which the harness proxies across domains. The single-domain harness
-    (iopath/testbed.{h,cc}) owns its sources and is exempt."""
-    rule = "cross-shard"
-    for src, lineno, line in raw_lines(rule, CROSS_SHARD_DIRS):
-        if CROSS_SHARD_RE.search(line) and src.path.name not in ("testbed.h", "testbed.cc"):
-            findings.append(Finding(
-                rule, src.path, lineno,
-                "direct FlowSource access from single-domain model code; "
-                "feedback must go through FlowFeedback "
-                "(net/flow_feedback.h) so sharded runs can proxy it "
-                "across domains, or annotate '// lint: allow-cross-shard'"))
-
-
 RAW_ACTUATOR_RE = re.compile(
     r"(?:\.|->)\s*(set_credit_scale|set_kind_path|set_landed_caps|"
     r"set_total_credits|set_coalescing)\s*\("
@@ -450,13 +425,6 @@ USING_ALIAS_RE = re.compile(r"\busing\s+(\w+)\s*=\s*([^;]+);")
 TYPEDEF_RE = re.compile(r"\btypedef\s+(.+?)\s+(\w+)\s*;")
 CLASS_RE = re.compile(r"\b(class|struct)\s+([A-Za-z_]\w*)\b")
 FLOAT_DECL_RE = re.compile(r"\b(?:float|double)\s+([A-Za-z_]\w*)\s*[;={,)]")
-DOMAIN_MESSAGE_RE = re.compile(r"\bCEIO_DOMAIN_MESSAGE\(\s*([\w:]+)\s*\)")
-# A member declaration ending in a pointer or reference: `Foo* p;`,
-# `const Bar& ref_;`. Function declarations (contain '(') are excluded by
-# the no-parens requirement.
-PTR_REF_MEMBER_RE = re.compile(
-    r"^\s*(?:mutable\s+)?(?:const\s+)?[\w:<>,\s]+[*&]\s*(\w+)\s*(?:=[^;()]*)?;\s*$"
-)
 DECLARED_NAME_RE = re.compile(r"^[\s&*]*([A-Za-z_]\w*)\s*([;={,)(]|$)")
 
 
@@ -495,17 +463,14 @@ class ClassInfo:
     bases: list[str] = field(default_factory=list)
     unordered_members: set[str] = field(default_factory=set)
     float_members: set[str] = field(default_factory=set)
-    ptr_ref_members: list[tuple[int, str]] = field(default_factory=list)  # (lineno, name)
 
 
 class SymbolIndex:
-    """Tree-wide index of classes, their members, container aliases and
-    CEIO_DOMAIN_MESSAGE types."""
+    """Tree-wide index of classes, their members and container aliases."""
 
     def __init__(self):
         self.classes: dict[str, ClassInfo] = {}
         self.unordered_aliases: set[str] = set()
-        self.message_types: set[str] = set()
 
     def members(self, class_name: str, attr: str) -> set[str]:
         """`attr` members of `class_name` and, transitively, its bases."""
@@ -539,8 +504,6 @@ def index_file(src: SourceFile, index: SymbolIndex) -> None:
     for m in TYPEDEF_RE.finditer(code):
         if UNORDERED_TYPE_RE.search(m.group(1)):
             index.unordered_aliases.add(m.group(2))
-    for m in DOMAIN_MESSAGE_RE.finditer(code):
-        index.message_types.add(m.group(1).split("::")[-1])
 
     # Class bodies with brace tracking; members are classified at relative
     # brace depth 1 (method bodies sit deeper and are skipped).
@@ -604,9 +567,6 @@ def index_file(src: SourceFile, index: SymbolIndex) -> None:
                     info.unordered_members.add(dm.group(1))
         for fm in FLOAT_DECL_RE.finditer(joined):
             info.float_members.add(fm.group(1))
-        pm = PTR_REF_MEMBER_RE.match(line)
-        if pm and "operator" not in line:
-            info.ptr_ref_members.append((i + 1, pm.group(1)))
 
 
 @functools.cache
@@ -817,35 +777,6 @@ def check_unordered_iter(findings: list[Finding]) -> None:
                     "if provably order-invariant"))
 
 
-CHANNEL_PTR_RE = re.compile(r"\bEpochChannel\s*<\s*[^;>]*[*&][^;>]*>")
-
-
-def check_cross_domain(findings: list[Finding]) -> None:
-    """Channel payloads must be owned values. A raw pointer or reference
-    member in a CEIO_DOMAIN_MESSAGE type, or a pointer/reference
-    EpochChannel payload type, aliases the producing domain's mutable state
-    from the consuming domain — a race the epoch barriers cannot see."""
-    rule = "cross-domain"
-    for src in sources(TREE_DIRS):
-        for lineno, line in enumerate(src.code_lines, 1):
-            if CHANNEL_PTR_RE.search(line) and not src.suppressed(rule, lineno):
-                findings.append(Finding(
-                    rule, src.path, lineno,
-                    "EpochChannel payload carries a pointer/reference; it "
-                    "aliases the producing domain's state from the consuming "
-                    "domain — ship an owned value"))
-    index = symbol_index()
-    for name in sorted(index.message_types & index.classes.keys()):
-        info = index.classes[name]
-        for lineno, member in info.ptr_ref_members:
-            if not info.src.suppressed(rule, lineno):
-                findings.append(Finding(
-                    rule, info.src.path, lineno,
-                    f"'{member}' is a raw pointer/reference member of domain "
-                    f"message '{name}'; the consuming domain would alias "
-                    "producer state — ship an owned value"))
-
-
 ACCUM_RE = re.compile(r"\b(\w+)\s*(?:\+=|-=|\*=)")
 PLAIN_ACCUM_RE = re.compile(r"\b(\w+)\s*=\s*\1\s*[+*]")
 
@@ -881,8 +812,6 @@ def check_float_accum(findings: list[Finding]) -> None:
 
 
 RULES = {
-    "cross-domain": check_cross_domain,
-    "cross-shard": check_cross_shard,
     "float-accum": check_float_accum,
     "nondet-source": check_nondet_source,
     "packet-copy": check_packet_copy,
