@@ -62,7 +62,7 @@ struct SetVisitor {
       failed = true;
       return;
     }
-    if (parsed < lo || parsed > hi) {
+    if (!(lo <= parsed && parsed <= hi)) {  // written so NaN is out of range
       error = "value " + encode_value(parsed) + " out of range [" + encode_value(lo) + ", " +
               encode_value(hi) + "]";
       failed = true;
@@ -152,7 +152,7 @@ struct ValidateVisitor {
 
   template <class T>
   void field(const char* name, T& ref, T lo, T hi) {
-    if (ref < lo || ref > hi) {
+    if (!(lo <= ref && ref <= hi)) {  // written so NaN is out of range
       errors->push_back(join_path(prefix, name) + " = " + encode_value(ref) +
                         " out of range [" + encode_value(lo) + ", " + encode_value(hi) + "]");
     }

@@ -117,6 +117,12 @@ struct EnumNames<policy::GovernorMode> {
 
 namespace ceio {
 
+/// Range of every rate that paces a traffic source or bounds its DCTCP rate.
+/// At zero or below, transmit_time() is 0 ns: a paced source would emit at
+/// `now` forever and a Poisson one every nanosecond.
+inline constexpr BitsPerSec kMinSourceRate{1.0};
+inline constexpr BitsPerSec kMaxSourceRate = gbps(1e6);
+
 // -- host/ -------------------------------------------------------------------
 
 template <class V>
@@ -213,8 +219,8 @@ template <class V>
 void visit_fields(DctcpConfig& c, V&& v) {
   v.field("g", c.g, 0.0, 1.0);
   v.field("window", c.window, Nanos{1}, seconds(1));
-  v.field("min_rate", c.min_rate);
-  v.field("max_rate", c.max_rate);
+  v.field("min_rate", c.min_rate, kMinSourceRate, kMaxSourceRate);
+  v.field("max_rate", c.max_rate, kMinSourceRate, kMaxSourceRate);
   v.field("additive_increase", c.additive_increase);
   v.field("loss_backoff", c.loss_backoff, 0.0, 1.0);
 }
@@ -225,7 +231,7 @@ void visit_fields(FlowConfig& c, V&& v) {
   v.field("kind", c.kind);
   v.field("packet_size", c.packet_size, Bytes{1}, Bytes{64 * kKiB});
   v.field("message_pkts", c.message_pkts, std::uint32_t{1}, std::uint32_t{1} << 24);
-  v.field("offered_rate", c.offered_rate);
+  v.field("offered_rate", c.offered_rate, kMinSourceRate, kMaxSourceRate);
   v.field("closed_loop_outstanding", c.closed_loop_outstanding, 0, 1 << 20);
   v.field("poisson", c.poisson);
   v.field("burst_on", c.burst_on, Nanos{0}, Nanos::max());
@@ -344,7 +350,7 @@ void visit_fields(TenantConfig& c, V&& v) {
   v.field("enabled", c.enabled);
   v.field("app", c.app);
   v.field("flows", c.flows, 1, 1 << 16);
-  v.field("offered_rate", c.offered_rate);
+  v.field("offered_rate", c.offered_rate, kMinSourceRate, kMaxSourceRate);
   v.field("packet_size", c.packet_size, Bytes{1}, Bytes{64 * kKiB});
   v.field("chunk_kb", c.chunk_kb, std::int64_t{1}, std::int64_t{1} << 30);
   v.field("poisson", c.poisson);

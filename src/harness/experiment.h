@@ -162,7 +162,7 @@ template <class V>
 void visit_fields(WorkloadSpec& c, V&& v) {
   v.field("app", c.app);
   v.field("flows", c.flows, 1, 1 << 20);
-  v.field("offered_rate", c.offered_rate);
+  v.field("offered_rate", c.offered_rate, kMinSourceRate, kMaxSourceRate);
   v.field("packet_size", c.packet_size, Bytes{1}, Bytes{64 * kKiB});
   v.field("chunk_kb", c.chunk_kb, std::int64_t{1}, std::int64_t{1} << 30);
   v.field("message_pkts", c.message_pkts);

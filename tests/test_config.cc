@@ -11,6 +11,7 @@
 
 #include "config/config_ops.h"
 #include "config/schema.h"
+#include "harness/experiment.h"
 
 namespace ceio {
 namespace {
@@ -187,6 +188,44 @@ TEST(ConfigOps, ValidateCatchesDirectMutation) {
   EXPECT_FALSE(config::validate(tc, &errors));
   ASSERT_FALSE(errors.empty());
   EXPECT_NE(errors.front().find("llc.ways"), std::string::npos) << errors.front();
+}
+
+// A source paced at a rate of zero or below gets transmit_time() = 0 ns and
+// would emit at `now` forever, so every rate that paces a source is ranged
+// (and a range refuses NaN).
+TEST(ConfigValidate, SourceRatesMustBePositive) {
+  TestbedConfig tc;
+  std::string err;
+  for (const char* key : {"dctcp.min_rate", "dctcp.max_rate"}) {
+    for (const char* value : {"0Gbps", "-1Gbps"}) {
+      EXPECT_FALSE(config::set(tc, key, value, &err)) << key << " = " << value;
+      EXPECT_NE(err.find("out of range"), std::string::npos) << err;
+    }
+  }
+  EXPECT_TRUE(config::set(tc, "dctcp.max_rate", "1Mbps", &err)) << err;
+  EXPECT_FALSE(config::set(tc, "dctcp.g", "nan", &err));
+
+  std::vector<std::string> errors;
+  FlowConfig flow;
+  flow.offered_rate = BitsPerSec{0.0};
+  EXPECT_FALSE(config::validate(flow, &errors));
+
+  tenant::TenantSetConfig tenants;
+  tenants.lc.offered_rate = BitsPerSec{0.0};
+  tenants.bw.offered_rate = gbps(-1.0);
+  tenants.ant.offered_rate = BitsPerSec{std::numeric_limits<double>::quiet_NaN()};
+  errors.clear();
+  EXPECT_FALSE(config::validate(tenants, &errors));
+  EXPECT_EQ(errors.size(), 3u);
+
+  harness::WorkloadSpec workload;
+  workload.offered_rate = gbps(0.0);
+  errors.clear();
+  EXPECT_FALSE(config::validate(workload, &errors));
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors.front().rfind("offered_rate = ", 0), 0u) << errors.front();
+  workload.offered_rate = gbps(0.001);
+  EXPECT_TRUE(config::validate(workload, &errors));
 }
 
 TEST(ConfigOps, DiffFromDefaultListsOnlyChangedKeys) {

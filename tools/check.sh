@@ -8,17 +8,15 @@
 #                           golden-file self-test (tools/lint/fixtures/)
 #   2. release build + test cmake Release with CEIO_WERROR=ON (the
 #                           -Wall/-Wextra/-Wshadow net is a gate), ctest
-#   3. migration safety     every bench binary's stdout (perf_core aside: it
-#                           prints host time), registered ceio_sim scenarios
-#                           (single-tenant on CEIO, governed CEIO, HostCC and
-#                           ShRing, multi-tenant and sharded), the
+#   3. migration safety     every bench binary's stdout, registered ceio_sim
+#                           scenarios (single-tenant on CEIO, governed CEIO,
+#                           HostCC and ShRing, multi-tenant and sharded), the
 #                           CEIO poll's reclaim-churn and bounded-scan runs
 #                           and the sparse-poisson run (scheduler overflow
-#                           heap),
-#                           diffed against the goldens in tools/golden/, also
-#                           with the governor off and with `--trace`
-#                           recording on, and the sharded one at --shards 1
-#                           and 4
+#                           heap), diffed against the goldens in
+#                           tools/golden/, also with the governor off and
+#                           with `--trace` recording on, and the sharded one
+#                           at --shards 1 and 4
 #   4. audited build + test CEIO_AUDIT=ON (invariant sweeps active)
 #   5. asan build + test    CEIO_AUDIT=ON + CEIO_SANITIZE=address
 #   6. ubsan build + test   CEIO_AUDIT=ON + CEIO_SANITIZE=undefined
@@ -33,16 +31,9 @@
 #                           worker count must not change a byte, including
 #                           the datapath governor's decisions)
 #   9. clang-tidy           over src/ using the .clang-tidy profile
-#  10. perf gate            bench/perf_core from the release tree vs the
-#                           committed BENCH_perf_core.json baseline; fails on
-#                           a >25% drop in events_per_sec, llc_ops_per_sec,
-#                           the three per-case llc_* keys (hit-heavy /
-#                           miss-heavy / premature-evict — the aggregate can
-#                           hide a one-pattern regression),
-#                           flow_lookup_ops_per_sec, sharded_pkts_per_sec,
-#                           multitenant_pkts_per_sec or
-#                           fig10_governed_pkts_per_sec (one rerun absorbs
-#                           noise)
+#  10. perf gate            tools/perf_ab.py: a perfbench A/B of the parent
+#                           commit against this tree (skipped outside a git
+#                           checkout); its docstring gives the rule
 #
 # The summary ends with a table of tracked line counts per src/ subsystem
 # and for tools/, bench/, tests/ and examples/ (informational only; skipped
@@ -75,9 +66,13 @@ stage_result() {  # stage_result <name> <status>
 # Code size as a reviewed number: tracked lines (`git ls-files`) per src/
 # subsystem and for tools/, bench/, tests/ and examples/. Informational; it
 # never fails the gate.
+in_git_checkout() {
+  [[ "$(git -C "${REPO_ROOT}" rev-parse --show-toplevel 2>/dev/null)" == \
+     "$(cd "${REPO_ROOT}" && pwd -P)" ]]
+}
+
 tracked_lines_table() {
-  if [[ "$(git -C "${REPO_ROOT}" rev-parse --show-toplevel 2>/dev/null)" != \
-        "$(cd "${REPO_ROOT}" && pwd -P)" ]]; then
+  if ! in_git_checkout; then
     echo "not a git checkout; skipping the tracked-lines table"
     return 0
   fi
@@ -333,47 +328,17 @@ else
   fi
 
   # -- 10: perf gate ---------------------------------------------------------
-  # Wall-clock regression guard over the event core. Compares the release
-  # tree's perf_core headline rates against the committed baseline; a >25%
-  # drop on either metric fails. Perf is noisy, so a failing first run gets
-  # exactly one rerun before the verdict. After an intentional perf change,
-  # refresh the baseline:
-  #   build/bench/perf_core perf_core.json BENCH_perf_core.json
-  note "perf gate (perf_core vs BENCH_perf_core.json, >25% regression fails)"
-  if command -v python3 >/dev/null 2>&1; then
-    perf_status=1
-    if cmake --build "${CHECK_ROOT}/release" -j "${JOBS}" --target perf_core >/dev/null; then
-      perf_compare() {  # perf_compare <fresh.json>
-        python3 - "${REPO_ROOT}/BENCH_perf_core.json" "$1" <<'PYEOF'
-import json, sys
-base = json.load(open(sys.argv[1]))
-fresh = json.load(open(sys.argv[2]))
-ok = True
-for key in ("events_per_sec", "llc_ops_per_sec", "llc_hit_heavy_ops_per_sec",
-            "llc_miss_heavy_ops_per_sec", "llc_premature_evict_ops_per_sec",
-            "flow_lookup_ops_per_sec", "sharded_pkts_per_sec",
-            "multitenant_pkts_per_sec", "fig10_governed_pkts_per_sec"):
-    b, f = float(base[key]), float(fresh[key])
-    ratio = f / b if b else 1.0
-    print(f"  {key}: baseline {b:.0f}  fresh {f:.0f}  ({ratio:.2f}x)")
-    if ratio < 0.75:
-        ok = False
-sys.exit(0 if ok else 1)
-PYEOF
-      }
-      perf_json="${CHECK_ROOT}/release/perf_core_gate.json"
-      for attempt in 1 2; do
-        "${CHECK_ROOT}/release/bench/perf_core" "${perf_json}" >/dev/null || break
-        if perf_compare "${perf_json}"; then
-          perf_status=0
-          break
-        fi
-        [[ "${attempt}" -eq 1 ]] && echo "regression on first run; rerunning once to rule out noise"
-      done
-    fi
-    stage_result perf-gate "${perf_status}"
-  else
+  # Host-cost regression guard. Both sides build their own perfbench/ and
+  # run on this host in the same minutes, so the verdict follows the code,
+  # not the host; tools/perf_ab.py says how it pairs and judges the runs.
+  note "perf gate (tools/perf_ab.py: parent/change perfbench A/B)"
+  if ! command -v python3 >/dev/null 2>&1; then
     echo "python3 not found; skipping"
+  elif ! in_git_checkout; then
+    echo "not a git checkout, so no parent commit; skipping"
+  else
+    python3 "${REPO_ROOT}/tools/perf_ab.py"
+    stage_result perf-gate $?
   fi
 fi
 
