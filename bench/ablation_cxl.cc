@@ -12,6 +12,7 @@
 #include "bench/scenarios.h"
 #include "common/stats.h"
 #include "harness/experiment.h"
+#include "harness/scenario_registry.h"
 
 using namespace ceio;
 using namespace ceio::bench;
@@ -22,10 +23,12 @@ TestbedConfig slow_path_config(bool cxl) {
   TestbedConfig tc;
   tc.system = SystemKind::kCeio;
   force_slow_path(tc);
-  // The `mem.cxl_*` reflective axis (src/iopath/testbed.h) carries the
-  // CPU-attached-SRAM parameters; the testbed overrides NicMemoryConfig from
-  // it before the model is built, so any scenario or sweep composes with it.
-  tc.mem.cxl_enabled = cxl;
+  // The `cxl-slowpath` preset carries the CPU-attached-SRAM latencies as
+  // plain `nic_mem.*` values.
+  if (cxl) {
+    tc.nic_mem =
+        harness::ScenarioRegistry::instance().find("cxl-slowpath")->spec.testbed.nic_mem;
+  }
   return tc;
 }
 

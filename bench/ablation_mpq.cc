@@ -34,8 +34,7 @@ Row run(SteerPolicy policy, bool with_bypass) {
   harness::WorkloadSpec rpc;  // kv @ 512 B, 25 G/flow (the WorkloadSpec defaults)
   harness::WorkloadSpec chunks;
   chunks.app = "linefs";
-  chunks.packet_size = 2 * kKiB;
-  chunks.message_pkts = 512;
+  chunks.packet_size = 2 * kKiB;  // 1 MiB chunks (the chunk_kb default)
   const int involved = with_bypass ? 4 : 8;
   for (FlowId id = 1; id <= static_cast<FlowId>(involved); ++id) {
     bed.add_flow(harness::flow_config(id, rpc), kv);

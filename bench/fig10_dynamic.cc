@@ -135,8 +135,7 @@ bool print_timeseries() {
   harness::WorkloadSpec rpc;  // kv @ 512 B, 25 G/flow (the WorkloadSpec defaults)
   harness::WorkloadSpec chunks;
   chunks.app = "linefs";
-  chunks.packet_size = 2 * kKiB;
-  chunks.message_pkts = 512;
+  chunks.packet_size = 2 * kKiB;  // 1 MiB chunks (the chunk_kb default)
   for (FlowId id = 1; id <= 8; ++id) {
     bed.add_flow(harness::flow_config(id, rpc), kv);
   }

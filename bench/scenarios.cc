@@ -21,9 +21,7 @@ WorkloadSpec involved_workload(const ScenarioConfig& cfg) {
 WorkloadSpec bypass_workload(const ScenarioConfig& cfg) {
   WorkloadSpec w;
   w.app = "linefs";
-  w.packet_size = 2 * kKiB;
-  // 1 MiB chunks (LineFS write granularity).
-  w.message_pkts = 512;
+  w.packet_size = 2 * kKiB;  // 1 MiB chunks (LineFS write granularity)
   w.offered_rate = gbps(cfg.offered_gbps_per_flow);
   return w;
 }
@@ -167,8 +165,7 @@ StaticResult run_static(SystemKind system, AppSetup setup, Bytes packet_size,
     // 1 MiB chunks, whose whole point is to flush the cache.)
     spec.workload.app = "linefs";
     spec.workload.packet_size = 2 * kKiB;
-    spec.workload.message_pkts = static_cast<std::uint32_t>(
-        std::max<std::int64_t>(packet_size * 64 / (2 * kKiB), 1));
+    spec.workload.chunk_kb = packet_size * 64 / kKiB;
   }
   spec.warmup = millis(2);
   spec.measure = millis(5);

@@ -27,8 +27,7 @@ double run_mixed(SystemKind system, int involved, int bypass, bool optimizations
   rpc.offered_rate = gbps(200.0 / 8.0);
   harness::WorkloadSpec chunks;
   chunks.app = "linefs";
-  chunks.packet_size = 2 * kKiB;
-  chunks.message_pkts = 512;
+  chunks.packet_size = 2 * kKiB;  // 1 MiB chunks (the chunk_kb default)
   chunks.offered_rate = gbps(200.0 / 8.0);
   FlowId next = 1;
   for (int i = 0; i < involved; ++i) bed.add_flow(harness::flow_config(next++, rpc), kv);

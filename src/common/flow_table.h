@@ -20,9 +20,6 @@
 // id order, never in slot or insertion order, so it is a pure function of
 // the *key set* — exactly the det::OrderedMap contract the report and
 // credit paths were written against (DESIGN.md "Determinism rules").
-// An insertion-order index is kept alongside (insertion_order()) for
-// harness-style "replay construction order" consumers and for tests that
-// pin the slab layout itself.
 //
 // Mutation during iteration: the callback may erase entries (including its
 // own — the walk has already moved past it) but must not insert; an insert
@@ -35,7 +32,6 @@
 #include <cstdint>
 #include <memory>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 namespace ceio {
@@ -64,8 +60,8 @@ class FlowTable {
   bool contains(FlowId id) const { return dir_lookup(id) != 0; }
 
   /// O(1) lookup; inserts a default-constructed T when absent (allocating
-  /// only when the directory page, slab chunk or order index must grow —
-  /// never when a freed slot can be recycled).
+  /// only when the directory page or slab chunk must grow — never when a
+  /// freed slot can be recycled).
   T& operator[](FlowId id) {
     assert(id < kMaxFlowId && "flow id out of FlowTable range");
     const std::size_t page = id >> kPageShift;
@@ -76,11 +72,6 @@ class FlowTable {
       ref = acquire_slot() + 1;
       ++pages_[page]->live;
       ++size_;
-      order_.push_back(id);
-      if (!order_dirty_ && order_.size() > 1 &&
-          order_[order_.size() - 2] >= id) {
-        order_dirty_ = true;  // out-of-order insert: order_ is no longer sorted
-      }
     }
     return slot(ref - 1);
   }
@@ -98,21 +89,11 @@ class FlowTable {
     ref = 0;
     --pages_[page]->live;
     --size_;
-    order_dirty_ = true;  // order_ now holds a stale id
     return true;
   }
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-
-  void clear() {
-    pages_.clear();
-    chunks_.clear();
-    free_.clear();
-    order_.clear();
-    order_dirty_ = false;
-    size_ = 0;
-  }
 
   /// Ascending-id iteration: fn(FlowId, T&). Deterministic by construction
   /// (directory walk). fn may erase entries but must not insert.
@@ -151,37 +132,6 @@ class FlowTable {
         if (!invoke(fn, (p << kPageShift) | off, slot(ref - 1))) return;
       }
     }
-  }
-
-  /// Live ids in insertion order. Erase (or an out-of-order insert after
-  /// one) marks the index dirty; it is lazily compacted here — stale ids
-  /// dropped, duplicates collapsed to their latest insertion — so the
-  /// returned sequence always matches the current key set.
-  const std::vector<FlowId>& insertion_order() const {
-    if (order_dirty_) {
-      std::vector<FlowId> compact;
-      compact.reserve(size_);
-      for (const FlowId id : order_) {
-        if (contains(id)) compact.push_back(id);
-      }
-      // A re-inserted id appears twice; keep the first occurrence (its slot
-      // identity is the same either way).
-      std::vector<FlowId> dedup;
-      dedup.reserve(compact.size());
-      for (const FlowId id : compact) {
-        bool seen = false;
-        for (const FlowId d : dedup) {
-          if (d == id) {
-            seen = true;
-            break;
-          }
-        }
-        if (!seen) dedup.push_back(id);
-      }
-      order_ = std::move(dedup);
-      order_dirty_ = false;
-    }
-    return order_;
   }
 
  private:
@@ -239,8 +189,6 @@ class FlowTable {
   std::vector<std::unique_ptr<Page>> pages_;
   std::vector<std::unique_ptr<T[]>> chunks_;  // slab: slot addresses never move
   std::vector<std::uint32_t> free_;           // LIFO: reuse stays cache-warm
-  mutable std::vector<FlowId> order_;         // insertion-order index
-  mutable bool order_dirty_ = false;
   std::uint32_t next_slot_ = 0;
   std::size_t size_ = 0;
 };

@@ -93,8 +93,6 @@ struct EnumNames<tenant::PartitionPolicy> {
       {tenant::PartitionPolicy::kStatic, "static"},
       {tenant::PartitionPolicy::kReactive, "reactive"},
       {tenant::PartitionPolicy::kReactive, "ioca"},
-      {tenant::PartitionPolicy::kBudget, "budget"},
-      {tenant::PartitionPolicy::kBudget, "a4"},
   };
 };
 
@@ -106,7 +104,6 @@ struct EnumNames<policy::GovernorMode> {
       {policy::GovernorMode::kStatic, "static"},
       {policy::GovernorMode::kReactive, "reactive"},
       {policy::GovernorMode::kReactive, "adaptive"},
-      {policy::GovernorMode::kBudget, "budget"},
   };
 };
 
@@ -117,11 +114,12 @@ struct EnumNames<policy::GovernorMode> {
 
 namespace ceio {
 
-/// Range of every rate that paces a traffic source or bounds its DCTCP rate.
-/// At zero or below, transmit_time() is 0 ns: a paced source would emit at
-/// `now` forever and a Poisson one every nanosecond.
-inline constexpr BitsPerSec kMinSourceRate{1.0};
-inline constexpr BitsPerSec kMaxSourceRate = gbps(1e6);
+/// Range of every rate: a traffic source's pace and DCTCP bounds, and each
+/// link's or memory's bandwidth. At zero or below, transmit_time() is 0 ns:
+/// a paced source would emit at `now` forever, a Poisson one every
+/// nanosecond, and a zero bandwidth would move any load in no time.
+inline constexpr BitsPerSec kMinRate{1.0};
+inline constexpr BitsPerSec kMaxRate = gbps(1e6);
 
 // -- host/ -------------------------------------------------------------------
 
@@ -136,7 +134,7 @@ void visit_fields(LlcConfig& c, V&& v) {
 template <class V>
 void visit_fields(DramConfig& c, V&& v) {
   v.field("access_latency", c.access_latency, Nanos{0}, seconds(1));
-  v.field("bandwidth", c.bandwidth);
+  v.field("bandwidth", c.bandwidth, kMinRate, kMaxRate);
 }
 
 template <class V>
@@ -171,7 +169,7 @@ void visit_fields(TlpConfig& c, V&& v) {
 
 template <class V>
 void visit_fields(PcieLinkConfig& c, V&& v) {
-  v.field("bandwidth", c.bandwidth);
+  v.field("bandwidth", c.bandwidth, kMinRate, kMaxRate);
   v.field("propagation", c.propagation, Nanos{0}, seconds(1));
   v.nested("tlp", c.tlp);
 }
@@ -192,7 +190,7 @@ void visit_fields(NicConfig& c, V&& v) {
 template <class V>
 void visit_fields(NicMemoryConfig& c, V&& v) {
   v.field("capacity", c.capacity, Bytes{0}, Bytes{1024 * kGiB});
-  v.field("bandwidth", c.bandwidth);
+  v.field("bandwidth", c.bandwidth, kMinRate, kMaxRate);
   v.field("access_latency", c.access_latency, Nanos{0}, seconds(1));
   v.field("switch_latency", c.switch_latency, Nanos{0}, seconds(1));
   v.field("per_request_overhead", c.per_request_overhead, Nanos{0}, seconds(1));
@@ -209,7 +207,7 @@ void visit_fields(RmtConfig& c, V&& v) {
 
 template <class V>
 void visit_fields(NetworkLinkConfig& c, V&& v) {
-  v.field("rate", c.rate);
+  v.field("rate", c.rate, kMinRate, kMaxRate);
   v.field("queue_capacity", c.queue_capacity, Bytes{0}, Bytes{kGiB});
   v.field("ecn_threshold", c.ecn_threshold, Bytes{0}, Bytes{kGiB});
   v.field("propagation", c.propagation, Nanos{0}, seconds(1));
@@ -219,9 +217,9 @@ template <class V>
 void visit_fields(DctcpConfig& c, V&& v) {
   v.field("g", c.g, 0.0, 1.0);
   v.field("window", c.window, Nanos{1}, seconds(1));
-  v.field("min_rate", c.min_rate, kMinSourceRate, kMaxSourceRate);
-  v.field("max_rate", c.max_rate, kMinSourceRate, kMaxSourceRate);
-  v.field("additive_increase", c.additive_increase);
+  v.field("min_rate", c.min_rate, kMinRate, kMaxRate);
+  v.field("max_rate", c.max_rate, kMinRate, kMaxRate);
+  v.field("additive_increase", c.additive_increase, BitsPerSec{0}, kMaxRate);
   v.field("loss_backoff", c.loss_backoff, 0.0, 1.0);
 }
 
@@ -231,7 +229,7 @@ void visit_fields(FlowConfig& c, V&& v) {
   v.field("kind", c.kind);
   v.field("packet_size", c.packet_size, Bytes{1}, Bytes{64 * kKiB});
   v.field("message_pkts", c.message_pkts, std::uint32_t{1}, std::uint32_t{1} << 24);
-  v.field("offered_rate", c.offered_rate, kMinSourceRate, kMaxSourceRate);
+  v.field("offered_rate", c.offered_rate, kMinRate, kMaxRate);
   v.field("closed_loop_outstanding", c.closed_loop_outstanding, 0, 1 << 20);
   v.field("poisson", c.poisson);
   v.field("burst_on", c.burst_on, Nanos{0}, Nanos::max());
@@ -350,13 +348,12 @@ void visit_fields(TenantConfig& c, V&& v) {
   v.field("enabled", c.enabled);
   v.field("app", c.app);
   v.field("flows", c.flows, 1, 1 << 16);
-  v.field("offered_rate", c.offered_rate, kMinSourceRate, kMaxSourceRate);
+  v.field("offered_rate", c.offered_rate, kMinRate, kMaxRate);
   v.field("packet_size", c.packet_size, Bytes{1}, Bytes{64 * kKiB});
   v.field("chunk_kb", c.chunk_kb, std::int64_t{1}, std::int64_t{1} << 30);
   v.field("poisson", c.poisson);
   v.field("ddio_ways", c.ddio_ways, 0, 256);
   v.field("priority", c.priority, 0.0, 1e6);
-  v.field("ddio_budget", c.ddio_budget, std::int64_t{0}, std::int64_t{1} << 32);
 }
 
 template <class V>
@@ -369,7 +366,6 @@ void visit_fields(TenantSetConfig& c, V&& v) {
 
 template <class V>
 void visit_fields(WayControllerConfig& c, V&& v) {
-  v.field("enabled", c.enabled);
   v.field("policy", c.policy);
   v.field("interval", c.interval, Nanos{1}, seconds(1));
   v.field("min_ways", c.min_ways, 0, 256);
@@ -377,7 +373,6 @@ void visit_fields(WayControllerConfig& c, V&& v) {
   v.field("donor_max_pressure", c.donor_max_pressure, 0.0, 1e12);
   v.field("grant_hold_ticks", c.grant_hold_ticks, 0, 1 << 24);
   v.field("backlog_weight", c.backlog_weight, 0.0, 1e6);
-  v.field("budget_fraction", c.budget_fraction, 0.0, 1.0);
 }
 
 }  // namespace ceio::tenant
@@ -393,7 +388,6 @@ void visit_fields(PolicyConfig& c, V&& v) {
   v.field("evict_threshold", c.evict_threshold, 0.0, 1e12);
   v.field("backlog_threshold", c.backlog_threshold, 0.0, 1e12);
   v.field("starvation_threshold", c.starvation_threshold, 0.0, 1e12);
-  v.field("occupancy_target", c.occupancy_target, 0.0, 1.0);
   v.field("escalate_ticks", c.escalate_ticks, 1, 1 << 24);
   v.field("relax_ticks", c.relax_ticks, 1, 1 << 24);
   v.field("grant_hold_ticks", c.grant_hold_ticks, std::int64_t{0},
@@ -431,14 +425,6 @@ void visit_fields(SimConfig& c, V&& v) {
 // -- iopath/ -----------------------------------------------------------------
 
 template <class V>
-void visit_fields(CxlMemConfig& c, V&& v) {
-  v.field("cxl_enabled", c.cxl_enabled);
-  v.field("cxl_access_latency", c.cxl_access_latency, Nanos{0}, millis(1));
-  v.field("cxl_switch_latency", c.cxl_switch_latency, Nanos{0}, millis(1));
-  v.field("cxl_request_overhead", c.cxl_request_overhead, Nanos{0}, millis(1));
-}
-
-template <class V>
 void visit_fields(TestbedConfig& c, V&& v) {
   v.field("system", c.system);
   v.nested("llc", c.llc);
@@ -460,7 +446,6 @@ void visit_fields(TestbedConfig& c, V&& v) {
   v.field("legacy_pool_buffers", c.legacy_pool_buffers, std::size_t{1}, std::size_t{1} << 28);
   v.field("shring_pool_entries", c.shring_pool_entries, std::size_t{1}, std::size_t{1} << 28);
   v.field("ceio_auto_credits", c.ceio_auto_credits);
-  v.nested("mem", c.mem);
   v.nested("policy", c.policy);
   v.nested("telemetry", c.telemetry);
   v.nested("sim", c.sim);
@@ -505,7 +490,6 @@ void for_each_registered_config(F&& f) {
   f("TenantSetConfig", tenant::TenantSetConfig{});
   f("WayControllerConfig", tenant::WayControllerConfig{});
   f("PolicyConfig", policy::PolicyConfig{});
-  f("CxlMemConfig", CxlMemConfig{});
   f("TestbedConfig", TestbedConfig{});
 }
 

@@ -15,13 +15,9 @@ FlowConfig flow_config(FlowId id, const WorkloadSpec& w) {
   fc.id = id;
   fc.kind = bypass ? FlowKind::kCpuBypass : FlowKind::kCpuInvolved;
   fc.packet_size = bypass ? std::max<Bytes>(w.packet_size, 2 * kKiB) : w.packet_size;
-  if (w.message_pkts > 0) {
-    fc.message_pkts = w.message_pkts;
-  } else if (bypass) {
+  if (bypass) {
     fc.message_pkts = static_cast<std::uint32_t>(
         std::max<std::int64_t>(kKiB * w.chunk_kb / fc.packet_size, 1));
-  } else {
-    fc.message_pkts = 1;
   }
   fc.offered_rate = w.offered_rate;
   fc.poisson = w.poisson;

@@ -35,11 +35,10 @@ struct WorkloadSpec {
   int flows = 8;
   BitsPerSec offered_rate = gbps(25.0);
   Bytes packet_size{512};
-  /// Bypass message size in KiB (linefs/rdma); ignored for involved apps.
+  /// Bypass message size in KiB (linefs/rdma): each message is chunk_kb
+  /// over the effective packet size, at least one packet. Involved apps
+  /// send one-packet messages.
   std::int64_t chunk_kb = 1024;
-  /// Explicit packets per message; 0 derives it (bypass: chunk_kb over the
-  /// effective packet size; involved: 1).
-  std::uint32_t message_pkts = 0;
   bool poisson = false;
   int closed_loop = 0;
   Nanos burst_on{0};
@@ -162,10 +161,9 @@ template <class V>
 void visit_fields(WorkloadSpec& c, V&& v) {
   v.field("app", c.app);
   v.field("flows", c.flows, 1, 1 << 20);
-  v.field("offered_rate", c.offered_rate, kMinSourceRate, kMaxSourceRate);
+  v.field("offered_rate", c.offered_rate, kMinRate, kMaxRate);
   v.field("packet_size", c.packet_size, Bytes{1}, Bytes{64 * kKiB});
   v.field("chunk_kb", c.chunk_kb, std::int64_t{1}, std::int64_t{1} << 30);
-  v.field("message_pkts", c.message_pkts);
   v.field("poisson", c.poisson);
   v.field("closed_loop", c.closed_loop, 0, 1 << 20);
   v.field("burst_on", c.burst_on, Nanos{0}, Nanos::max());

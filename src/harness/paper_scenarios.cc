@@ -93,7 +93,6 @@ void register_paper_scenarios(ScenarioRegistry& registry) {
   }
   {
     ExperimentSpec s = multitenant_spec();
-    s.controller.enabled = true;
     s.controller.policy = tenant::PartitionPolicy::kReactive;
     registry.add({"multitenant-reactive",
                   "lc/bw/ant tenants on CEIO, reactive way-partition controller", s});
@@ -102,19 +101,21 @@ void register_paper_scenarios(ScenarioRegistry& registry) {
   // multitenant-reactive with a 2 ms measure window.
   {
     ExperimentSpec s = multitenant_spec();
-    s.controller.enabled = true;
     s.controller.policy = tenant::PartitionPolicy::kReactive;
     s.measure = millis(2);
     registry.add({"multitenant-short",
                   "multi-tenant smoke scenario (check.sh golden stage)", s});
   }
-  // §6.4 future-work ablation: CEIO's slow path on CXL-attached SRAM (no
-  // internal PCIe switch, SRAM-class access). The `mem.cxl_*` axis composes
-  // with any scenario; this preset is the bench/ablation_cxl shape as a
-  // named starting point for sweeps.
+  // §6.4 future-work ablation: CEIO's slow path on CXL-attached SRAM. The
+  // elastic buffer's `nic_mem.*` latencies become CPU-attached SRAM access,
+  // a CXL fabric hop in place of the internal PCIe switch traversal, and
+  // hardware-pipeline descriptor handling in place of the wimpy NIC cores.
+  // bench/ablation_cxl takes its `nic_mem` from this preset.
   {
     ExperimentSpec s = base_spec(SystemKind::kCeio);
-    s.testbed.mem.cxl_enabled = true;
+    s.testbed.nic_mem.access_latency = Nanos{40};
+    s.testbed.nic_mem.switch_latency = Nanos{0};
+    s.testbed.nic_mem.per_request_overhead = Nanos{5};
     s.measure = millis(2);
     registry.add({"cxl-slowpath",
                   "CEIO with CXL-attached SRAM slow-path memory (paper 6.4)", s});

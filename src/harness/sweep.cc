@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 
@@ -114,21 +116,38 @@ std::vector<SweepRow> run_sweep(const ExperimentSpec& base, const std::vector<Sw
   }
 
   // Work-stealing by atomic counter: each worker claims the next unclaimed
-  // index and writes only rows[i] — no locks, no shared mutable simulator
-  // state (each run_experiment builds its own Testbed).
+  // index and writes only rows[i] — no shared mutable simulator state (each
+  // run_experiment builds its own Testbed). A run that throws stops further
+  // claims; after the join the lowest failed index's exception is rethrown.
+  // Every lower index was claimed before it and so ran, which makes that
+  // the exception the serial loop above throws.
   std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  std::mutex failure_mu;
+  std::size_t failed_index = specs.size();
+  std::exception_ptr failure;
   std::vector<std::thread> pool;
   pool.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
     pool.emplace_back([&]() {
-      while (true) {
+      while (!failed.load(std::memory_order_relaxed)) {
         const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
         if (i >= specs.size()) return;
-        rows[i].result = run_experiment(specs[i]);
+        try {
+          rows[i].result = run_experiment(specs[i]);
+        } catch (...) {
+          const std::lock_guard<std::mutex> lock(failure_mu);
+          if (i < failed_index) {
+            failed_index = i;
+            failure = std::current_exception();
+          }
+          failed.store(true, std::memory_order_relaxed);
+        }
       }
     });
   }
   for (auto& t : pool) t.join();
+  if (failure) std::rethrow_exception(failure);
   return rows;
 }
 

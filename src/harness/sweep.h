@@ -50,7 +50,9 @@ bool expand_sweep(const ExperimentSpec& base, const std::vector<SweepAxis>& axes
 
 /// Runs the expanded sweep on `jobs` worker threads (jobs < 1 uses
 /// std::thread::hardware_concurrency). Rows come back ordered by expansion
-/// index regardless of completion order.
+/// index regardless of completion order. Throws std::invalid_argument when
+/// the axes do not expand; when a run throws, every worker stops and the
+/// lowest failed index's exception is rethrown, at any `jobs`.
 std::vector<SweepRow> run_sweep(const ExperimentSpec& base, const std::vector<SweepAxis>& axes,
                                 int jobs);
 

@@ -54,7 +54,7 @@ struct TenantLlcStats {
   std::int64_t evictions = 0;            // capacity evictions out of them
   std::int64_t premature_evictions = 0;  // evicted before first CPU read
   std::int64_t writebacks = 0;           // dirty victims pushed to DRAM
-  std::int64_t budget_bypasses = 0;      // DDIO writes sent uncached (A4 budget)
+  std::int64_t budget_bypasses = 0;      // DDIO writes sent uncached (no way reachable)
 };
 
 class LlcModel {
@@ -115,11 +115,6 @@ class LlcModel {
   /// DDIO slice on ddio_write). Unmapped ids belong to tenant 0.
   void add_tenant_range(BufferId lo, BufferId hi, std::size_t tenant);
 
-  /// A4-style occupancy budget: once the tenant holds `budget` DDIO-resident
-  /// buffers, further DDIO writes bypass the cache (go straight to DRAM).
-  /// 0 disables the budget.
-  void set_tenant_budget(std::size_t tenant, std::size_t budget);
-
   std::size_t tenant_count() const { return tenant_ways_.size(); }
   int tenant_ways(std::size_t tenant) const { return tenant_ways_[tenant]; }
   /// Ways in the shared pool (DDIO ways not claimed by any exclusive slice).
@@ -134,7 +129,6 @@ class LlcModel {
   std::size_t tenant_ddio_occupancy(std::size_t tenant) const {
     return tenant_resident_[tenant];
   }
-  std::size_t tenant_budget(std::size_t tenant) const { return tenant_budget_[tenant]; }
   const TenantLlcStats& tenant_stats(std::size_t tenant) const {
     return tenant_stats_[tenant];
   }
@@ -215,7 +209,6 @@ class LlcModel {
   std::size_t tenant_slice_end_ = 0;   // first shared way (sum of slice widths)
   std::size_t shared_io_ways_ = 0;     // ways in the shared pool per set
   std::vector<std::size_t> tenant_resident_;
-  std::vector<std::size_t> tenant_budget_;
   std::vector<TenantLlcStats> tenant_stats_;
   struct TenantRange {
     BufferId lo = 0;

@@ -51,14 +51,6 @@ Testbed::Testbed(TestbedConfig config)
   mc_ = std::make_unique<MemoryController>(sched_, *llc_, *dram_, *iio_, config_.mc);
   pcie_ = std::make_unique<PcieLink>(config_.pcie);
   dma_ = std::make_unique<DmaEngine>(sched_, *pcie_, *mc_, config_.dma);
-  if (config_.mem.cxl_enabled) {
-    // CXL-attached slow-path memory (paper §6.4): no internal PCIe switch,
-    // SRAM-class access, hardware-pipeline request handling. Applied to the
-    // config before the model is built so every consumer sees one truth.
-    config_.nic_mem.access_latency = config_.mem.cxl_access_latency;
-    config_.nic_mem.switch_latency = config_.mem.cxl_switch_latency;
-    config_.nic_mem.per_request_overhead = config_.mem.cxl_request_overhead;
-  }
   nic_mem_ = std::make_unique<NicMemory>(config_.nic_mem);
   rmt_ = std::make_unique<RmtEngine>(sched_, config_.rmt);
   nic_ = std::make_unique<Nic>(sched_, config_.nic);
@@ -137,8 +129,6 @@ Testbed::~Testbed() {
 policy::GovernorSample Testbed::sample_governor_gauges() const {
   policy::GovernorSample s;
   s.premature_evictions = llc_->stats().premature_evictions;
-  s.ddio_occupancy = static_cast<std::int64_t>(llc_->ddio_occupancy());
-  s.ddio_capacity = static_cast<std::int64_t>(llc_->ddio_capacity());
   std::int64_t ring = 0;
   host_.datapath->for_each_ring(
       [&ring](const RxRing& r) { ring += static_cast<std::int64_t>(r.size()); });

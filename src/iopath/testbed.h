@@ -37,22 +37,6 @@ enum class SystemKind { kLegacy, kHostcc, kShring, kCeio };
 
 const char* to_string(SystemKind kind);
 
-/// Memory-technology ablation axis (`mem.*` keys): model the on-NIC elastic
-/// memory as CPU-attached CXL SRAM instead of BlueField-class onboard DRAM
-/// (paper §6.4 future work). When enabled, the testbed overrides the
-/// NicMemoryConfig latencies before constructing the model — no internal
-/// PCIe switch traversal, SRAM-class access, hardware-pipeline request
-/// handling — so it composes with every scenario and sweep.
-struct CxlMemConfig {
-  bool cxl_enabled = false;
-  /// CPU-attached SRAM access (replaces the onboard-DRAM access latency).
-  Nanos cxl_access_latency{40};
-  /// CXL fabric hop (replaces the internal PCIe switch traversal).
-  Nanos cxl_switch_latency{0};
-  /// Hardware-pipeline descriptor handling (replaces wimpy-core overhead).
-  Nanos cxl_request_overhead{5};
-};
-
 struct TestbedConfig {
   SystemKind system = SystemKind::kCeio;
 
@@ -83,9 +67,6 @@ struct TestbedConfig {
   /// Derive CEIO C_total from the LLC config (Eq. 1) minus a poll-lag
   /// margin; when false, ceio.total_credits is used as given.
   bool ceio_auto_credits = true;
-
-  /// Memory-technology ablation (CXL-attached slow-path memory).
-  CxlMemConfig mem;
 
   /// Online datapath governor (`policy.*` keys). With the default kOff the
   /// testbed schedules zero governor events — bit-identical to a build that

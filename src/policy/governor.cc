@@ -13,8 +13,6 @@ const char* to_string(GovernorMode mode) {
       return "static";
     case GovernorMode::kReactive:
       return "reactive";
-    case GovernorMode::kBudget:
-      return "budget";
   }
   return "?";
 }
@@ -78,22 +76,9 @@ GovernorDecision DatapathGovernor::decide(const GovernorSample& sample) {
   }
 
   const std::int64_t backlog = sample.ring_backlog + sample.slow_backlog;
-  bool hot = false;
-  if (config_.governor == GovernorMode::kBudget) {
-    // Budget tier: hold DDIO occupancy under a fraction of its capacity;
-    // premature evictions still count — they mean the budget already burst.
-    const double occ_frac =
-        sample.ddio_capacity > 0
-            ? static_cast<double>(sample.ddio_occupancy) /
-                  static_cast<double>(sample.ddio_capacity)
-            : 0.0;
-    hot = occ_frac > config_.occupancy_target ||
-          static_cast<double>(delta_evict) >= config_.evict_threshold;
-  } else {
-    hot = static_cast<double>(delta_evict) >= config_.evict_threshold ||
-          static_cast<double>(backlog) >= config_.backlog_threshold ||
-          static_cast<double>(delta_starve) >= config_.starvation_threshold;
-  }
+  const bool hot = static_cast<double>(delta_evict) >= config_.evict_threshold ||
+                   static_cast<double>(backlog) >= config_.backlog_threshold ||
+                   static_cast<double>(delta_starve) >= config_.starvation_threshold;
 
   if (hot) {
     ++hot_streak_;

@@ -2,15 +2,14 @@
 //
 // The paper's CEIO configuration (credit budget, bypass steering, landing
 // windows) is static, so on dynamic flow schedules any single setting is
-// wrong for part of the run. The governor watches the same telemetry deltas
-// the multi-tenant way arbiter uses — premature-evict rate, IIO/DDIO
-// occupancy, SW-ring depth, credit starvation — and walks a small tier
-// ladder (calm -> watch -> squeeze), mapping each tier to a bundle of
-// PolicyHost actuator values. Stability comes from escalation/relaxation
-// streaks plus a grant hold: a tier changes only after `escalate_ticks`
-// consecutive hot samples (or `relax_ticks` cool ones), and a fresh decision
-// is pinned against de-escalation for `grant_hold_ticks`, so oscillating
-// input cannot flap the actuators.
+// wrong for part of the run. The governor watches telemetry deltas —
+// premature-evict rate, ring and slow-path backlog, credit starvation — and
+// walks a small tier ladder (calm -> watch -> squeeze), mapping each tier to
+// a bundle of PolicyHost actuator values. Stability comes from
+// escalation/relaxation streaks plus a grant hold: a tier changes only after
+// `escalate_ticks` consecutive hot samples (or `relax_ticks` cool ones), and
+// a fresh decision is pinned against de-escalation for `grant_hold_ticks`,
+// so oscillating input cannot flap the actuators.
 //
 // decide() is pure (sample in, decision out; only controller-internal state
 // advances) and every gauge it consumes is domain-local, so per-domain
@@ -30,7 +29,6 @@ enum class GovernorMode {
   kOff,       // governor not constructed; zero scheduled events
   kStatic,    // apply the static_* actuator bundle once, never adapt
   kReactive,  // pressure-driven tier ladder (IOCA-style)
-  kBudget,    // occupancy-target driven (A4-style)
 };
 
 const char* to_string(GovernorMode mode);
@@ -52,8 +50,6 @@ struct PolicyConfig {
   double backlog_threshold = 256.0;
   /// Fresh credit-starvation steering flips per tick regarded as pressure.
   double starvation_threshold = 2.0;
-  /// Budget mode: DDIO occupancy fraction above which the sample is hot.
-  double occupancy_target = 0.90;
 
   // -- stability rules --
   int escalate_ticks = 3;  // consecutive hot samples before escalating
@@ -80,8 +76,6 @@ struct PolicyConfig {
 /// measurement reset between ticks reads as one quiet sample, not garbage).
 struct GovernorSample {
   std::int64_t premature_evictions = 0;  // cumulative
-  std::int64_t ddio_occupancy = 0;       // instantaneous, bytes or buffers
-  std::int64_t ddio_capacity = 0;
   std::int64_t ring_backlog = 0;         // instantaneous, packets
   std::int64_t slow_backlog = 0;         // instantaneous, packets
   std::int64_t credit_starvations = 0;   // cumulative

@@ -53,6 +53,12 @@ TenantAssembly::TenantAssembly(Testbed& bed, const TenantSetConfig& set,
                                const WayControllerConfig& ctl)
     : bed_(bed), ctl_cfg_(ctl) {
   const TestbedConfig& cfg = bed.config();
+  if (cfg.policy.governor != policy::GovernorMode::kOff) {
+    throw std::invalid_argument(std::string("policy.governor=") +
+                                policy::to_string(cfg.policy.governor) +
+                                " cannot drive a run with tenant.enabled=true: tenant runs "
+                                "use the controller.* way partitioner");
+  }
   roster_ = tenant_roster(set, cfg.llc.ddio_ways);
 
   // Per-tenant pools + datapaths behind one demux, each from
@@ -94,7 +100,6 @@ TenantAssembly::TenantAssembly(Testbed& bed, const TenantSetConfig& set,
                          kBypassBufferBase + ((static_cast<BufferId>(e.last_flow) + 1) << 24),
                          t);
   }
-  apply_budgets();
 
   // Applications in roster order (the KV store draws from the testbed Rng
   // at construction — creation order is part of bit-reproducibility).
@@ -106,7 +111,7 @@ TenantAssembly::TenantAssembly(Testbed& bed, const TenantSetConfig& set,
 
   controller_ =
       std::make_unique<WayPartitionController>(ctl_cfg_, ways, cfg.llc.ddio_ways);
-  if (ctl_cfg_.enabled) arm_tick();
+  if (ctl_cfg_.policy == PartitionPolicy::kReactive) arm_tick();
 }
 
 Application& TenantAssembly::app_of_flow(FlowId flow) {
@@ -114,22 +119,6 @@ Application& TenantAssembly::app_of_flow(FlowId flow) {
     if (flow >= roster_[t].first_flow && flow <= roster_[t].last_flow) return *apps_[t];
   }
   throw std::invalid_argument("flow id is outside every tenant's block");
-}
-
-void TenantAssembly::apply_budgets() {
-  // A4-style budgets: explicit per-tenant budget when configured, else the
-  // configured fraction of the tenant's way capacity under kBudget.
-  LlcModel& llc = bed_.llc();
-  for (std::size_t t = 0; t < roster_.size(); ++t) {
-    std::size_t budget = 0;
-    if (roster_[t].cfg.ddio_budget > 0) {
-      budget = static_cast<std::size_t>(roster_[t].cfg.ddio_budget);
-    } else if (ctl_cfg_.enabled && ctl_cfg_.policy == PartitionPolicy::kBudget) {
-      budget = static_cast<std::size_t>(ctl_cfg_.budget_fraction *
-                                        static_cast<double>(llc.tenant_way_capacity(t)));
-    }
-    llc.set_tenant_budget(t, budget);
-  }
 }
 
 std::int64_t TenantAssembly::ring_backlog(std::size_t t) const {
@@ -178,7 +167,6 @@ void TenantAssembly::tick() {
       ceio_[t]->set_total_credits(derived.total_credits);  // lint: allow-raw-actuator
     }
   }
-  apply_budgets();
 }
 
 void TenantAssembly::register_metrics(MetricRegistry& registry) {

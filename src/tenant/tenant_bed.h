@@ -3,10 +3,10 @@
 // Per tenant, the assembly takes a host buffer pool and a datapath of the
 // selected system from Testbed::build_datapath and mounts the datapaths
 // behind a TenantDemux; it carves the shared LLC's DDIO ways into
-// per-tenant slices and (optionally) runs the WayPartitionController on the
-// testbed's event scheduler. Flow-id blocks are contiguous per tenant, so
-// the demux, the harness and the sharded runner all agree on ownership by
-// id alone.
+// per-tenant slices and, under the reactive policy, runs the
+// WayPartitionController on the testbed's event scheduler. Flow-id blocks
+// are contiguous per tenant, so the demux, the harness and the sharded
+// runner all agree on ownership by id alone.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +47,10 @@ class TenantAssembly {
   /// Builds pools/datapaths/demux, installs the demux into `bed` (which must
   /// have no flows yet), partitions the LLC, creates the per-tenant
   /// applications (roster order — part of the bit-reproducibility contract),
-  /// and arms the controller tick when `ctl.enabled`.
+  /// and arms the controller tick under the reactive policy. Throws
+  /// std::invalid_argument when `bed` runs the datapath governor: it drives
+  /// the testbed's datapath, which the demux replaces, so it would tick
+  /// without reaching any tenant's datapath.
   TenantAssembly(Testbed& bed, const TenantSetConfig& set, const WayControllerConfig& ctl);
 
   const std::vector<TenantRosterEntry>& roster() const { return roster_; }
@@ -81,7 +84,6 @@ class TenantAssembly {
   /// Packets tenant `t` has waiting in its rings and CEIO slow backlogs
   /// (the controller's backlog input and the `ring_backlog` gauge).
   std::int64_t ring_backlog(std::size_t t) const;
-  void apply_budgets();
   void arm_tick();
   void tick();
 

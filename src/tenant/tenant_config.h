@@ -17,13 +17,11 @@ namespace ceio::tenant {
 
 /// How the WayPartitionController manages the DDIO ways.
 ///  - kStatic:  the boot-time split is never changed (the paper's default,
-///              and the baseline the isolation figure compares against).
+///              and the baseline the isolation figure compares against); no
+///              controller tick is scheduled.
 ///  - kReactive: IOCA-style contention-reactive — one way migrates per tick
 ///              from the least- to the most-pressured tenant.
-///  - kBudget:  A4-style — the static split stays, but each tenant gets an
-///              occupancy budget (a fraction of its slice); DDIO writes over
-///              budget bypass the cache instead of evicting a neighbor.
-enum class PartitionPolicy { kStatic, kReactive, kBudget };
+enum class PartitionPolicy { kStatic, kReactive };
 
 const char* to_string(PartitionPolicy policy);
 
@@ -48,9 +46,6 @@ struct TenantConfig {
   /// high-priority victim out-bids an antagonist whose (self-inflicted)
   /// eviction count is numerically larger.
   double priority = 1.0;
-  /// A4 occupancy budget in buffers; 0 = derive from budget_fraction when
-  /// the kBudget policy is active, otherwise unlimited.
-  std::int64_t ddio_budget = 0;
 };
 
 /// The fixed three-role roster. DDIO ways no tenant claims exclusively stay
@@ -90,7 +85,6 @@ struct TenantSetConfig {
 
 /// The runtime way-partition controller (rides the EventScheduler).
 struct WayControllerConfig {
-  bool enabled = false;
   PartitionPolicy policy = PartitionPolicy::kStatic;
   /// Telemetry poll + decision period.
   Nanos interval = micros(50);
@@ -115,8 +109,6 @@ struct WayControllerConfig {
   /// Zero by default: bulk tenants hold large *structural* backlogs that say
   /// nothing about cache pressure; the premature-evict rate is the signal.
   double backlog_weight = 0.0;
-  /// kBudget: each tenant's budget = fraction * its way capacity.
-  double budget_fraction = 0.75;
 };
 
 /// Per-tenant slice of a RunResult (harness report extension).
@@ -134,6 +126,7 @@ struct TenantReport {
   std::int64_t ddio_occupancy = 0;
   std::int64_t ddio_capacity = 0;
   std::int64_t premature_evictions = 0;
+  /// DDIO writes sent uncached because the tenant reaches no DDIO way.
   std::int64_t budget_bypasses = 0;
   std::int64_t ceio_total_credits = 0;  // 0 for non-CEIO systems
 };

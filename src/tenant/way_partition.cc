@@ -11,8 +11,6 @@ const char* to_string(PartitionPolicy policy) {
       return "static";
     case PartitionPolicy::kReactive:
       return "reactive";
-    case PartitionPolicy::kBudget:
-      return "budget";
   }
   return "?";
 }
@@ -55,9 +53,8 @@ WayDecision WayPartitionController::decide(const std::vector<TenantGaugeSample>&
         (static_cast<double>(delta) +
          config_.backlog_weight * static_cast<double>(samples[t].ring_backlog));
   }
-  // kStatic and kBudget both leave the boot-time split alone — only
-  // kReactive migrates ways (the budget policy acts at admission time via
-  // per-tenant occupancy budgets, not by repartitioning).
+  // kStatic leaves the boot-time split alone (TenantAssembly never ticks
+  // it; tests drive decide() directly).
   if (config_.policy != PartitionPolicy::kReactive) return out;
 
   // IOCA-style: grow the most-pressured tenant's exclusive slice by one way

@@ -1,14 +1,14 @@
 // WayPartitionController: the runtime DDIO way arbiter.
 //
 // Periodically samples per-tenant pressure gauges (premature-eviction rate
-// and ring backlog — the same observables IOCA's contention detector and
-// A4's occupancy monitor use) and decides whether to grow the most-pressured
-// tenant's exclusive slice by one DDIO way: out of the shared pool while one
-// exists, then from the least-pressured tenant that can spare a way. A
-// priority ladder, a donor guard and a grant hold keep the decisions from
-// flapping. The decision function stays pure (state in, decision out) so
-// tests drive it on synthetic gauge traces without a simulation; the
-// event-scheduler wiring lives in TenantAssembly.
+// and ring backlog — the observables IOCA's contention detector uses) and
+// decides whether to grow the most-pressured tenant's exclusive slice by one
+// DDIO way: out of the shared pool while one exists, then from the
+// least-pressured tenant that can spare a way. A priority ladder, a donor
+// guard and a grant hold keep the decisions from flapping. The decision
+// function stays pure (state in, decision out) so tests drive it on
+// synthetic gauge traces without a simulation; the event-scheduler wiring
+// lives in TenantAssembly.
 #pragma once
 
 #include <cstddef>

@@ -209,14 +209,10 @@ LlcModel::Evicted LlcModel::ddio_write(BufferId id, Bytes size, bool expect_read
   }
   if (!tenant_ways_.empty()) {
     // Tenanted DDIO: allocate within the owning tenant's way mask (exclusive
-    // slice + shared pool), and honor its A4-style occupancy budget (over
-    // budget -> uncached, straight to DRAM, same as the DDIO-disabled path
-    // above).
+    // slice + shared pool). A tenant that reaches no way writes uncached,
+    // straight to DRAM, like the DDIO-disabled path above.
     const std::size_t t = tenant_of(id);
-    const auto ways = static_cast<std::size_t>(tenant_ways_[t]);
-    const bool over_budget =
-        tenant_budget_[t] > 0 && tenant_resident_[t] >= tenant_budget_[t];
-    if ((ways == 0 && shared_io_ways_ == 0) || over_budget) {
+    if (tenant_ways_[t] == 0 && shared_io_ways_ == 0) {
       ++tenant_stats_[t].budget_bypasses;
       Evicted out;
       out.happened = false;
@@ -295,7 +291,6 @@ void LlcModel::set_tenant_ways(const std::vector<int>& ways) {
     tenant_way_off_[t] = tenant_way_off_[t - 1] + static_cast<std::size_t>(ways[t - 1]);
   }
   if (tenant_resident_.size() != ways.size()) tenant_resident_.assign(ways.size(), 0);
-  if (tenant_budget_.size() != ways.size()) tenant_budget_.resize(ways.size(), 0);
   if (tenant_stats_.size() != ways.size()) tenant_stats_.resize(ways.size());
   // Re-masking transfers resident lines with their way (no flush), so rescan
   // to recompute each tenant's occupancy under the new slice boundaries
@@ -313,13 +308,5 @@ void LlcModel::set_tenant_ways(const std::vector<int>& ways) {
 void LlcModel::add_tenant_range(BufferId lo, BufferId hi, std::size_t tenant) {
   tenant_ranges_.push_back({lo, hi, tenant});
 }
-
-void LlcModel::set_tenant_budget(std::size_t tenant, std::size_t budget) {
-  if (tenant >= tenant_budget_.size()) {
-    throw std::logic_error("tenant budget set before set_tenant_ways");
-  }
-  tenant_budget_[tenant] = budget;
-}
-
 
 }  // namespace ceio_aos

@@ -56,7 +56,7 @@ TEST(ConfigValidate, RegisteredDefaultsAreInRange) {
 
 TEST(ConfigSchema, RegistersEveryStruct) {
   const auto names = config::registered_struct_names();
-  EXPECT_EQ(names.size(), 31u);
+  EXPECT_EQ(names.size(), 30u);
   EXPECT_EQ(names.front(), "LlcConfig");
   EXPECT_EQ(names.back(), "TestbedConfig");
 }
@@ -190,13 +190,15 @@ TEST(ConfigOps, ValidateCatchesDirectMutation) {
   EXPECT_NE(errors.front().find("llc.ways"), std::string::npos) << errors.front();
 }
 
-// A source paced at a rate of zero or below gets transmit_time() = 0 ns and
-// would emit at `now` forever, so every rate that paces a source is ranged
-// (and a range refuses NaN).
+// At a rate of zero or below transmit_time() is 0 ns: a source paced at it
+// would emit at `now` forever, and a link or memory of that bandwidth would
+// move any load in no time. So every rate is ranged (and a range refuses
+// NaN); DCTCP's additive increase may be zero but never negative.
 TEST(ConfigValidate, SourceRatesMustBePositive) {
   TestbedConfig tc;
   std::string err;
-  for (const char* key : {"dctcp.min_rate", "dctcp.max_rate"}) {
+  for (const char* key : {"dctcp.min_rate", "dctcp.max_rate", "net.rate", "pcie.bandwidth",
+                          "dram.bandwidth", "nic_mem.bandwidth"}) {
     for (const char* value : {"0Gbps", "-1Gbps"}) {
       EXPECT_FALSE(config::set(tc, key, value, &err)) << key << " = " << value;
       EXPECT_NE(err.find("out of range"), std::string::npos) << err;
@@ -204,6 +206,8 @@ TEST(ConfigValidate, SourceRatesMustBePositive) {
   }
   EXPECT_TRUE(config::set(tc, "dctcp.max_rate", "1Mbps", &err)) << err;
   EXPECT_FALSE(config::set(tc, "dctcp.g", "nan", &err));
+  EXPECT_FALSE(config::set(tc, "dctcp.additive_increase", "-1Gbps", &err));
+  EXPECT_TRUE(config::set(tc, "dctcp.additive_increase", "0Gbps", &err)) << err;
 
   std::vector<std::string> errors;
   FlowConfig flow;

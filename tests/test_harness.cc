@@ -50,14 +50,6 @@ TEST(FlowConfigFromWorkload, BypassClampsPacketAndDerivesMessage) {
   EXPECT_EQ(fc.message_pkts, 512u);  // 1 MiB chunk / 2 KiB packets
 }
 
-TEST(FlowConfigFromWorkload, ExplicitMessagePktsWins) {
-  WorkloadSpec w;
-  w.app = "rdma";
-  w.message_pkts = 8;
-  const FlowConfig fc = flow_config(1, w);
-  EXPECT_EQ(fc.message_pkts, 8u);
-}
-
 TEST(Apps, KnownAndBypassClassification) {
   EXPECT_TRUE(is_known_app("kv"));
   EXPECT_TRUE(is_known_app("rdma"));

@@ -176,34 +176,6 @@ TEST(FlowTable, DescendingWalkMirrorsAscending) {
   EXPECT_EQ(desc, (std::vector<std::uint64_t>{9000, 77, 10, 4}));
 }
 
-TEST(FlowTable, InsertionOrderIndexIsDeterministic) {
-  // Two tables fed the identical operation sequence report the identical
-  // insertion order — this is what lets sharded and single-domain runs
-  // replay flow registration identically (shards 1 vs 4 bitwise reports).
-  const auto build = [] {
-    FlowTable<int> table;
-    for (std::uint64_t id : {50u, 7u, 820u, 13u, 4100u}) table[id] = 1;
-    table.erase(820);
-    table[6] = 1;
-    return table;
-  };
-  FlowTable<int> a = build();
-  FlowTable<int> b = build();
-  EXPECT_EQ(a.insertion_order(), b.insertion_order());
-  EXPECT_EQ(a.insertion_order(), (std::vector<std::uint64_t>{50, 7, 13, 4100, 6}));
-}
-
-TEST(FlowTable, InsertionOrderSurvivesSlotRecycling) {
-  FlowTable<int> table;
-  table[1] = 1;
-  table[2] = 2;
-  table.erase(1);   // slot recycled...
-  table[3] = 3;     // ...by a different id
-  EXPECT_EQ(table.insertion_order(), (std::vector<std::uint64_t>{2, 3}));
-  EXPECT_TRUE(table.contains(3));
-  EXPECT_FALSE(table.contains(1));
-}
-
 TEST(FlowTable, RandomizedOrderMatchesReferenceUnderChurn) {
   // Fuzz for_each against a sorted reference set under heavy insert/erase
   // churn (slot and page reuse): iteration must always equal the sorted
@@ -239,8 +211,7 @@ TEST(FlowTable, RandomizedOrderMatchesReferenceUnderChurn) {
 // per-op results (hit/miss, eviction victim + attribution), aggregate stats,
 // occupancy, residency, and — when tenanted — per-tenant stats.
 void replay_trace(const LlcConfig& config, std::uint64_t seed, int ops,
-                  BufferId id_space, const std::vector<int>& tenant_ways,
-                  const std::vector<std::size_t>& tenant_budgets) {
+                  BufferId id_space, const std::vector<int>& tenant_ways) {
   LlcModel soa(config);
   ceio_aos::LlcConfig aos_config;  // the oracle namespace has its own twin type
   aos_config.total_bytes = config.total_bytes;
@@ -257,10 +228,6 @@ void replay_trace(const LlcConfig& config, std::uint64_t seed, int ops,
     for (std::size_t t = 0; t < tenant_ways.size(); ++t) {
       soa.add_tenant_range(1 + t * stride, 1 + (t + 1) * stride, t);
       aos.add_tenant_range(1 + t * stride, 1 + (t + 1) * stride, t);
-    }
-    for (std::size_t t = 0; t < tenant_budgets.size(); ++t) {
-      soa.set_tenant_budget(t, tenant_budgets[t]);
-      aos.set_tenant_budget(t, tenant_budgets[t]);
     }
   }
 
@@ -328,7 +295,7 @@ void replay_trace(const LlcConfig& config, std::uint64_t seed, int ops,
 }
 
 TEST(SoaAosOracle, DefaultGeometryRandomTrace) {
-  replay_trace(LlcConfig{}, 0x5EED0001, 60000, 12000, {}, {});
+  replay_trace(LlcConfig{}, 0x5EED0001, 60000, 12000, {});
 }
 
 TEST(SoaAosOracle, TinyCacheHeavyEvictionTrace) {
@@ -337,7 +304,7 @@ TEST(SoaAosOracle, TinyCacheHeavyEvictionTrace) {
   config.ways = 8;
   config.ddio_ways = 3;
   config.buffer_bytes = 2 * kKiB;
-  replay_trace(config, 0x5EED0002, 60000, 500, {}, {});
+  replay_trace(config, 0x5EED0002, 60000, 500, {});
 }
 
 TEST(SoaAosOracle, NonPowerOfTwoSetsTrace) {
@@ -345,7 +312,7 @@ TEST(SoaAosOracle, NonPowerOfTwoSetsTrace) {
   config.total_bytes = 9 * kMiB;  // 768 sets at 6 ways: modulo set reduction
   config.ways = 6;
   config.ddio_ways = 2;
-  replay_trace(config, 0x5EED0003, 40000, 8000, {}, {});
+  replay_trace(config, 0x5EED0003, 40000, 8000, {});
 }
 
 TEST(SoaAosOracle, TenantedSlicesAndSharedPoolTrace) {
@@ -353,8 +320,8 @@ TEST(SoaAosOracle, TenantedSlicesAndSharedPoolTrace) {
   config.total_bytes = 512 * kKiB;
   config.ways = 8;
   config.ddio_ways = 4;
-  // Two exclusive ways + a 2-way shared pool; no budgets.
-  replay_trace(config, 0x5EED0004, 50000, 2000, {1, 1}, {});
+  // Two exclusive ways + a 2-way shared pool.
+  replay_trace(config, 0x5EED0004, 50000, 2000, {1, 1});
 }
 
 TEST(SoaAosOracle, TenantedBudgetBypassTrace) {
@@ -362,7 +329,8 @@ TEST(SoaAosOracle, TenantedBudgetBypassTrace) {
   config.total_bytes = 512 * kKiB;
   config.ways = 8;
   config.ddio_ways = 4;
-  replay_trace(config, 0x5EED0005, 50000, 2000, {2, 1}, {40, 10});
+  // Unequal exclusive slices (2 + 1 ways) + a 1-way shared pool.
+  replay_trace(config, 0x5EED0005, 50000, 2000, {2, 1});
 }
 
 TEST(SoaAosOracle, SingleWayDegenerateTrace) {
@@ -370,7 +338,7 @@ TEST(SoaAosOracle, SingleWayDegenerateTrace) {
   config.total_bytes = 8 * kKiB;  // 4 sets x 1 way, all DDIO
   config.ways = 1;
   config.ddio_ways = 1;
-  replay_trace(config, 0x5EED0006, 20000, 200, {}, {});
+  replay_trace(config, 0x5EED0006, 20000, 200, {});
 }
 
 }  // namespace

@@ -115,17 +115,6 @@ TEST(DatapathGovernor, CumulativeCounterResetReadsQuiet) {
   EXPECT_EQ(gov.tier(), GovernorTier::kCalm);
 }
 
-TEST(DatapathGovernor, BudgetModeTriggersOnOccupancy) {
-  PolicyConfig cfg = reactive_config();
-  cfg.governor = GovernorMode::kBudget;
-  DatapathGovernor gov(cfg);
-  GovernorSample s;
-  s.ddio_occupancy = 95;
-  s.ddio_capacity = 100;  // over the 0.90 occupancy target
-  for (int i = 0; i < 3; ++i) gov.decide(s);
-  EXPECT_EQ(gov.tier(), GovernorTier::kWatch);
-}
-
 TEST(DatapathGovernor, StaticModeAppliesBundleOnce) {
   PolicyConfig cfg;
   cfg.governor = GovernorMode::kStatic;

@@ -117,19 +117,6 @@ TEST(TenantLlc, ZeroWaysAndEmptyPoolBypassesUncached) {
   EXPECT_EQ(llc.tenant_stats(1).budget_bypasses, 1);
 }
 
-TEST(TenantLlc, OccupancyBudgetBypassesOverBudgetWrites) {
-  LlcModel llc(one_set_config());
-  llc.set_tenant_ways({2, 0});
-  llc.add_tenant_range(100, 200, 0);
-  llc.set_tenant_budget(0, 1);
-  llc.ddio_write(100, Bytes{2 * kKiB});
-  llc.ddio_write(101, Bytes{2 * kKiB});  // over budget: straight to DRAM
-  EXPECT_TRUE(llc.resident(100));
-  EXPECT_FALSE(llc.resident(101));
-  EXPECT_EQ(llc.tenant_stats(0).budget_bypasses, 1);
-  EXPECT_EQ(llc.tenant_ddio_occupancy(0), 1u);
-}
-
 TEST(TenantLlc, RemaskingTransfersResidentLinesWithTheirWays) {
   // Growing tenant 0's slice from 1 to 2 ways absorbs the way the shared
   // pool held — together with whatever line was resident in it.
@@ -188,7 +175,6 @@ std::vector<TenantGaugeSample> gauges(std::vector<std::int64_t> prem,
 
 WayControllerConfig reactive_config() {
   WayControllerConfig cfg;
-  cfg.enabled = true;
   cfg.policy = PartitionPolicy::kReactive;
   cfg.react_threshold = 8.0;
   return cfg;
@@ -346,7 +332,6 @@ TEST(TenantExperiment, ControllerIsInertAtZeroContention) {
   spec.tenant.ant.enabled = false;
   const RunResult off = harness::run_experiment(spec);
 
-  spec.controller.enabled = true;
   spec.controller.policy = PartitionPolicy::kReactive;
   const RunResult on = harness::run_experiment(spec);
 
@@ -388,7 +373,6 @@ TEST(TenantExperiment, ShardWorkersNeverChangeTenantResults) {
   // shards=4 must produce byte-identical reports — with the tenant
   // assembly and the reactive controller live in every domain.
   auto spec = tenant_spec();
-  spec.controller.enabled = true;
   spec.controller.policy = PartitionPolicy::kReactive;
   spec.testbed.sim.domains = 4;
   spec.testbed.sim.shards = 1;

@@ -328,13 +328,13 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (!opt.axes.empty()) {
-    print_sweep(opt, harness::run_sweep(opt.spec, opt.axes, opt.jobs));
-    return 0;
-  }
-  // A refused or unwritable --trace surfaces here as an exception.
+  // A refused spec, sweep axis or --trace surfaces here as an exception.
   try {
-    print_single(opt.spec, harness::run_experiment(opt.spec, opt.trace_prefix));
+    if (!opt.axes.empty()) {
+      print_sweep(opt, harness::run_sweep(opt.spec, opt.axes, opt.jobs));
+    } else {
+      print_single(opt.spec, harness::run_experiment(opt.spec, opt.trace_prefix));
+    }
   } catch (const std::exception& e) {
     fail(e.what());
   }
