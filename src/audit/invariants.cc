@@ -231,7 +231,38 @@ void register_tenant_llc_invariants(ModelAuditor& auditor,
       [probe = std::move(probe)](Nanos) { return check_tenant_llc_bound(probe()); });
 }
 
-// ---- Live-testbed binding ----
+// ---- Live-model binding ----
+
+void register_ceio_invariants(ModelAuditor& auditor, const CeioDatapath& ceio,
+                              std::function<std::vector<FlowId>()> flows) {
+  const CeioDatapath* dp = &ceio;
+  register_credit_invariants(auditor, [dp] {
+    const CreditController& c = dp->credits();
+    return CreditLedgerState{c.balance_sum(), c.free_pool(), c.total()};
+  });
+
+  auditor.register_invariant(
+      "ceio", "sw-ring-coherent",
+      [dp, flows = std::move(flows)](Nanos) -> std::optional<std::string> {
+        for (const FlowId id : flows()) {
+          const auto d = dp->debug_slow_state(id);
+          auto detail = check_sw_ring(SwRingState{d.sw_segment_sum, d.sw_pending});
+          if (detail) return "flow " + std::to_string(id) + ": " + *detail;
+        }
+        return std::nullopt;
+      });
+
+  register_poll_armed_invariants(auditor, [dp] {
+    PollIndexState out;
+    for (const auto& d : dp->debug_poll_positions()) {
+      out.positions.push_back(PollPositionState{d.flow, d.armed, d.quiescent, d.held_deadline,
+                                                d.deadline, d.forced});
+    }
+    out.armed_words = dp->debug_poll_armed_words();
+    out.block_bounds = dp->debug_poll_bounds();
+    return out;
+  });
+}
 
 void register_standard_invariants(ModelAuditor& auditor, Testbed& bed) {
   Testbed* b = &bed;
@@ -284,35 +315,7 @@ void register_standard_invariants(ModelAuditor& auditor, Testbed& bed) {
                              });
 
   if (b->ceio() != nullptr) {
-    register_credit_invariants(auditor, [b] {
-      const CreditController& c = b->ceio()->credits();
-      return CreditLedgerState{c.balance_sum(), c.free_pool(), c.total()};
-    });
-
-    auditor.register_invariant("ceio", "sw-ring-coherent",
-                               [b](Nanos) -> std::optional<std::string> {
-                                 for (const FlowId id : b->flow_ids()) {
-                                   const auto d = b->ceio()->debug_slow_state(id);
-                                   auto detail =
-                                       check_sw_ring(SwRingState{d.sw_segment_sum, d.sw_pending});
-                                   if (detail) {
-                                     return "flow " + std::to_string(id) + ": " + *detail;
-                                   }
-                                 }
-                                 return std::nullopt;
-                               });
-
-    register_poll_armed_invariants(auditor, [b] {
-      const CeioDatapath& dp = *b->ceio();
-      PollIndexState out;
-      for (const auto& d : dp.debug_poll_positions()) {
-        out.positions.push_back(PollPositionState{d.flow, d.armed, d.quiescent, d.held_deadline,
-                                                  d.deadline, d.forced});
-      }
-      out.armed_words = dp.debug_poll_armed_words();
-      out.block_bounds = dp.debug_poll_bounds();
-      return out;
-    });
+    register_ceio_invariants(auditor, *b->ceio(), [b] { return b->flow_ids(); });
   }
 }
 

@@ -39,9 +39,11 @@
 
 #include "audit/model_auditor.h"
 #include "common/units.h"
+#include "nic/packet.h"
 
 namespace ceio {
 
+class CeioDatapath;
 class Testbed;
 
 /// Counter snapshot for NIC -> PCIe -> host byte conservation.
@@ -159,10 +161,16 @@ void register_poll_armed_invariants(ModelAuditor& auditor,
 void register_tenant_llc_invariants(ModelAuditor& auditor,
                                     std::function<TenantLlcState()> probe);
 
+/// Binds the CEIO families (credit-ledger, sw-ring-coherent, poll-armed) to
+/// one live CEIO instance; `flows` lists the flow ids it serves at sweep
+/// time. A tenant assembly binds one set per tenant's CEIO instance.
+void register_ceio_invariants(ModelAuditor& auditor, const CeioDatapath& ceio,
+                              std::function<std::vector<FlowId>()> flows);
+
 /// Binds the whole pack to a live testbed: every family above wired to the
 /// real models, plus per-flow RX-ring and SW-ring sweeps that follow flows
-/// as they are added and removed. Credit/SW-ring/poll-armed invariants are
-/// only registered when the testbed runs the CEIO datapath.
+/// as they are added and removed. The CEIO families are only registered
+/// when the testbed runs the CEIO datapath.
 void register_standard_invariants(ModelAuditor& auditor, Testbed& bed);
 
 }  // namespace ceio

@@ -28,6 +28,8 @@ CeioDatapath::CeioDatapath(EventScheduler& sched, DmaEngine& dma, MemoryControll
       config_(config),
       credits_(config.total_credits),
       base_total_credits_(config.total_credits),
+      base_landed_cap_(config.landed_cap),
+      base_bypass_landed_cap_(config.bypass_landed_cap),
       doorbells_(sched, [this](Nanos, CreditDoorbell db) {
         credits_.release(db.flow, db.count, [this](FlowId creditor) { arm(creditor); });
         arm(db.flow);
@@ -140,6 +142,9 @@ void CeioDatapath::on_flow_registered(FlowState& fs) {
   rmt_.install_rule(id, SteerAction::kToHost);
   credits_.add_flows({id});
   arm_all();
+  // The exile covers flows added mid-run (dynamic schedules register flows
+  // while the governor is already steering).
+  if (inserted && exiled(fs)) apply_exile(fs);
 }
 
 void CeioDatapath::on_flow_unregistered(FlowState& fs) {
@@ -256,29 +261,47 @@ void CeioDatapath::set_credit_scale(double scale) {
   apply_total_credits();
 }
 
-void CeioDatapath::set_landed_caps(std::size_t involved_cap, std::size_t bypass_cap) {
+void CeioDatapath::set_landed_scale(double scale) {
+  const auto scaled = [scale](std::size_t base) {
+    if (scale == 1.0) return base;
+    const auto v = std::llround(static_cast<double>(base) * scale);
+    return std::max<std::size_t>(static_cast<std::size_t>(std::max<long long>(v, 0)), 8);
+  };
   // The elastic drain gates read these through config_ on every decision, so
   // resizing takes effect at the next drain attempt.
-  config_.landed_cap = involved_cap;
-  config_.bypass_landed_cap = bypass_cap;
+  config_.landed_cap = scaled(base_landed_cap_);
+  config_.bypass_landed_cap = scaled(base_bypass_landed_cap_);
   arm_all();
 }
 
-void CeioDatapath::on_flow_path_changed(FlowState& fs) {
+void CeioDatapath::set_bypass_slow(bool slow) {
+  if (slow == bypass_slow_) return;
+  bypass_slow_ = slow;
+  // Id-ordered sweep: the drain kicks are scheduled in a deterministic order.
+  flows_.for_each([this](FlowId, FlowState& fs) {
+    if (fs.rt.config.kind == FlowKind::kCpuBypass) apply_exile(fs);
+  });
+}
+
+void CeioDatapath::apply_exile(FlowState& fs) {
   const FlowId id = fs.rt.config.id;
   Ext* ext = ext_of(id);
   if (ext == nullptr) return;
   arm(*ext);
-  // kAuto: the controller poll resumes normal steering from here.
-  if (kind_path(fs.rt.config.kind) != policy::FlowPathOverride::kForceSlow) return;
+  // Lifted: the controller poll resumes normal steering from here.
+  if (!exiled(fs)) return;
   if (!ext->slow_mode) {
-    ext->slow_mode = true;
-    ++rt_stats_.credit_switches_to_slow;
-    CEIO_T_INSTANT(tele_, TraceTrack::kCreditController, "switch_to_slow", sched_.now(),
-                   static_cast<double>(credits_.credits(id)), id);
-    rmt_.update_action(id, SteerAction::kToNicMem);
+    switch_path(id, *ext, /*to_slow=*/true, static_cast<double>(credits_.credits(id)));
   }
   kick_drain(id, *ext);
+}
+
+void CeioDatapath::switch_path(FlowId id, Ext& ext, bool to_slow, double traced) {
+  ext.slow_mode = to_slow;
+  ++(to_slow ? rt_stats_.credit_switches_to_slow : rt_stats_.switches_back_to_fast);
+  CEIO_T_INSTANT(tele_, TraceTrack::kCreditController,
+                 to_slow ? "switch_to_slow" : "switch_to_fast", sched_.now(), traced, id);
+  rmt_.update_action(id, to_slow ? SteerAction::kToNicMem : SteerAction::kToHost);
 }
 
 std::int64_t CeioDatapath::reenable_threshold() const {
@@ -732,7 +755,7 @@ bool CeioDatapath::poll_quiescent(FlowId id, const Ext& ext) const {
   // Slow mode: the drain kick must find it already sticky with nothing to
   // issue, and the fast path must not be re-enabled yet.
   if (!ext.elastic->draining() || ext.elastic->can_issue()) return false;
-  if (kind_path(fs->rt.config.kind) == policy::FlowPathOverride::kForceSlow) return true;
+  if (exiled(*fs)) return true;
   const bool drained =
       !fs->rt.app->per_packet_cpu() || slow_backlog(id) <= config_.reenable_backlog;
   return !drained || !credits_.active(id) || credits_.credits(id) < reenable_threshold();
@@ -768,10 +791,9 @@ void CeioDatapath::poll_flow(FlowId id, Ext& ext, Nanos now) {
   {
     FlowState* fs = state_of(id);
     if (fs == nullptr) return;
-    // Policy-layer steering override: the poll never readmits a forced-slow
-    // flow to the fast path.
-    const bool forced_slow =
-        kind_path(fs->rt.config.kind) == policy::FlowPathOverride::kForceSlow;
+    // The governor's bypass exile: the poll never readmits an exiled flow
+    // to the fast path.
+    const bool forced_slow = exiled(*fs);
 
     // Inactivity reclaim (Q3): idle flows surrender their credits.
     if (credits_.active(id) && now - ext.last_packet_at > config_.inactive_timeout) {
@@ -829,18 +851,10 @@ void CeioDatapath::poll_flow(FlowId id, Ext& ext, Nanos now) {
       // resets their byte count — exactly the behaviour §4.1 rejects.
       const bool want_slow = forced_slow || mpq_level(id) >= config_.mpq_fast_levels;
       if (want_slow && !ext.slow_mode) {
-        ext.slow_mode = true;
-        ++rt_stats_.credit_switches_to_slow;
-        CEIO_T_INSTANT(tele_, TraceTrack::kCreditController, "switch_to_slow", now,
-                       static_cast<double>(mpq_level(id)), id);
-        rmt_.update_action(id, SteerAction::kToNicMem);
+        switch_path(id, ext, /*to_slow=*/true, static_cast<double>(mpq_level(id)));
       } else if (!want_slow && ext.slow_mode &&
                  slow_bk <= config_.reenable_backlog) {
-        ext.slow_mode = false;
-        ++rt_stats_.switches_back_to_fast;
-        CEIO_T_INSTANT(tele_, TraceTrack::kCreditController, "switch_to_fast", now,
-                       static_cast<double>(mpq_level(id)), id);
-        rmt_.update_action(id, SteerAction::kToHost);
+        switch_path(id, ext, /*to_slow=*/false, static_cast<double>(mpq_level(id)));
       }
       if (ext.slow_mode) kick_drain(id, ext);
       return;
@@ -848,11 +862,7 @@ void CeioDatapath::poll_flow(FlowId id, Ext& ext, Nanos now) {
 
     if (!ext.slow_mode) {
       if (credits_.credits(id) <= 0) {
-        ext.slow_mode = true;
-        ++rt_stats_.credit_switches_to_slow;
-        CEIO_T_INSTANT(tele_, TraceTrack::kCreditController, "switch_to_slow", now,
-                       static_cast<double>(credits_.credits(id)), id);
-        rmt_.update_action(id, SteerAction::kToNicMem);
+        switch_path(id, ext, /*to_slow=*/true, static_cast<double>(credits_.credits(id)));
       }
       return;
     }
@@ -866,11 +876,7 @@ void CeioDatapath::poll_flow(FlowId id, Ext& ext, Nanos now) {
     if (forced_slow) return;
     const bool drained = !involved || slow_bk <= config_.reenable_backlog;
     if (drained && credits_.active(id) && credits_.credits(id) >= reenable_threshold()) {
-      ext.slow_mode = false;
-      ++rt_stats_.switches_back_to_fast;
-      CEIO_T_INSTANT(tele_, TraceTrack::kCreditController, "switch_to_fast", now,
-                     static_cast<double>(credits_.credits(id)), id);
-      rmt_.update_action(id, SteerAction::kToHost);
+      switch_path(id, ext, /*to_slow=*/false, static_cast<double>(credits_.credits(id)));
     }
   }
 }

@@ -135,16 +135,26 @@ class CeioDatapath final : public DatapathBase {
   const CreditController& credits() const { return credits_; }
   /// Installs a new base C_total. Only the tenant way partitioner calls it,
   /// re-deriving Eq. 1 when a tenant's DDIO ways change. Composes with the
-  /// policy layer's credit scale: effective total = round(base * scale).
+  /// governor's credit scale: effective total = round(base * scale).
   void set_total_credits(std::int64_t v) {
     base_total_credits_ = v;
     apply_total_credits();
   }
 
-  // ---- PolicyHost actuators (runtime governor; see src/policy/) ----
-  void set_credit_scale(double scale) override;
-  double credit_scale() const override { return credit_scale_; }
-  void set_landed_caps(std::size_t involved_cap, std::size_t bypass_cap) override;
+  // ---- Governor actuators (src/policy/governor.h drives them) ----
+  // Each is exact at its neutral value (scale 1.0, no exile): a datapath
+  // that only ever saw neutral calls runs bit-identically to one that saw
+  // none.
+  /// Scales C_total: effective total = round(base * scale).
+  void set_credit_scale(double scale);
+  double credit_scale() const { return credit_scale_; }
+  /// Scales the configured landed-but-unconsumed drain caps: each becomes
+  /// max(llround(base * scale), 8); 1.0 restores them exactly.
+  void set_landed_scale(double scale);
+  /// Exiles every CPU-bypass flow, current and later, to the slow path and
+  /// keeps it there (true), or hands its steering back to the controller
+  /// poll (false).
+  void set_bypass_slow(bool slow);
 
   const CeioConfig& config() const { return config_; }
   const CeioRuntimeStats& runtime_stats() const { return rt_stats_; }
@@ -206,7 +216,6 @@ class CeioDatapath final : public DatapathBase {
  protected:
   void on_flow_registered(FlowState& fs) override;
   void on_flow_unregistered(FlowState& fs) override;
-  void on_flow_path_changed(FlowState& fs) override;
   void on_message_work_done(FlowState& fs, const Packet& last_pkt, Nanos done) override;
 
  private:
@@ -255,6 +264,17 @@ class CeioDatapath final : public DatapathBase {
   void schedule_credit_release(FlowId flow, std::int64_t count);
   void note_processed_for_release(FlowState& fs, Ext& ext, const Packet& pkt);
 
+  /// Flips the flow's path: steering intent, switch counter, a trace
+  /// instant carrying `traced`, and the RMT rule.
+  void switch_path(FlowId id, Ext& ext, bool to_slow, double traced);
+  /// True while the governor keeps the flow's kind exiled to the slow path.
+  bool exiled(const FlowState& fs) const {
+    return bypass_slow_ && fs.rt.config.kind == FlowKind::kCpuBypass;
+  }
+  /// Re-steers a bypass flow after the exile changed (or at registration
+  /// under it): an exiled flow goes slow at once and starts draining.
+  void apply_exile(FlowState& fs);
+
   std::int64_t reenable_threshold() const;
   void apply_total_credits();
   void controller_poll();
@@ -294,6 +314,10 @@ class CeioDatapath final : public DatapathBase {
   /// exactly (no rounding) while the scale is 1.0.
   std::int64_t base_total_credits_;
   double credit_scale_ = 1.0;
+  /// Configured landing caps; set_landed_scale scales these into config_.
+  std::size_t base_landed_cap_;
+  std::size_t base_bypass_landed_cap_;
+  bool bypass_slow_ = false;
   // Dense slab keyed by flow id: ext_of() is on the per-packet fast path,
   // so lookups are O(1) array probes. Control-flow ordering comes from
   // reactivation_order_ (an explicit vector); sweeps iterate in id order.

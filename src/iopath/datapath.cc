@@ -19,22 +19,6 @@ void DatapathBase::register_flow(const FlowRuntime& rt) {
     fs.next_bypass_buffer = kBypassBufferBase + (static_cast<BufferId>(rt.config.id) << 24);
   }
   on_flow_registered(fs);
-  // The per-kind override covers flows added mid-run (dynamic schedules
-  // register flows while the governor is already steering).
-  if (inserted && kind_path(rt.config.kind) != policy::FlowPathOverride::kAuto) {
-    on_flow_path_changed(fs);
-  }
-}
-
-void DatapathBase::set_kind_path(FlowKind kind, policy::FlowPathOverride path) {
-  auto& slot = kind_path_[static_cast<std::size_t>(kind)];
-  if (slot == path) return;
-  slot = path;
-  // Id-ordered sweep: the change notification order is deterministic (CEIO
-  // reacts by scheduling drain kicks).
-  flows_.for_each([&](FlowId, FlowState& fs) {
-    if (fs.rt.config.kind == kind) on_flow_path_changed(fs);
-  });
 }
 
 void DatapathBase::unregister_flow(FlowId id) {

@@ -28,7 +28,6 @@
 #include "nic/packet.h"
 #include "nic/rx_ring.h"
 #include "pcie/dma_engine.h"
-#include "policy/policy_host.h"
 #include "sim/event_scheduler.h"
 
 namespace ceio {
@@ -56,7 +55,7 @@ struct FlowPathStats {
   std::int64_t dropped_pkts = 0;
 };
 
-class IoDatapath : public PacketSink, public policy::PolicyHost {
+class IoDatapath : public PacketSink {
  public:
   ~IoDatapath() override = default;
 
@@ -93,11 +92,6 @@ class DatapathBase : public IoDatapath {
   void set_telemetry(Telemetry* tele) override { tele_ = tele; }
   void register_metrics(MetricRegistry& registry) override;
 
-  // PolicyHost: per-kind path steering. The base keeps the per-kind value;
-  // policies that can actually steer read it through kind_path and observe
-  // changes via on_flow_path_changed.
-  void set_kind_path(FlowKind kind, policy::FlowPathOverride path) override;
-
   const FlowPathStats* flow_stats(FlowId id) const;
 
  protected:
@@ -114,19 +108,9 @@ class DatapathBase : public IoDatapath {
     FlowPathStats stats;
   };
 
-  /// Policy-layer steering override for flows of `kind` (kAuto = the
-  /// datapath's own machinery).
-  policy::FlowPathOverride kind_path(FlowKind kind) const {
-    return kind_path_[static_cast<std::size_t>(kind)];
-  }
-
   /// Hook: called after register_flow creates the state (set up rings/rules).
   virtual void on_flow_registered(FlowState& fs) { (void)fs; }
   virtual void on_flow_unregistered(FlowState& fs) { (void)fs; }
-  /// Hook: called when the policy layer changes the path override of the
-  /// flow's kind, and at registration under a non-kAuto one (CEIO re-steers
-  /// the flow's remap-table entry immediately).
-  virtual void on_flow_path_changed(FlowState& fs) { (void)fs; }
   /// Hook: called when a message's completion work has fully retired — the
   /// moment buffer ownership returns to the driver (CEIO replenishes a
   /// bypass flow's credits here, per the write-with-immediate protocol).
@@ -173,14 +157,12 @@ class DatapathBase : public IoDatapath {
   // Dense slab keyed by flow id: state_of() is on the per-packet fast path
   // and fig12 runs 2^20 flows, so lookups must be O(1) array probes (no
   // hashing, no tree walk). Iteration is id-ordered by construction, which
-  // is what the deterministic sweeps (set_kind_path, for_each_ring) need.
+  // is what the deterministic sweeps (CEIO's bypass exile, for_each_ring)
+  // need.
   FlowTable<FlowState> flows_;
   Telemetry* tele_ = nullptr;
 
  private:
-  /// Per-kind path overrides, indexed by FlowKind.
-  policy::FlowPathOverride kind_path_[2] = {policy::FlowPathOverride::kAuto,
-                                            policy::FlowPathOverride::kAuto};
   void on_host_landed(FlowId flow, PacketRef ref, RxRing* ring);
   void process_packet(FlowState& fs, Packet pkt, RxRing* ring);  // lint: allow-packet-copy (move-sink)
 };

@@ -45,6 +45,17 @@ CeioConfig derive_ceio_auto_credits(CeioConfig cfg, std::size_t ddio_capacity) {
 
 Testbed::Testbed(TestbedConfig config)
     : config_(std::move(config)), rng_(config_.seed), windows_(sched_, config_.dctcp) {
+  if (config_.policy.governor != policy::GovernorMode::kOff &&
+      config_.system != SystemKind::kCeio) {
+    // Every knob the governor turns is CEIO's: on any other system it would
+    // tick and change nothing. Key spellings, in SystemKind order.
+    constexpr const char* kSystemKeys[] = {"legacy", "hostcc", "shring", "ceio"};
+    throw std::invalid_argument(
+        std::string("policy.governor=") + policy::to_string(config_.policy.governor) +
+        " cannot drive system=" + kSystemKeys[static_cast<int>(config_.system)] +
+        ": its actuators (credit total, landing windows, bypass steering) exist only in "
+        "system=ceio");
+  }
   llc_ = std::make_unique<LlcModel>(config_.llc);
   dram_ = std::make_unique<DramModel>(config_.dram);
   iio_ = std::make_unique<IioBuffer>(config_.iio);
@@ -71,10 +82,6 @@ Testbed::Testbed(TestbedConfig config)
     // scheduled — the simulation stays bit-identical to a governor-less
     // build.
     governor_ = std::make_unique<policy::DatapathGovernor>(config_.policy);
-    if (host_.ceio != nullptr) {
-      governor_base_involved_cap_ = host_.ceio->config().landed_cap;
-      governor_base_bypass_cap_ = host_.ceio->config().bypass_landed_cap;
-    }
     governor_timer_ = sched_.schedule_after(config_.policy.interval,
                                             [this]() { governor_tick(); });
   }
@@ -133,22 +140,19 @@ policy::GovernorSample Testbed::sample_governor_gauges() const {
   host_.datapath->for_each_ring(
       [&ring](const RxRing& r) { ring += static_cast<std::int64_t>(r.size()); });
   s.ring_backlog = ring;
-  if (host_.ceio != nullptr) {
-    std::int64_t slow = 0;
-    flows_.for_each([&](FlowId id, const FlowRecord&) {  // id-ordered walk
-      slow += static_cast<std::int64_t>(host_.ceio->slow_backlog(id));
-    });
-    s.slow_backlog = slow;
-    s.credit_starvations = host_.ceio->runtime_stats().credit_switches_to_slow;
-  }
+  std::int64_t slow = 0;
+  flows_.for_each([&](FlowId id, const FlowRecord&) {  // id-ordered walk
+    slow += static_cast<std::int64_t>(host_.ceio->slow_backlog(id));
+  });
+  s.slow_backlog = slow;
+  s.credit_starvations = host_.ceio->runtime_stats().credit_switches_to_slow;
   return s;
 }
 
 void Testbed::governor_tick() {
   const policy::GovernorDecision d = governor_->decide(sample_governor_gauges());
   if (d.changed) {
-    policy::apply_decision(d, *host_.datapath, governor_base_involved_cap_,
-                           governor_base_bypass_cap_);
+    policy::apply_decision(d, *host_.ceio);
     CEIO_T_INSTANT(telemetry_.get(), TraceTrack::kGovernor, to_string(d.tier),
                    sched_.now(), d.credit_scale, 0);
   }
@@ -228,6 +232,7 @@ void Testbed::install_datapath(std::unique_ptr<IoDatapath> datapath) {
   if (!flows_.empty() || !retired_flows_.empty()) {
     throw std::logic_error("install_datapath requires a testbed with no flows");
   }
+  if (governor_) throw std::logic_error("install_datapath would replace the governed datapath");
   host_.datapath = std::move(datapath);
   host_.ceio = nullptr;
   nic_->attach(host_.datapath.get());

@@ -70,7 +70,8 @@ struct TestbedConfig {
 
   /// Online datapath governor (`policy.*` keys). With the default kOff the
   /// testbed schedules zero governor events — bit-identical to a build that
-  /// never had a policy layer.
+  /// never had a policy layer. Any other mode needs system == kCeio: the
+  /// Testbed constructor throws std::invalid_argument otherwise.
   policy::PolicyConfig policy;
 
   /// Telemetry subsystem parameters (only consulted by enable_telemetry).
@@ -140,7 +141,9 @@ class Testbed {
   HostDatapath build_datapath(BufferId pool_base, std::size_t ddio_capacity);
 
   /// Swaps in a replacement datapath (e.g. a TenantDemux fronting per-tenant
-  /// datapaths). Must be called before any flow exists; throws otherwise.
+  /// datapaths). Must be called before any flow exists and without the
+  /// governor, which drives the CEIO datapath it would replace; throws
+  /// otherwise.
   /// After the swap ceio() returns nullptr — per-tenant CEIO instances are
   /// reached through the installed demux — and, when auditing is enabled,
   /// the invariant pack is re-registered against the new datapath.
@@ -232,7 +235,7 @@ class Testbed {
   IoDatapath& datapath() { return *host_.datapath; }
   /// Non-null only when system == kCeio.
   CeioDatapath* ceio() { return host_.ceio; }
-  /// Non-null only when config.policy.governor != kOff.
+  /// Non-null only when config.policy.governor != kOff (so ceio() is too).
   policy::DatapathGovernor* governor() { return governor_.get(); }
   const TestbedConfig& config() const { return config_; }
 
@@ -276,10 +279,6 @@ class Testbed {
   policy::GovernorSample sample_governor_gauges() const;
   std::unique_ptr<policy::DatapathGovernor> governor_;
   EventHandle governor_timer_;
-  /// Configured landing windows (post auto-credit derivation) — the base the
-  /// governor's landed_cap_scale multiplies.
-  std::size_t governor_base_involved_cap_ = 0;
-  std::size_t governor_base_bypass_cap_ = 0;
 
   void run_audit_sweep();
   void schedule_audit_sweep();

@@ -1,7 +1,8 @@
 #include "policy/governor.h"
 
 #include <algorithm>
-#include <cmath>
+
+#include "ceio/ceio_datapath.h"
 
 namespace ceio::policy {
 
@@ -42,8 +43,7 @@ GovernorDecision DatapathGovernor::bundle_for(GovernorTier tier) const {
       break;
     case GovernorTier::kSqueeze:
       d.credit_scale = config_.squeeze_credit_scale;
-      d.bypass_path = config_.squeeze_bypass_slow ? FlowPathOverride::kForceSlow
-                                                  : FlowPathOverride::kAuto;
+      d.bypass_slow = config_.squeeze_bypass_slow;
       d.landed_cap_scale = config_.squeeze_landed_scale;
       break;
   }
@@ -66,8 +66,7 @@ GovernorDecision DatapathGovernor::decide(const GovernorSample& sample) {
     GovernorDecision d;
     d.tier = GovernorTier::kCalm;
     d.credit_scale = config_.static_credit_scale;
-    d.bypass_path = config_.static_bypass_slow ? FlowPathOverride::kForceSlow
-                                               : FlowPathOverride::kAuto;
+    d.bypass_slow = config_.static_bypass_slow;
     d.changed = first_tick_;
     if (d.changed) ++changes_;
     first_tick_ = false;
@@ -117,19 +116,10 @@ GovernorDecision DatapathGovernor::decide(const GovernorSample& sample) {
   return d;
 }
 
-void apply_decision(const GovernorDecision& decision, PolicyHost& host,
-                    std::size_t base_involved_cap, std::size_t base_bypass_cap) {
-  host.set_credit_scale(decision.credit_scale);
-  host.set_kind_path(FlowKind::kCpuBypass, decision.bypass_path);
-  if (decision.landed_cap_scale == 1.0) {
-    host.set_landed_caps(base_involved_cap, base_bypass_cap);
-  } else {
-    const auto scaled = [&](std::size_t base) {
-      const auto v = std::llround(static_cast<double>(base) * decision.landed_cap_scale);
-      return std::max<std::size_t>(static_cast<std::size_t>(std::max<long long>(v, 0)), 8);
-    };
-    host.set_landed_caps(scaled(base_involved_cap), scaled(base_bypass_cap));
-  }
+void apply_decision(const GovernorDecision& decision, CeioDatapath& ceio) {
+  ceio.set_credit_scale(decision.credit_scale);
+  ceio.set_bypass_slow(decision.bypass_slow);
+  ceio.set_landed_scale(decision.landed_cap_scale);
 }
 
 }  // namespace ceio::policy

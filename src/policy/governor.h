@@ -1,11 +1,11 @@
-// DatapathGovernor: an online controller that retunes a live datapath.
+// DatapathGovernor: an online controller that retunes a live CEIO datapath.
 //
 // The paper's CEIO configuration (credit budget, bypass steering, landing
 // windows) is static, so on dynamic flow schedules any single setting is
 // wrong for part of the run. The governor watches telemetry deltas —
 // premature-evict rate, ring and slow-path backlog, credit starvation — and
 // walks a small tier ladder (calm -> watch -> squeeze), mapping each tier to
-// a bundle of PolicyHost actuator values. Stability comes from
+// a bundle of CEIO actuator values. Stability comes from
 // escalation/relaxation streaks plus a grant hold: a tier changes only after
 // `escalate_ticks` consecutive hot samples (or `relax_ticks` cool ones), and
 // a fresh decision is pinned against de-escalation for `grant_hold_ticks`,
@@ -20,7 +20,10 @@
 #include <cstdint>
 
 #include "common/units.h"
-#include "policy/policy_host.h"
+
+namespace ceio {
+class CeioDatapath;
+}
 
 namespace ceio::policy {
 
@@ -87,7 +90,8 @@ struct GovernorDecision {
   bool changed = false;
   GovernorTier tier = GovernorTier::kCalm;
   double credit_scale = 1.0;
-  FlowPathOverride bypass_path = FlowPathOverride::kAuto;
+  /// Exile CPU-bypass flows to the slow path (false: the controller steers).
+  bool bypass_slow = false;
   double landed_cap_scale = 1.0;
 };
 
@@ -123,11 +127,9 @@ class DatapathGovernor {
   std::int64_t changes_ = 0;
 };
 
-/// Pushes a decision into the datapath's actuators. The base landing caps
-/// are the datapath's configured windows (the decision scales them). Lives
-/// here so every raw actuator call stays inside src/policy/ — the
-/// `raw-actuator` lint rule keeps it that way.
-void apply_decision(const GovernorDecision& decision, PolicyHost& host,
-                    std::size_t base_involved_cap, std::size_t base_bypass_cap);
+/// Pushes a decision into CEIO's actuators. Lives here so every raw
+/// actuator call stays inside src/policy/ — the `raw-actuator` lint rule
+/// keeps it that way.
+void apply_decision(const GovernorDecision& decision, CeioDatapath& ceio);
 
 }  // namespace ceio::policy

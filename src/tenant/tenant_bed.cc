@@ -112,6 +112,9 @@ TenantAssembly::TenantAssembly(Testbed& bed, const TenantSetConfig& set,
   controller_ =
       std::make_unique<WayPartitionController>(ctl_cfg_, ways, cfg.llc.ddio_ways);
   if (ctl_cfg_.policy == PartitionPolicy::kReactive) arm_tick();
+  // install_datapath rebuilt the standard pack without the CEIO families
+  // (the testbed has no single CEIO datapath any more): bind each tenant's.
+  if (ModelAuditor* auditor = bed.auditor(); auditor != nullptr) register_audit(*auditor);
 }
 
 Application& TenantAssembly::app_of_flow(FlowId flow) {
@@ -211,6 +214,16 @@ void TenantAssembly::register_audit(ModelAuditor& auditor) {
     s.global_occupancy = llc.ddio_occupancy();
     return s;
   });
+  for (std::size_t t = 0; t < roster_.size(); ++t) {
+    if (ceio_[t] == nullptr) continue;
+    const FlowId first = roster_[t].first_flow;
+    const FlowId last = roster_[t].last_flow;
+    register_ceio_invariants(auditor, *ceio_[t], [first, last] {
+      std::vector<FlowId> ids;
+      for (FlowId f = first; f <= last; ++f) ids.push_back(f);
+      return ids;
+    });
+  }
 }
 
 void TenantAssembly::fill_llc_fields(TenantReport& report, std::size_t t) const {

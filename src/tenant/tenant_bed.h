@@ -47,7 +47,9 @@ class TenantAssembly {
   /// Builds pools/datapaths/demux, installs the demux into `bed` (which must
   /// have no flows yet), partitions the LLC, creates the per-tenant
   /// applications (roster order — part of the bit-reproducibility contract),
-  /// and arms the controller tick under the reactive policy. Throws
+  /// and arms the controller tick under the reactive policy. When `bed` is
+  /// audited, also binds the tenant LLC invariants (occupancy sum, way
+  /// bounds) and each tenant's CEIO invariants to its auditor. Throws
   /// std::invalid_argument when `bed` runs the datapath governor: it drives
   /// the testbed's datapath, which the demux replaces, so it would tick
   /// without reaching any tenant's datapath.
@@ -67,9 +69,6 @@ class TenantAssembly {
 
   /// Registers "tenant.<name>.*" gauge subtrees + controller gauges.
   void register_metrics(MetricRegistry& registry);
-  /// Binds the tenant LLC invariants (occupancy sum, way bounds) to the
-  /// live cache.
-  void register_audit(ModelAuditor& auditor);
 
   /// Fills the LLC/CEIO columns of a report for tenant `t` (the harness
   /// fills the flow-derived columns).
@@ -84,6 +83,7 @@ class TenantAssembly {
   /// Packets tenant `t` has waiting in its rings and CEIO slow backlogs
   /// (the controller's backlog input and the `ring_backlog` gauge).
   std::int64_t ring_backlog(std::size_t t) const;
+  void register_audit(ModelAuditor& auditor);
   void arm_tick();
   void tick();
 

@@ -209,9 +209,10 @@ TEST(FlowTable, RandomizedOrderMatchesReferenceUnderChurn) {
 // Replays one randomized DMA/CPU op trace against the production SoA model
 // and the frozen AoS oracle, asserting every observable matches exactly:
 // per-op results (hit/miss, eviction victim + attribution), aggregate stats,
-// occupancy, residency, and — when tenanted — per-tenant stats.
-void replay_trace(const LlcConfig& config, std::uint64_t seed, int ops,
-                  BufferId id_space, const std::vector<int>& tenant_ways) {
+// occupancy, residency, and — when tenanted — per-tenant stats, which it
+// returns (the production model's; empty when untenanted).
+std::vector<TenantLlcStats> replay_trace(const LlcConfig& config, std::uint64_t seed, int ops,
+                                         BufferId id_space, const std::vector<int>& tenant_ways) {
   LlcModel soa(config);
   ceio_aos::LlcConfig aos_config;  // the oracle namespace has its own twin type
   aos_config.total_bytes = config.total_bytes;
@@ -279,9 +280,11 @@ void replay_trace(const LlcConfig& config, std::uint64_t seed, int ops,
   EXPECT_EQ(ss.premature_evictions, as.premature_evictions);
   EXPECT_EQ(ss.writebacks, as.writebacks);
   EXPECT_EQ(soa.ddio_capacity(), aos.ddio_capacity());
+  std::vector<TenantLlcStats> tenants;
   if (tenanted) {
     for (std::size_t t = 0; t < tenant_ways.size(); ++t) {
       const TenantLlcStats& st = soa.tenant_stats(t);
+      tenants.push_back(st);
       const ceio_aos::TenantLlcStats& at = aos.tenant_stats(t);
       EXPECT_EQ(st.fills, at.fills) << "tenant " << t;
       EXPECT_EQ(st.evictions, at.evictions) << "tenant " << t;
@@ -292,6 +295,7 @@ void replay_trace(const LlcConfig& config, std::uint64_t seed, int ops,
       EXPECT_EQ(soa.tenant_way_capacity(t), aos.tenant_way_capacity(t)) << "tenant " << t;
     }
   }
+  return tenants;
 }
 
 TEST(SoaAosOracle, DefaultGeometryRandomTrace) {
@@ -324,13 +328,19 @@ TEST(SoaAosOracle, TenantedSlicesAndSharedPoolTrace) {
   replay_trace(config, 0x5EED0004, 50000, 2000, {1, 1});
 }
 
-TEST(SoaAosOracle, TenantedBudgetBypassTrace) {
+TEST(SoaAosOracle, TenantedUnequalSlicesTrace) {
   LlcConfig config;
   config.total_bytes = 512 * kKiB;
   config.ways = 8;
   config.ddio_ways = 4;
   // Unequal exclusive slices (2 + 1 ways) + a 1-way shared pool.
   replay_trace(config, 0x5EED0005, 50000, 2000, {2, 1});
+  // Tenant 0 claims every DDIO way and leaves no shared pool, so tenant 1
+  // reaches no way: each of its DMA writes bypasses the cache uncached.
+  const auto tenants = replay_trace(config, 0x5EED0007, 50000, 2000, {4, 0});
+  ASSERT_EQ(tenants.size(), 2u);
+  EXPECT_EQ(tenants[0].budget_bypasses, 0);
+  EXPECT_GT(tenants[1].budget_bypasses, 0);
 }
 
 TEST(SoaAosOracle, SingleWayDegenerateTrace) {

@@ -1,10 +1,11 @@
 // Tests for the policy layer (src/policy/): the DatapathGovernor's tier
-// ladder, hysteresis and grant hold, the PolicyHost actuators it drives on
-// every datapath backend, and the governor wired into the testbed. The way
-// partitioner's arbitration rules are tested in test_tenant.cc.
+// ladder, hysteresis and grant hold, the CEIO actuators it drives, and the
+// governor wired into the testbed (which refuses it on any other system).
+// The way partitioner's arbitration rules are tested in test_tenant.cc.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "apps/echo.h"
 #include "apps/kv_store.h"
@@ -16,7 +17,6 @@ namespace ceio {
 namespace {
 
 using policy::DatapathGovernor;
-using policy::FlowPathOverride;
 using policy::GovernorDecision;
 using policy::GovernorMode;
 using policy::GovernorSample;
@@ -53,7 +53,7 @@ TEST(DatapathGovernor, FirstTickIsChangedCalm) {
   EXPECT_TRUE(d.changed);  // callers apply the baseline bundle once
   EXPECT_EQ(d.tier, GovernorTier::kCalm);
   EXPECT_EQ(d.credit_scale, 1.0);
-  EXPECT_EQ(d.bypass_path, FlowPathOverride::kAuto);
+  EXPECT_FALSE(d.bypass_slow);
 }
 
 TEST(DatapathGovernor, EscalatesAfterStreakNotBefore) {
@@ -74,7 +74,7 @@ TEST(DatapathGovernor, WalksLadderToSqueezeAndBack) {
   // watch grant's hold (6 ticks) is still running.
   for (int i = 0; i < 3; ++i) gov.decide(hot_sample(0));
   EXPECT_EQ(gov.tier(), GovernorTier::kSqueeze);
-  EXPECT_EQ(gov.last_decision().bypass_path, FlowPathOverride::kForceSlow);
+  EXPECT_TRUE(gov.last_decision().bypass_slow);
   EXPECT_EQ(gov.last_decision().credit_scale, gov.config().squeeze_credit_scale);
   // Cool off: the relax streak (4 ticks) is met first, but the squeeze
   // grant's hold pins the tier until its 6 ticks run out.
@@ -87,7 +87,7 @@ TEST(DatapathGovernor, WalksLadderToSqueezeAndBack) {
   EXPECT_EQ(ticks_to_watch, gov.config().grant_hold_ticks);
   while (gov.tier() != GovernorTier::kCalm) gov.decide(cool_sample(0));
   EXPECT_EQ(gov.last_decision().credit_scale, 1.0);
-  EXPECT_EQ(gov.last_decision().bypass_path, FlowPathOverride::kAuto);
+  EXPECT_FALSE(gov.last_decision().bypass_slow);
 }
 
 TEST(DatapathGovernor, OscillatingInputDoesNotFlap) {
@@ -124,48 +124,37 @@ TEST(DatapathGovernor, StaticModeAppliesBundleOnce) {
   const GovernorDecision first = gov.decide(hot_sample(0));
   EXPECT_TRUE(first.changed);
   EXPECT_EQ(first.credit_scale, 0.5);
-  EXPECT_EQ(first.bypass_path, FlowPathOverride::kForceSlow);
+  EXPECT_TRUE(first.bypass_slow);
   for (int i = 0; i < 20; ++i) {
     EXPECT_FALSE(gov.decide(hot_sample(1'000 * i)).changed);
   }
   EXPECT_EQ(gov.decision_changes(), 1);
 }
 
-// ---- PolicyHost actuator round-trips ---------------------------------------
+// ---- CEIO actuator round-trips ---------------------------------------------
 
-TEST(PolicyHost, DefaultsAreNeutralOnEveryBackend) {
-  for (const SystemKind system : {SystemKind::kLegacy, SystemKind::kHostcc,
-                                  SystemKind::kShring, SystemKind::kCeio}) {
-    TestbedConfig cfg;
-    cfg.system = system;
-    Testbed bed(cfg);
-    EXPECT_EQ(bed.datapath().credit_scale(), 1.0) << to_string(system);
-  }
-}
-
-TEST(PolicyHost, KindOverrideCoversLaterFlows) {
+TEST(CeioActuators, BypassExileCoversLaterFlows) {
   Testbed bed(TestbedConfig{});
   CeioDatapath* ceio = bed.ceio();
   ASSERT_NE(ceio, nullptr);
-  auto& echo = bed.make_echo();
-  ceio->set_kind_path(FlowKind::kCpuInvolved, FlowPathOverride::kForceSlow);
+  ceio->set_bypass_slow(true);
 
-  // Flows registered after a kind override inherit it (dynamic schedules add
-  // flows while the governor is steering); the other kind is left alone.
+  // Flows registered under the exile inherit it (dynamic schedules add flows
+  // while the governor is steering); CPU-involved flows are left alone.
   FlowConfig involved;
   involved.id = 1;
   involved.kind = FlowKind::kCpuInvolved;
-  bed.add_flow(involved, echo);
+  bed.add_flow(involved, bed.make_echo());
   FlowConfig bypass;
   bypass.id = 2;
   bypass.kind = FlowKind::kCpuBypass;
-  bed.add_flow(bypass, echo);
-  EXPECT_TRUE(ceio->in_slow_mode(1));
-  EXPECT_FALSE(ceio->in_slow_mode(2));
+  bed.add_flow(bypass, bed.make_linefs());
+  EXPECT_FALSE(ceio->in_slow_mode(1));
+  EXPECT_TRUE(ceio->in_slow_mode(2));
   EXPECT_EQ(ceio->runtime_stats().credit_switches_to_slow, 1);
 }
 
-TEST(PolicyHost, CeioCreditScaleComposesWithBudget) {
+TEST(CeioActuators, CreditScaleComposesWithBudget) {
   TestbedConfig cfg;
   cfg.system = SystemKind::kCeio;
   Testbed bed(cfg);
@@ -175,7 +164,8 @@ TEST(PolicyHost, CeioCreditScaleComposesWithBudget) {
   ceio->set_credit_scale(0.5);
   EXPECT_EQ(ceio->credit_scale(), 0.5);
   EXPECT_EQ(ceio->credits().total(), std::llround(base * 0.5));
-  // A budget reset (sharded arbitration path) composes with the scale...
+  // A budget reset (the tenant way partitioner's path) composes with the
+  // scale...
   ceio->set_total_credits(1000);  // lint: allow-raw-actuator
   EXPECT_EQ(ceio->credits().total(), 500);
   // ...and scale 1.0 restores the base budget exactly.
@@ -183,18 +173,31 @@ TEST(PolicyHost, CeioCreditScaleComposesWithBudget) {
   EXPECT_EQ(ceio->credits().total(), 1000);
 }
 
-TEST(PolicyHost, CeioLandedCapsRoundTrip) {
+TEST(CeioActuators, LandedScaleRoundTrip) {
   TestbedConfig cfg;
   cfg.system = SystemKind::kCeio;
+  cfg.ceio_auto_credits = false;
+  cfg.ceio.landed_cap = 101;
+  cfg.ceio.bypass_landed_cap = 333;
   Testbed bed(cfg);
   CeioDatapath* ceio = bed.ceio();
   ASSERT_NE(ceio, nullptr);
-  ceio->set_landed_caps(16, 24);
-  EXPECT_EQ(ceio->config().landed_cap, 16u);
-  EXPECT_EQ(ceio->config().bypass_landed_cap, 24u);
+  // Scales apply to the configured caps, never to the last scaled value.
+  ceio->set_landed_scale(0.5);
+  EXPECT_EQ(ceio->config().landed_cap, 51u);  // llround(50.5)
+  EXPECT_EQ(ceio->config().bypass_landed_cap, 167u);
+  ceio->set_landed_scale(0.5);
+  EXPECT_EQ(ceio->config().landed_cap, 51u);
+  ceio->set_landed_scale(0.01);
+  EXPECT_EQ(ceio->config().landed_cap, 8u);  // the floor
+  EXPECT_EQ(ceio->config().bypass_landed_cap, 8u);
+  // Scale 1.0 restores the configured caps exactly.
+  ceio->set_landed_scale(1.0);
+  EXPECT_EQ(ceio->config().landed_cap, 101u);
+  EXPECT_EQ(ceio->config().bypass_landed_cap, 333u);
 }
 
-TEST(PolicyHost, CeioForcedPathSwitchesImmediately) {
+TEST(CeioActuators, BypassExileSwitchesImmediately) {
   TestbedConfig cfg;
   cfg.system = SystemKind::kCeio;
   Testbed bed(cfg);
@@ -209,13 +212,20 @@ TEST(PolicyHost, CeioForcedPathSwitchesImmediately) {
   CeioDatapath* ceio = bed.ceio();
   ASSERT_NE(ceio, nullptr);
   EXPECT_FALSE(ceio->in_slow_mode(1));
-  ceio->set_kind_path(FlowKind::kCpuBypass, FlowPathOverride::kForceSlow);
+  ceio->set_bypass_slow(true);
   EXPECT_TRUE(ceio->in_slow_mode(1));
   EXPECT_EQ(ceio->runtime_stats().credit_switches_to_slow, 1);
-  // Re-applying the same override is a no-op, not a second transition.
-  ceio->set_kind_path(FlowKind::kCpuBypass, FlowPathOverride::kForceSlow);
+  // Re-applying the exile is a no-op, not a second transition.
+  ceio->set_bypass_slow(true);
   EXPECT_TRUE(ceio->in_slow_mode(1));
   EXPECT_EQ(ceio->runtime_stats().credit_switches_to_slow, 1);
+  // Lifting it hands the flow back to the controller poll, which readmits
+  // it to the fast path once its balance recovers.
+  ceio->set_bypass_slow(false);
+  EXPECT_TRUE(ceio->in_slow_mode(1));
+  bed.run_for(micros(10));
+  EXPECT_FALSE(ceio->in_slow_mode(1));
+  EXPECT_EQ(ceio->runtime_stats().switches_back_to_fast, 1);
 }
 
 // ---- Governor wired into the testbed ---------------------------------------
@@ -223,6 +233,21 @@ TEST(PolicyHost, CeioForcedPathSwitchesImmediately) {
 TEST(GovernorTestbed, OffSchedulesNothing) {
   Testbed bed(TestbedConfig{});  // policy.governor defaults to kOff
   EXPECT_EQ(bed.governor(), nullptr);
+}
+
+TEST(GovernorTestbed, RefusesSystemsWithoutCeio) {
+  for (const SystemKind system :
+       {SystemKind::kLegacy, SystemKind::kHostcc, SystemKind::kShring}) {
+    for (const GovernorMode mode : {GovernorMode::kStatic, GovernorMode::kReactive}) {
+      TestbedConfig cfg;
+      cfg.system = system;
+      cfg.policy.governor = mode;
+      EXPECT_THROW(Testbed{cfg}, std::invalid_argument) << to_string(system);
+    }
+    TestbedConfig off;
+    off.system = system;
+    EXPECT_NO_THROW(Testbed{off}) << to_string(system);
+  }
 }
 
 TEST(GovernorTestbed, ReactiveGovernorTicksAndApplies) {

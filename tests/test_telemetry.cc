@@ -330,23 +330,6 @@ TEST(MetricRegistry, GaugeNameCollisionRejected) {
   EXPECT_DOUBLE_EQ(reg.read_gauge("a.b.c"), 1.0);
 }
 
-TEST(MetricRegistry, CollisionAcrossKindsQuarantines) {
-  MetricRegistry reg;
-  Counter& c = reg.counter("shared.name");
-  c.add(5);
-  // A histogram under the same name is quarantined, not registered.
-  LatencyHistogram& h = reg.histogram("shared.name");
-  h.add(Nanos{100});
-  EXPECT_EQ(reg.collisions(), 1u);
-  EXPECT_EQ(reg.histogram_count(), 0u);
-  // A gauge under the same name is rejected too.
-  EXPECT_FALSE(reg.add_gauge("shared.name", []() { return 0.0; }));
-  EXPECT_EQ(reg.collisions(), 2u);
-  // The quarantined instances still work for their callers.
-  EXPECT_EQ(c.value(), 5);
-  EXPECT_EQ(h.count(), 1);
-}
-
 TEST(MetricRegistry, GaugeNamesSortedAndStable) {
   MetricRegistry reg;
   reg.add_gauge("z.last", []() { return 0.0; });

@@ -2,11 +2,12 @@
 // per-tenant accounting, the roster, the WayPartitionController's decision
 // logic on synthetic gauge traces, and the harness-level contracts (tenant
 // experiment smoke, controller-off identity at zero contention, sharded
-// byte-reproducibility).
+// byte-reproducibility, the audited tenant invariants).
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
+#include "audit/model_auditor.h"
 #include "harness/experiment.h"
 #include "host/cache.h"
 #include "tenant/tenant_bed.h"
@@ -380,6 +381,31 @@ TEST(TenantExperiment, ShardWorkersNeverChangeTenantResults) {
   spec.testbed.sim.shards = 4;
   const RunResult parallel = harness::run_experiment(spec);
   expect_identical(serial, parallel);
+}
+
+TEST(TenantExperiment, AuditBindsTenantAndPerTenantCeioInvariants) {
+  // The assembly replaces the testbed's datapath, so the standard pack loses
+  // its CEIO families; the assembly binds the two tenant LLC invariants and
+  // each tenant's CEIO families in their place.
+  auto spec = tenant_spec();
+  spec.controller.policy = PartitionPolicy::kReactive;
+  TestbedConfig plain = spec.testbed;
+  plain.system = SystemKind::kLegacy;
+  Testbed reference(plain);
+  const std::size_t model_wide = reference.enable_audit().invariant_count();
+
+  Testbed bed(spec.testbed);
+  bed.enable_audit(micros(20));
+  tenant::TenantAssembly assembly(bed, spec.tenant, spec.controller);
+  ASSERT_NE(bed.auditor(), nullptr);
+  EXPECT_EQ(bed.auditor()->invariant_count(), model_wide + 2 + 3 * assembly.roster().size());
+
+  harness::for_each_flow(spec, [&](const FlowConfig& fc) {
+    bed.add_flow(fc, assembly.app_of_flow(fc.id));
+  });
+  bed.run_for(spec.warmup + spec.measure);
+  EXPECT_GT(bed.auditor()->sweeps(), 30);
+  EXPECT_TRUE(bed.auditor()->ok()) << bed.auditor()->summary();
 }
 
 }  // namespace

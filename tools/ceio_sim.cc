@@ -12,7 +12,9 @@
 // Every field of the experiment spec is addressable through the reflective
 // config schema: `--set llc.ddio_ways=4`, `--set workload.app=echo`,
 // `--set ceio.release_batch=64`, ... (`--help-keys` lists them all). The
-// classic short flags (--flows, --pkt, ...) remain as aliases.
+// classic short flags (--flows, --pkt, ...) remain as aliases, parsed by the
+// same schema. `--scenario` replaces the whole spec, so it must come before
+// every flag that changes the spec.
 //
 // Without --sweep, prints the per-flow and aggregate reports plus host-level
 // cache statistics. With --sweep, expands the axes' cartesian product, runs
@@ -73,7 +75,8 @@ struct CliOptions {
                "                                       never changes results)\n"
                "\n"
                "configuration (reflective schema, dotted keys):\n"
-               "  --scenario=NAME        start from a registered scenario\n"
+               "  --scenario=NAME        start from a registered scenario (before any\n"
+               "                         flag that changes the spec)\n"
                "  --config=FILE          apply a scenario file (key = value lines)\n"
                "  --set KEY=VALUE        override one field (e.g. llc.ddio_ways=4)\n"
                "  --list-scenarios       list registered scenarios and exit\n"
@@ -114,6 +117,32 @@ bool parse_flag(int argc, char** argv, int* i, const char* name, std::string* va
   return true;
 }
 
+/// The short flags. Each is an alias for one schema key: `--flag=V` sets
+/// the key to V followed by the flag's unit through config::set, so a
+/// malformed value is refused exactly like `--set`.
+struct FlagAlias {
+  const char* flag;
+  const char* key;
+  const char* unit;  // appended to the value; nullptr: a bare switch that sets true
+};
+
+constexpr FlagAlias kFlagAliases[] = {
+    {"--system", "system", ""},
+    {"--flows", "workload.flows", ""},
+    {"--rate-gbps", "workload.offered_rate", "Gbps"},
+    {"--pkt", "workload.packet_size", "B"},
+    {"--app", "workload.app", ""},
+    {"--chunk-kb", "workload.chunk_kb", ""},
+    {"--ms", "measure", "ms"},
+    {"--warmup-ms", "warmup", "ms"},
+    {"--poisson", "workload.poisson", nullptr},
+    {"--closed-loop", "workload.closed_loop", ""},
+    {"--burst-on-us", "workload.burst_on", "us"},
+    {"--burst-off-us", "workload.burst_off", "us"},
+    {"--seed", "seed", ""},
+    {"--shards", "sim.shards", ""},
+};
+
 [[noreturn]] void fail(const std::string& message) {
   std::fprintf(stderr, "ceio_sim: %s\n", message.c_str());
   std::exit(2);
@@ -147,51 +176,53 @@ void list_keys(const harness::ExperimentSpec& spec) {
   }
 }
 
+/// Matches argv[*i] against the alias table; on a match, stores the value
+/// the schema key receives in *value.
+const FlagAlias* match_alias(int argc, char** argv, int* i, std::string* value) {
+  for (const FlagAlias& alias : kFlagAliases) {
+    if (alias.unit == nullptr) {
+      if (std::strcmp(argv[*i], alias.flag) != 0) continue;
+      *value = "true";
+      return &alias;
+    }
+    if (parse_flag(argc, argv, i, alias.flag, value)) {
+      *value += alias.unit;
+      return &alias;
+    }
+  }
+  return nullptr;
+}
+
 CliOptions parse(int argc, char** argv) {
   CliOptions opt;
   harness::ExperimentSpec& spec = opt.spec;
   int runs = 0;
+  // The last flag that changed the spec: a --scenario after it would
+  // silently replace what it set.
+  std::string spec_flag;
   for (int i = 1; i < argc; ++i) {
     std::string v;
     std::string error;
     if (parse_flag(argc, argv, &i, "--help", &v) || parse_flag(argc, argv, &i, "-h", &v)) {
       usage(argv[0], 0);
-    } else if (parse_flag(argc, argv, &i, "--system", &v)) {
-      if (!config::set(spec, "system", v, &error)) usage(argv[0], 2);
-    } else if (parse_flag(argc, argv, &i, "--flows", &v)) {
-      spec.workload.flows = std::atoi(v.c_str());
-    } else if (parse_flag(argc, argv, &i, "--rate-gbps", &v)) {
-      spec.workload.offered_rate = gbps(std::atof(v.c_str()));
-    } else if (parse_flag(argc, argv, &i, "--pkt", &v)) {
-      spec.workload.packet_size = Bytes{std::atoll(v.c_str())};
-    } else if (parse_flag(argc, argv, &i, "--app", &v)) {
-      spec.workload.app = v;
-    } else if (parse_flag(argc, argv, &i, "--chunk-kb", &v)) {
-      spec.workload.chunk_kb = std::atoll(v.c_str());
-    } else if (parse_flag(argc, argv, &i, "--ms", &v)) {
-      spec.measure = millis(std::atof(v.c_str()));
-    } else if (parse_flag(argc, argv, &i, "--warmup-ms", &v)) {
-      spec.warmup = millis(std::atof(v.c_str()));
-    } else if (parse_flag(argc, argv, &i, "--poisson", &v)) {
-      spec.workload.poisson = true;
-    } else if (parse_flag(argc, argv, &i, "--closed-loop", &v)) {
-      spec.workload.closed_loop = std::atoi(v.c_str());
-    } else if (parse_flag(argc, argv, &i, "--burst-on-us", &v)) {
-      spec.workload.burst_on = micros(std::atof(v.c_str()));
-    } else if (parse_flag(argc, argv, &i, "--burst-off-us", &v)) {
-      spec.workload.burst_off = micros(std::atof(v.c_str()));
-    } else if (parse_flag(argc, argv, &i, "--seed", &v)) {
-      spec.testbed.seed = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (parse_flag(argc, argv, &i, "--shards", &v)) {
-      if (!config::set(spec, "sim.shards", v, &error)) fail(error);
+    } else if (const FlagAlias* alias = match_alias(argc, argv, &i, &v)) {
+      if (!config::set(spec, alias->key, v, &error)) fail(alias->flag + (": " + error));
+      spec_flag = alias->flag;
     } else if (parse_flag(argc, argv, &i, "--scenario", &v)) {
+      if (!spec_flag.empty()) {
+        fail("--scenario replaces the whole spec and would drop the earlier " + spec_flag +
+             "; give it first, once");
+      }
       const auto* s = harness::ScenarioRegistry::instance().find(v);
       if (s == nullptr) fail("unknown scenario '" + v + "' (--list-scenarios)");
       spec = s->spec;
+      spec_flag = "--scenario";
     } else if (parse_flag(argc, argv, &i, "--config", &v)) {
       apply_config_file(spec, v);
+      spec_flag = "--config";
     } else if (parse_flag(argc, argv, &i, "--set", &v)) {
       apply_set(spec, v);
+      spec_flag = "--set";
     } else if (parse_flag(argc, argv, &i, "--sweep", &v)) {
       harness::SweepAxis axis;
       if (!harness::parse_axis(v, &axis, &error)) fail("--sweep: " + error);

@@ -388,15 +388,15 @@ def check_unreflected_config(findings: list[Finding]) -> None:
 
 
 RAW_ACTUATOR_RE = re.compile(
-    r"(?:\.|->)\s*(set_credit_scale|set_kind_path|set_landed_caps|"
+    r"(?:\.|->)\s*(set_credit_scale|set_bypass_slow|set_landed_scale|"
     r"set_total_credits|set_coalescing)\s*\("
 )
 
 
 def check_raw_actuator(findings: list[Finding]) -> None:
     """Member calls (`.` or `->`), from src/ outside src/policy/, to the
-    PolicyHost actuators (set_credit_scale, set_kind_path, set_landed_caps),
-    to CEIO's credit-budget reset set_total_credits, or to
+    governor's CEIO actuators (set_credit_scale, set_bypass_slow,
+    set_landed_scale), to CEIO's credit-budget reset set_total_credits, or to
     EventScheduler::set_coalescing. The actuators are the governor's write
     surface; a layer pushing one directly bypasses the decision ladder and
     its grant-hold rules. Defining a setter stays legal (no member-access
