@@ -29,11 +29,11 @@ CeioDatapath::CeioDatapath(EventScheduler& sched, DmaEngine& dma, MemoryControll
       credits_(config.total_credits),
       base_total_credits_(config.total_credits),
       base_landed_cap_(config.landed_cap),
-      base_bypass_landed_cap_(config.bypass_landed_cap),
       doorbells_(sched, [this](Nanos, CreditDoorbell db) {
         credits_.release(db.flow, db.count, [this](FlowId creditor) { arm(creditor); });
         arm(db.flow);
-      }) {
+      }),
+      dma_issues_(sched, [this](Nanos, DmaIssue issue) { issue_fast_dma(issue); }) {
   // Controller loops run on the NIC cores for the lifetime of the runtime.
   poll_timer_ = sched_.schedule_after(config_.poll_interval,
                                       [this]() { controller_poll(); });
@@ -267,10 +267,9 @@ void CeioDatapath::set_landed_scale(double scale) {
     const auto v = std::llround(static_cast<double>(base) * scale);
     return std::max<std::size_t>(static_cast<std::size_t>(std::max<long long>(v, 0)), 8);
   };
-  // The elastic drain gates read these through config_ on every decision, so
+  // The elastic drain gates read it through config_ on every decision, so
   // resizing takes effect at the next drain attempt.
   config_.landed_cap = scaled(base_landed_cap_);
-  config_.bypass_landed_cap = scaled(base_bypass_landed_cap_);
   arm_all();
 }
 
@@ -383,17 +382,20 @@ void CeioDatapath::deliver_fast_path(FlowState& fs, Ext& ext, Packet pkt) {
   pkt.host_buffer = buffer;
   // The controller's match-action + credit work is pipelined ahead of the
   // DMA issue: it delays the packet but does not throttle the stream.
-  const bool expect_read = fs.rt.app->reads_delivered_data();
-  // Park the packet: both hops of the pipelined issue capture its 4-byte
-  // handle, keeping the scheduler callback and the DMA completion inline.
-  const PacketRef ref = pool_.make(std::move(pkt));
-  sched_.schedule_after(config_.controller_latency, [this, id, buffer, expect_read, ref]() {
-    Packet* parked = pool_.get(ref);
-    CEIO_T_PATH_HOP(tele_, parked->flow, parked->seq, PathHop::kDmaIssue, sched_.now());
-    dma_.write_to_host(
-        buffer, parked->size, /*ddio=*/true,
-        [this, id, ref](Nanos) { on_fast_landed(id, ref); }, expect_read);
-  });
+  // Park the packet: the issue item and the DMA completion carry its
+  // 4-byte handle, keeping both inline.
+  dma_issues_.push(sched_.now() + config_.controller_latency,
+                   DmaIssue{id, fs.rt.app->reads_delivered_data(), pool_.make(std::move(pkt)),
+                            buffer});
+}
+
+void CeioDatapath::issue_fast_dma(const DmaIssue& issue) {
+  const Packet* parked = pool_.get(issue.ref);
+  CEIO_T_PATH_HOP(tele_, parked->flow, parked->seq, PathHop::kDmaIssue, sched_.now());
+  dma_.write_to_host(
+      issue.buffer, parked->size, /*ddio=*/true,
+      [this, id = issue.flow, ref = issue.ref](Nanos) { on_fast_landed(id, ref); },
+      issue.expect_read);
 }
 
 void CeioDatapath::on_fast_landed(FlowId flow, PacketRef ref) {

@@ -92,9 +92,6 @@ struct CeioConfig {
   std::size_t fast_ring_entries = 4096;
   std::size_t drain_window = 32;        // async slow-path reads in flight
   std::size_t landed_cap = 256;         // landed-but-unconsumed drain cap
-  /// Bypass flows pipeline whole messages through the worker; their landed
-  /// window is deeper (a few chunks) so assembly overlaps the work.
-  std::size_t bypass_landed_cap = 768;
   /// Bypass slow-path backlog regarded as producer overrun (packets).
   std::size_t bypass_cca_threshold = 1536;
   std::size_t slow_cca_threshold = 192; // unconsumed backlog that triggers the CCA
@@ -252,7 +249,18 @@ class CeioDatapath final : public DatapathBase {
   Ext* ext_of(FlowId id);
   const Ext* ext_of(FlowId id) const;
 
+  /// One fast-path packet on its way through the controller to DMA issue.
+  struct DmaIssue {
+    FlowId flow = 0;
+    bool expect_read = false;
+    PacketRef ref{};
+    BufferId buffer = 0;
+  };
+
   void deliver_fast_path(FlowState& fs, Ext& ext, Packet pkt);  // lint: allow-packet-copy (move-sink)
+  /// The DMA issue of a parked fast-path packet, controller_latency after
+  /// deliver_fast_path.
+  void issue_fast_dma(const DmaIssue& issue);
   void deliver_slow_path(FlowState& fs, Ext& ext, Packet pkt);  // lint: allow-packet-copy (move-sink)
   void on_fast_landed(FlowId flow, PacketRef ref);
   void on_slow_read_complete(FlowId flow, Packet pkt, Nanos now);  // lint: allow-packet-copy (move-sink)
@@ -314,9 +322,8 @@ class CeioDatapath final : public DatapathBase {
   /// exactly (no rounding) while the scale is 1.0.
   std::int64_t base_total_credits_;
   double credit_scale_ = 1.0;
-  /// Configured landing caps; set_landed_scale scales these into config_.
+  /// Configured landing cap; set_landed_scale scales it into config_.
   std::size_t base_landed_cap_;
-  std::size_t base_bypass_landed_cap_;
   bool bypass_slow_ = false;
   // Dense slab keyed by flow id: ext_of() is on the per-packet fast path,
   // so lookups are O(1) array probes. Control-flow ordering comes from
@@ -353,9 +360,13 @@ class CeioDatapath final : public DatapathBase {
     std::int64_t count = 0;
   };
   // Doorbells ring a constant MMIO latency after issue, so due times are
-  // non-decreasing: a coalesced stream drains release bursts in one event.
-  // Its destructor cancels the armed event, covering datapath teardown.
+  // non-decreasing: a stream item each. Its destructor drops queued
+  // items, covering datapath teardown.
   CoalescedStream<CreditDoorbell> doorbells_;
+  // The controller's match-action + credit work delays each fast-path
+  // packet by the constant controller_latency, so issue times are
+  // non-decreasing: a stream item each, dropped at teardown like doorbells.
+  CoalescedStream<DmaIssue> dma_issues_;
 };
 
 }  // namespace ceio

@@ -286,7 +286,6 @@ void visit_fields(CeioConfig& c, V&& v) {
   v.field("fast_ring_entries", c.fast_ring_entries, std::size_t{1}, std::size_t{1} << 24);
   v.field("drain_window", c.drain_window, std::size_t{1}, std::size_t{1} << 24);
   v.field("landed_cap", c.landed_cap, std::size_t{1}, std::size_t{1} << 24);
-  v.field("bypass_landed_cap", c.bypass_landed_cap, std::size_t{1}, std::size_t{1} << 24);
   v.field("bypass_cca_threshold", c.bypass_cca_threshold, std::size_t{1}, std::size_t{1} << 24);
   v.field("slow_cca_threshold", c.slow_cca_threshold, std::size_t{1}, std::size_t{1} << 24);
   v.field("cca_min_gap", c.cca_min_gap, Nanos{0}, seconds(1));

@@ -126,8 +126,7 @@ class MemoryController {
   Telemetry* tele_ = nullptr;
   // Completion times are monotonic per drain target (LLC: now + a constant
   // write latency; DRAM: the bandwidth pipe's free_at), but not across the
-  // two, so each is its own coalesced stream: bursts of completions drain
-  // in one event each, at exact per-write times.
+  // two, so each is its own stream of completions at exact per-write times.
   CoalescedStream<PendingWrite> llc_completions_;
   CoalescedStream<PendingWrite> dram_completions_;
 };

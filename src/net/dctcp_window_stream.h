@@ -1,5 +1,5 @@
 // DCTCP window rollovers of every flow source on one scheduler, as one
-// coalesced stream.
+// stream.
 //
 // A running FlowSource rolls its DCTCP observation window over once per
 // `DctcpConfig::window` (20 µs). As one timer event per source per window
@@ -12,9 +12,9 @@
 // clock): a CoalescedStream of (source, epoch) items. Each push draws its
 // seq from the scheduler exactly where the source's own schedule_after
 // would have, so a rollover keeps the (when, seq) key its event had and
-// runs at the same point of the global order, while a train of same-instant
-// rollovers drains in one scheduler event (see sim/coalesced_stream.h for
-// why that changes no output).
+// runs at the same point of the global order, while each rollover of a
+// same-instant train costs a ring pop and a re-key of the stream's head,
+// not a timer (see sim/coalesced_stream.h for why that changes no output).
 //
 // The stream is the only holder of the window length: sources build their
 // Dctcp from config(), so one stream never mixes window lengths (which

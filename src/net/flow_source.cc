@@ -136,10 +136,7 @@ void FlowSource::notify_delivered(const Packet& pkt) {
   stats_.bytes_delivered += pkt.size;
   delivered_.record(pkt.size);
   // Echo the ECN mark to the sender half an RTT later.
-  const bool marked = pkt.ecn;
-  sched_.schedule_after(link_.config().propagation, [this, marked]() {
-    dctcp_.on_ack(marked);
-  });
+  link_.echo_ecn(*this, pkt.ecn);
 }
 
 void FlowSource::notify_dropped(const Packet& pkt) {

@@ -94,9 +94,12 @@ class FlowSource {
 
  private:
   friend class DctcpWindowStream;
+  friend class NetworkLink;
   /// A rollover queued under `epoch` came due: applies the DCTCP window
   /// update and queues the next one, unless stop() voided it.
   void roll_window(std::uint64_t epoch);
+  /// The ECN echo NetworkLink::echo_ecn carried back arrived.
+  void on_ecn_echo(bool marked) { dctcp_.on_ack(marked); }
   /// Schedules the next emission no earlier than last_emit_ + pacing gap.
   void schedule_emit();
   void emit_packet();

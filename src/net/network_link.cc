@@ -2,7 +2,16 @@
 
 #include <algorithm>
 
+#include "net/flow_source.h"
+
 namespace ceio {
+
+NetworkLink::NetworkLink(EventScheduler& sched, Nic& nic, const NetworkLinkConfig& config)
+    : sched_(sched),
+      nic_(nic),
+      config_(config),
+      arrivals_(sched, [this](Nanos, PacketRef ref) { nic_.receive(pool_.take(ref)); }),
+      echoes_(sched, [](Nanos, EcnEcho echo) { echo.source->on_ecn_echo(echo.marked); }) {}
 
 Bytes NetworkLink::queue_depth(Nanos now) const {
   // Backlog implied by the serializer's reservation horizon: bytes that have
@@ -31,6 +40,10 @@ void NetworkLink::send(Packet pkt) {
   const Nanos start = std::max(now, egress_free_);
   egress_free_ = start + transmit_time(pkt.size, config_.rate);
   arrivals_.push(egress_free_ + config_.propagation, pool_.make(std::move(pkt)));
+}
+
+void NetworkLink::echo_ecn(FlowSource& source, bool marked) {
+  echoes_.push(sched_.now() + config_.propagation, EcnEcho{&source, marked});
 }
 
 }  // namespace ceio

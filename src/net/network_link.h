@@ -18,6 +18,8 @@
 
 namespace ceio {
 
+class FlowSource;
+
 struct NetworkLinkConfig {
   BitsPerSec rate = gbps(200.0);
   Bytes queue_capacity = 512 * kKiB;
@@ -38,11 +40,7 @@ class NetworkLink {
   /// Called when the link had to drop a packet (queue overflow).
   using DropHandler = std::function<void(const Packet&)>;
 
-  NetworkLink(EventScheduler& sched, Nic& nic, const NetworkLinkConfig& config = {})
-      : sched_(sched),
-        nic_(nic),
-        config_(config),
-        arrivals_(sched, [this](Nanos, PacketRef ref) { nic_.receive(pool_.take(ref)); }) {}
+  NetworkLink(EventScheduler& sched, Nic& nic, const NetworkLinkConfig& config = {});
 
   void set_drop_handler(DropHandler handler) { on_drop_ = std::move(handler); }
 
@@ -51,6 +49,10 @@ class NetworkLink {
 
   /// Instantaneous queue backlog in bytes.
   Bytes queue_depth(Nanos now) const;
+
+  /// Carries a delivered packet's ECN mark back to `source` on the reverse
+  /// path: the source's DCTCP sees it one propagation delay from now.
+  void echo_ecn(FlowSource& source, bool marked);
 
   const NetworkLinkStats& stats() const { return stats_; }
   const NetworkLinkConfig& config() const { return config_; }
@@ -66,9 +68,15 @@ class NetworkLink {
   // 4-byte handles (a full 512 KiB queue is thousands of entries).
   PacketPool pool_;
   // Arrivals are serialisation exits plus the constant propagation:
-  // non-decreasing, so the wire is a coalesced stream (one event drains a
-  // burst of arrivals).
+  // non-decreasing, so the wire is a stream.
   CoalescedStream<PacketRef> arrivals_;
+  struct EcnEcho {
+    FlowSource* source;
+    bool marked;
+  };
+  // Echoes fly back over the same constant propagation, so one stream
+  // carries every source's echoes on this link.
+  CoalescedStream<EcnEcho> echoes_;
 };
 
 }  // namespace ceio

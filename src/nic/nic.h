@@ -60,9 +60,8 @@ class Nic {
 
   /// Entry point for the network link: packet hits the RX MAC. Pipeline
   /// exits are serialised on per_packet_cost, so exit times are
-  /// non-decreasing and the whole RX pipeline is one coalesced stream:
-  /// back-to-back packets drain through the firmware in a single event
-  /// (each still delivered at its exact per-packet exit time).
+  /// non-decreasing and the whole RX pipeline is one stream: each packet
+  /// leaves the firmware as a stream item at its exact exit time.
   void receive(Packet pkt) {  // lint: allow-packet-copy (move-sink)
     ++stats_.packets;
     stats_.bytes += pkt.size;

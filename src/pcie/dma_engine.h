@@ -107,8 +107,8 @@ class DmaEngine {
   DmaEngineStats stats_;
   Telemetry* tele_ = nullptr;
   // Upstream landings serialise on the link (PcieLink::upstream reserves in
-  // issue order), so write arrivals are a coalesced stream: one event drains
-  // a burst of TLPs, each landing at its exact link-computed time.
+  // issue order), so write arrivals are a stream: each TLP lands as a stream
+  // item at its exact link-computed time.
   CoalescedStream<WriteDescriptor> write_landings_;
 };
 

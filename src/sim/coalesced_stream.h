@@ -1,36 +1,29 @@
-// Burst-mode event coalescing with per-item timestamps.
+// Fixed-delay packet hops as scheduler streams, with per-item timestamps.
 //
-// The simulator's hot pipeline hops (NIC firmware ingress, PCIe DMA landing,
-// memory-controller completions, credit doorbells) each used to schedule one
-// event per packet. Under backlog those events dominate scheduler traffic
-// without adding information: each hop's deadlines are generated in
-// non-decreasing order (serialisation on a link, a fixed pipeline cost, a
-// constant latency added to a monotonic clock), so the hop is really a FIFO
-// *stream* of timestamped items.
+// The simulator's hot pipeline hops (wire arrival, NIC firmware exit, DMA
+// issue and landing, memory-controller completions, credit doorbells, ECN
+// echoes, DCTCP window rollovers) each used to schedule one event per item.
+// Each hop's deadlines are generated in non-decreasing order (serialisation
+// on a link, a fixed pipeline cost, a constant latency added to a monotonic
+// clock), so the hop is really a FIFO *stream* of timestamped items.
 //
-// CoalescedStream keeps that FIFO explicitly and arms a single scheduler
-// event for the front item only. When the event fires, it drains as many
-// queued items as possible in one callback ("a burst"), advancing the
-// scheduler clock to each item's exact deadline before invoking the handler
-// — so a model reading sched.now() (token-bucket refills, link reservations,
-// occupancy polls) observes precisely the times it would have seen with one
-// event per item.
+// CoalescedStream keeps that FIFO explicitly and registers its front with
+// the scheduler (EventScheduler::Stream). The scheduler merges the heads of
+// all its streams with its own event queue and dispatches one item at a
+// time: it advances the clock to the item's exact deadline, pops it, and
+// runs the handler — so a model reading sched.now() (token-bucket refills,
+// link reservations, occupancy polls) observes precisely the times it would
+// have seen with one event per item. An item costs a ring push and a pop,
+// not a pooled event.
 //
-// Determinism is preserved bit-for-bit, not approximately:
-//   * every push draws a seq from the scheduler (allocate_seq), so the
-//     (when, seq) key space is identical to the one-event-per-item world;
-//   * an item is drained inline only while its key precedes the earliest
-//     scheduled event (EventScheduler::peek) — i.e. exactly while the
-//     per-event world would have popped it next anyway — and only up to the
-//     innermost run_until deadline;
-//   * otherwise the stream re-arms one event carrying the *original* seq of
-//     the front item (schedule_at_with_seq), which sorts exactly where that
-//     item's own event would have.
-// EventScheduler::set_coalescing(false) turns the inline drain off (one
-// event per item again); tests assert both modes produce identical results.
+// Determinism is preserved bit-for-bit, not approximately: every push draws
+// a seq from the scheduler (allocate_seq), so the (when, seq) key space and
+// hence the dispatch order are identical to the one-event-per-item world.
+// That rests on deadlines never decreasing, so push checks it in every
+// build and throws std::logic_error on a deadline before now() or before
+// the previous one.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <utility>
 
@@ -41,31 +34,31 @@
 
 namespace ceio {
 
-/// FIFO of (when, seq, Item) driven by one scheduler event. `Item` must be
-/// movable; the handler receives each item at sched.now() == its deadline.
+/// FIFO of (when, seq, Item) merged into the scheduler's dispatch order.
+/// `Item` must be movable; the handler receives each item at sched.now() ==
+/// its deadline.
 template <typename Item>
-class CoalescedStream {
+class CoalescedStream final : public EventScheduler::Stream {
  public:
   using Handler = InlineFunction<void(Nanos, Item), 48>;
 
   CoalescedStream(EventScheduler& sched, Handler handler)
-      : sched_(sched), handler_(std::move(handler)) {}
+      : Stream(sched), handler_(std::move(handler)) {}
 
-  ~CoalescedStream() {
-    if (armed_) sched_.cancel(armed_handle_);
-  }
+  ~CoalescedStream() { note_destroyed(queue_.size()); }
 
-  CoalescedStream(const CoalescedStream&) = delete;
-  CoalescedStream& operator=(const CoalescedStream&) = delete;
-
-  /// Queues `item` for delivery at `when`. Deadlines must be non-decreasing
-  /// across pushes — true for every converted hop (link serialisation,
-  /// fixed pipeline costs, constant latencies on a monotonic clock).
+  /// Queues `item` for delivery at `when`. Deadlines must not precede now()
+  /// nor the previous push's deadline — true for every converted hop (link
+  /// serialisation, fixed pipeline costs, constant latencies on a monotonic
+  /// clock); a push that breaks either throws std::logic_error.
   void push(Nanos when, Item item) {
-    assert(when >= sched_.now());
-    assert(empty() || when >= queue_.back().when);
-    queue_.push_back(Entry{when, sched_.allocate_seq(), std::move(item)});
-    if (!armed_ && !in_fire_) arm_front();
+    if (when < sched_.now()) refuse_deadline(when, sched_.now(), "now()");
+    if (!queue_.empty() && when < queue_.back().when) {
+      refuse_deadline(when, queue_.back().when, "the previous deadline");
+    }
+    const std::uint64_t seq = sched_.allocate_seq();
+    queue_.push_back(Entry{when, seq, std::move(item)});
+    note_push({when, seq}, queue_.size() == 1);
   }
 
   bool empty() const { return queue_.empty(); }
@@ -78,46 +71,18 @@ class CoalescedStream {
     Item item;
   };
 
-  void arm_front() {
-    const Entry& front = queue_.front();
-    armed_handle_ = sched_.schedule_at_with_seq(front.when, front.seq, [this]() { fire(); });
-    armed_ = true;
-  }
-
-  /// True while the front item is exactly what the one-event-per-item world
-  /// would execute next: its key precedes every scheduled event and it does
-  /// not cross the innermost run_until boundary.
-  bool front_is_next() {
-    const Entry& front = queue_.front();
-    if (front.when > sched_.run_deadline()) return false;
-    EventScheduler::EventKey top;
-    if (!sched_.peek(top)) return true;
-    return front.when != top.when ? front.when < top.when : front.seq < top.seq;
-  }
-
-  void fire() {
-    armed_ = false;
-    in_fire_ = true;
-    for (;;) {
-      Entry entry = queue_.pop_front();
-      handler_(entry.when, std::move(entry.item));
-      if (queue_.empty()) break;
-      if (!sched_.coalescing() || !front_is_next()) {
-        arm_front();
-        break;
-      }
-      sched_.advance_now(queue_.front().when);
+  void dispatch_front() override {
+    Entry entry = queue_.pop_front();
+    if (queue_.empty()) {
+      note_empty();
+    } else {
+      note_next({queue_.front().when, queue_.front().seq});
     }
-    in_fire_ = false;
-    if (!armed_ && !queue_.empty()) arm_front();
+    handler_(entry.when, std::move(entry.item));
   }
 
-  EventScheduler& sched_;
   Handler handler_;
   GrowRing<Entry> queue_;
-  EventHandle armed_handle_;
-  bool armed_ = false;
-  bool in_fire_ = false;
 };
 
 }  // namespace ceio

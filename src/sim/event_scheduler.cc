@@ -1,15 +1,21 @@
 #include "sim/event_scheduler.h"
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace ceio {
 
-EventScheduler::EventScheduler()
-    : buckets_(kWheelSpan),
-      far_(kFarSlots),
-      run_deadline_{std::numeric_limits<std::int64_t>::max()} {}
+void EventScheduler::Stream::refuse_deadline(Nanos when, Nanos floor, const char* floor_name) {
+  throw std::logic_error("CoalescedStream::push: deadline " + std::to_string(when.count()) +
+                         " ns precedes " + floor_name + " " + std::to_string(floor.count()) +
+                         " ns");
+}
+
+EventScheduler::EventScheduler() : buckets_(kWheelSpan), far_(kFarSlots) {}
 
 std::uint32_t EventScheduler::acquire_slot() {
   if (free_head_ != kNil) {
@@ -89,6 +95,7 @@ void EventScheduler::insert(Nanos when, std::uint64_t seq, std::uint32_t slot) {
   } else {
     const std::size_t pos = heap_.size();
     heap_.push_back(HeapNode{when, seq, slot});
+    slots_[slot].seq = seq;
     slots_[slot].where = kWhereHeap;
     slots_[slot].pos = static_cast<std::uint32_t>(pos);
     sift_up(pos);
@@ -108,15 +115,9 @@ void EventScheduler::append(SlotList& list, std::uint32_t slot) {
 
 void EventScheduler::wheel_insert(Nanos when, std::uint64_t seq, std::uint32_t slot) {
   const std::uint32_t index = bucket_index(when);
-  WheelBucket& b = buckets_[index];
   slots_[slot].seq = seq;
   slots_[slot].where = index;
-  if (seq < b.max_seq) {
-    b.dirty = true;
-  } else {
-    b.max_seq = seq;
-  }
-  append(b, slot);
+  append(buckets_[index], slot);
   ++wheel_live_;
   wheel_bits_.set(index);
 }
@@ -140,26 +141,9 @@ void EventScheduler::free_front(SlotList& list) {
 }
 
 void EventScheduler::reset_bucket(std::uint32_t index) {
-  WheelBucket& b = buckets_[index];
   // Only tombstones can remain once the last live slot has left.
-  skip_tombstones(b);
-  b.max_seq = 0;
-  b.dirty = false;
+  skip_tombstones(buckets_[index]);
   wheel_bits_.clear(index);
-}
-
-void EventScheduler::sort_bucket(WheelBucket& b) {
-  sort_scratch_.clear();
-  for (std::uint32_t s = b.head; s != kNil; s = slots_[s].next) sort_scratch_.push_back(s);
-  std::sort(sort_scratch_.begin(), sort_scratch_.end(),
-            [this](std::uint32_t a, std::uint32_t c) { return slots_[a].seq < slots_[c].seq; });
-  for (std::size_t i = 0; i + 1 < sort_scratch_.size(); ++i) {
-    slots_[sort_scratch_[i]].next = sort_scratch_[i + 1];
-  }
-  slots_[sort_scratch_.back()].next = kNil;
-  b.head = sort_scratch_.front();
-  b.tail = sort_scratch_.back();
-  b.dirty = false;
 }
 
 void EventScheduler::cascade(std::uint32_t index, std::int64_t coarse) {
@@ -202,14 +186,15 @@ void EventScheduler::advance_windows(std::int64_t far_next) {
   }
 }
 
-EventHandle EventScheduler::schedule_at_with_seq(Nanos when, std::uint64_t seq,
-                                                 Callback cb) {
-  assert(seq < next_seq_);
+EventHandle EventScheduler::schedule_at(Nanos when, Callback cb) {
   if (when < now_) when = now_;
+  const std::uint64_t seq = next_seq_++;
   const std::uint32_t slot = acquire_slot();
   slots_[slot].cb = std::move(cb);
   insert(when, seq, slot);
-  ++pending_;
+  // The fresh seq is the largest, so the new event leads only when strictly
+  // earlier; a stale front stays stale.
+  if (queued_++ == 0 || (front_.seq != 0 && when < front_.when)) front_ = EventKey{when, seq};
   return EventHandle{slot, slots_[slot].generation};
 }
 
@@ -217,6 +202,7 @@ bool EventScheduler::cancel(EventHandle handle) {
   if (!is_pending(handle)) return false;
   const std::uint32_t slot = handle.slot_;
   Slot& s = slots_[slot];
+  if (s.seq == front_.seq) front_.seq = 0;
   if (s.where == kWhereHeap) {
     heap_remove(s.pos);
     release_slot(slot);
@@ -228,7 +214,7 @@ bool EventScheduler::cancel(EventHandle handle) {
     ++s.generation;
     s.where = kWhereTomb;
     if (where < kWhereFar) {
-      WheelBucket& b = buckets_[where];
+      SlotList& b = buckets_[where];
       --b.live;
       --wheel_live_;
       if (b.live == 0) reset_bucket(where);
@@ -243,7 +229,7 @@ bool EventScheduler::cancel(EventHandle handle) {
       }
     }
   }
-  --pending_;
+  --queued_;
   return true;
 }
 
@@ -263,39 +249,52 @@ EventScheduler::EventKey EventScheduler::far_front() const {
   return front;
 }
 
-Nanos EventScheduler::earliest_when() const {
-  if (wheel_live_ > 0) return wheel_front_when();
-  if (far_live_ > 0) return far_front().when;
-  return heap_[0].when;
+void EventScheduler::refresh_front() {
+  if (wheel_live_ > 0) {
+    const Nanos when = wheel_front_when();
+    SlotList& b = buckets_[bucket_index(when)];
+    skip_tombstones(b);
+    front_ = EventKey{when, slots_[b.head].seq};
+  } else if (far_live_ > 0) {
+    front_ = far_front();
+  } else {
+    front_ = EventKey{heap_[0].when, heap_[0].seq};
+  }
 }
 
 bool EventScheduler::peek(EventKey& out) {
-  if (pending_ == 0) return false;
-  if (wheel_live_ == 0) {
-    out = far_live_ > 0 ? far_front() : EventKey{heap_[0].when, heap_[0].seq};
+  if (queued_ > 0) {
+    if (front_.seq == 0) refresh_front();
+    out = heads_.empty() || earlier(front_, heads_[0].key) ? front_ : heads_[0].key;
     return true;
   }
-  const Nanos when = wheel_front_when();
-  WheelBucket& b = buckets_[bucket_index(when)];
-  if (b.dirty) sort_bucket(b);
-  skip_tombstones(b);
-  out = EventKey{when, slots_[b.head].seq};
+  if (heads_.empty()) return false;
+  out = heads_[0].key;
   return true;
 }
 
-void EventScheduler::fire_at(Nanos when) {
+void EventScheduler::fire_front() {
+  const Nanos when = front_.when;
   if (when > now_) set_now(when);
   const std::uint32_t index = bucket_index(when);
-  WheelBucket& b = buckets_[index];
-  if (b.dirty) sort_bucket(b);
+  SlotList& b = buckets_[index];
   skip_tombstones(b);
   const std::uint32_t slot = b.head;
+  assert(slots_[slot].seq == front_.seq);
   b.head = slots_[slot].next;
   if (b.head == kNil) b.tail = kNil;
   --b.live;
   --wheel_live_;
-  --pending_;
-  if (b.live == 0) reset_bucket(index);
+  --queued_;
+  if (b.live == 0) {
+    reset_bucket(index);
+    front_.seq = 0;
+  } else {
+    // The rest of this tick's FIFO follows in seq order: its first live
+    // slot is the next front.
+    skip_tombstones(b);
+    front_.seq = slots_[b.head].seq;
+  }
   // Move the callback out and release the slot *before* invoking, so the
   // callback can freely schedule (possibly into this very slot) or cancel.
   Callback cb = std::move(slots_[slot].cb);
@@ -304,31 +303,93 @@ void EventScheduler::fire_at(Nanos when) {
   cb();
 }
 
-bool EventScheduler::step() {
-  if (pending_ == 0) return false;
-  fire_at(earliest_when());
+void EventScheduler::fire_head(bool run) {
+  Stream* const stream = heads_[0].stream;
+  if (heads_[0].key.when > now_) set_now(heads_[0].key.when);
+  // The next item's time is now_, within any deadline this one met; it runs
+  // next while its stream stays the top head and the cached queue front
+  // does not precede it (a stale front ends the run for dispatch_next).
+  do {
+    --stream_items_;
+    ++executed_;
+    stream->dispatch_front();
+  } while (run && !heads_.empty() && heads_[0].stream == stream && heads_[0].key.when == now_ &&
+           (queued_ == 0 || (front_.seq != 0 && earlier(heads_[0].key, front_))));
+}
+
+bool EventScheduler::dispatch_next(Nanos deadline, bool run) {
+  if (queued_ > 0) {
+    if (front_.seq == 0) refresh_front();
+    if (heads_.empty() || earlier(front_, heads_[0].key)) {
+      if (front_.when > deadline) return false;
+      fire_front();
+      return true;
+    }
+  } else if (heads_.empty()) {
+    return false;
+  }
+  if (heads_[0].key.when > deadline) return false;
+  fire_head(run);
   return true;
 }
 
+bool EventScheduler::step() {
+  return dispatch_next(Nanos{std::numeric_limits<std::int64_t>::max()}, /*run=*/false);
+}
+
 std::uint64_t EventScheduler::run_until(Nanos deadline) {
-  const Nanos saved_deadline = run_deadline_;
-  run_deadline_ = deadline;
-  std::uint64_t ran = 0;
-  while (pending_ > 0) {
-    const Nanos when = earliest_when();
-    if (when > deadline) break;
-    fire_at(when);
-    ++ran;
+  const std::uint64_t before = executed_;
+  while (dispatch_next(deadline, /*run=*/true)) {
   }
   if (now_ < deadline) set_now(deadline);
-  run_deadline_ = saved_deadline;
-  return ran;
+  return executed_ - before;
 }
 
 std::uint64_t EventScheduler::run_all() {
-  std::uint64_t ran = 0;
-  while (step()) ++ran;
-  return ran;
+  const std::uint64_t before = executed_;
+  while (dispatch_next(Nanos{std::numeric_limits<std::int64_t>::max()}, /*run=*/true)) {
+  }
+  return executed_ - before;
+}
+
+void EventScheduler::add_head(Stream& stream, EventKey key) {
+  heads_.push_back(Head{key, &stream});
+  sift_head_up(static_cast<std::uint32_t>(heads_.size() - 1), Head{key, &stream});
+}
+
+void EventScheduler::remove_head(std::uint32_t pos) {
+  heads_[pos].stream->head_ = Stream::kNoHead;
+  const Head last = heads_.back();
+  heads_.pop_back();
+  if (pos == heads_.size()) return;
+  if (pos > 0 && earlier(last.key, heads_[(pos - 1) / 2].key)) {
+    sift_head_up(pos, last);
+  } else {
+    sift_head_down(pos, last);
+  }
+}
+
+void EventScheduler::sift_head_up(std::uint32_t pos, Head head) {
+  while (pos > 0) {
+    const std::uint32_t parent = (pos - 1) / 2;
+    if (!earlier(head.key, heads_[parent].key)) break;
+    place_head(pos, heads_[parent]);
+    pos = parent;
+  }
+  place_head(pos, head);
+}
+
+void EventScheduler::sift_head_down(std::uint32_t pos, Head head) {
+  const auto size = static_cast<std::uint32_t>(heads_.size());
+  for (;;) {
+    std::uint32_t child = 2 * pos + 1;
+    if (child >= size) break;
+    if (child + 1 < size && earlier(heads_[child + 1].key, heads_[child].key)) ++child;
+    if (!earlier(heads_[child].key, head.key)) break;
+    place_head(pos, heads_[child]);
+    pos = child;
+  }
+  place_head(pos, head);
 }
 
 }  // namespace ceio

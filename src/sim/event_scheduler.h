@@ -2,11 +2,25 @@
 //
 // Every hardware model (NIC firmware, PCIe DMA engine, memory controller,
 // CPU polling loop, traffic generators) advances by scheduling callbacks at
-// future nanosecond timestamps. Events at equal timestamps fire in
-// scheduling order (FIFO via a monotonic sequence number), which makes runs
+// future nanosecond timestamps. Work at equal timestamps runs in scheduling
+// order (FIFO via a monotonic sequence number), which makes runs
 // bit-for-bit deterministic for a given seed.
 //
-// Implementation: a three-tier queue, allocation-free on the steady-state
+// Pending work comes in two kinds, and both draw their seq from one counter:
+//   * Events: one callback each, queued in the three tiers below.
+//   * Stream items: the fixed-delay packet hops (wire arrival, NIC pipeline
+//     exit, DMA issue and landing, LLC/DRAM write completion, credit
+//     doorbell, ECN echo, DCTCP window rollover) generate their deadlines
+//     in non-decreasing order, so each hop is a FIFO: a `Stream` (in
+//     practice a CoalescedStream, sim/coalesced_stream.h) that holds its own
+//     items. The scheduler keeps only the head key of every non-empty
+//     stream, in a binary min-heap.
+// Dispatch merges the two: run_until()/step() take the least (when, seq)
+// among the queue's front and the top stream head. That is exactly the
+// order one event per item would run in; a stream item touches no slot,
+// callback, wheel bucket or bitmap.
+//
+// Queue implementation: three tiers, allocation-free on the steady-state
 // path.
 //   * Events live in a contiguous slot pool (`slots_`) recycled through a
 //     free list; handles are {slot, generation} pairs so cancel() and
@@ -23,42 +37,41 @@
 //     amortised and independent of queue depth.
 //   * Far tier: a coarse wheel of kFarSlots slots of kFarSlotSpan ticks
 //     each, covering the kFarSlots coarse slots after the near window
-//     (~2.1 ms). The DCTCP window stream's next rollover (20 µs), credit
-//     epochs (100 µs), Poisson gaps and controller polls land here with an
-//     O(1) append to the slot's intrusive FIFO; `Slot::pos` keeps the
-//     event's offset inside its coarse slot. A 16-word bitmap with a
-//     summary word finds the next non-empty slot.
+//     (~2.1 ms). Credit epochs (100 µs), Poisson gaps and controller polls
+//     land here with an O(1) append to the slot's intrusive FIFO;
+//     `Slot::pos` keeps the event's offset inside its coarse slot. A
+//     16-word bitmap with a summary word finds the next non-empty slot.
 //   * Overflow tier: events beyond the far horizon (start times, multi-ms
 //     timers) sit in an indexed 4-ary min-heap over (when, seq).
 //   * Clock advance: whenever now() crosses a coarse-slot boundary, and
-//     before any callback at the new time runs, (1) every far slot that
-//     fell below the near window cascades into the wheel, in slot order and
-//     each slot in FIFO order, then (2) heap events whose coarse slot
-//     entered the far window move down a tier in (when, seq) order. An
-//     event's tier is a function of (when, now) alone, so events sharing a
-//     timestamp always share a tier.
-//   * FIFO determinism across tiers: bucket appends are normally
-//     seq-monotonic (direct inserts use fresh seqs; cascades and migrations
-//     run before any callback at the new time, in seq order per
-//     timestamp). The one exception is re-arming a pre-allocated seq (see
-//     schedule_at_with_seq); the bucket it lands in — directly, or when its
-//     far slot cascades — is marked dirty and lazily sorted by seq before
-//     its next pop, restoring the exact global order.
+//     before any work at the new time runs, (1) every far slot that fell
+//     below the near window cascades into the wheel, in slot order and each
+//     slot in FIFO order, then (2) heap events whose coarse slot entered
+//     the far window move down a tier in (when, seq) order. An event's tier
+//     is a function of (when, now) alone, so events sharing a timestamp
+//     always share a tier.
+//   * FIFO determinism across tiers: bucket appends are seq-monotonic.
+//     Direct inserts use fresh seqs, and cascades and migrations run
+//     before any callback at the new time, in seq order per timestamp. So
+//     the first live slot of the first non-empty bucket is the queue's
+//     least key.
+//   * Cached front: the queue's least key is kept until an insert, cancel
+//     or fire changes it. A fire that leaves its bucket non-empty hands the
+//     next slot's key straight on, so a same-instant train costs O(1) per
+//     event; with the wheel empty, refreshing it scans the first non-empty
+//     far slot for its minimum (when, seq).
 //   * Cancellation: heap events are removed by sift in O(log n); wheel and
 //     far events are tombstoned in place in O(1) — the callback and
 //     captured state are destroyed and the handle invalidated at cancel
 //     time; the slot returns to the free list when the bucket cursor or the
 //     cascade passes it, or at once when its bucket or far slot has no live
 //     event left.
-//   * With the wheel empty, earliest_when() and peek() scan the first
-//     non-empty far slot for its minimum (when, seq).
 //   * Callbacks are `InlineFunction<void(), 48>`: captures up to 48 bytes
 //     (a `this` pointer plus a few ids — every callback in this repo) are
 //     stored inline and never touch the allocator.
 #pragma once
 
 #include <bit>
-#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -92,11 +105,57 @@ class EventScheduler {
   /// captures; see common/inline_function.h for the fallback behaviour.
   using Callback = InlineFunction<void(), 48>;
 
-  /// Sort key of a pending event. Two events never share a key: `seq` is
-  /// unique, and (when, seq) lexicographic order is the execution order.
+  /// Sort key of pending work. Two keys never match: `seq` is unique, and
+  /// (when, seq) lexicographic order is the execution order.
   struct EventKey {
     Nanos when;
     std::uint64_t seq;
+  };
+
+  /// A FIFO of timestamped items that the scheduler merges into its
+  /// dispatch order; CoalescedStream is the one implementation. Each item's
+  /// key is (deadline, seq from allocate_seq() at push), and deadlines never
+  /// decrease, so the front item is the stream's least key. The stream
+  /// reports its front through the note_* calls; the scheduler keeps it in
+  /// its heap of heads and calls dispatch_front() when it is the least key
+  /// pending.
+  class Stream {
+   public:
+    Stream(const Stream&) = delete;
+    Stream& operator=(const Stream&) = delete;
+
+   protected:
+    explicit Stream(EventScheduler& sched) : sched_(sched) {}
+    ~Stream() = default;
+
+    /// Counts an item just queued under `key`; the item becomes the head
+    /// when it is the stream's only one.
+    void note_push(EventKey key, bool only_item) {
+      ++sched_.stream_items_;
+      if (only_item) sched_.add_head(*this, key);
+    }
+    /// From dispatch_front(), after popping the head item: the new front's
+    /// key, or note_empty() when none is left.
+    void note_next(EventKey next) { sched_.rekey_top(next); }
+    void note_empty() { sched_.remove_head(0); }
+    /// From the destructor: forgets the stream's `items` queued items.
+    void note_destroyed(std::size_t items) {
+      sched_.stream_items_ -= items;
+      if (head_ != kNoHead) sched_.remove_head(head_);
+    }
+    /// Refuses a push whose deadline precedes `floor` (now() or the
+    /// previous deadline), naming both times.
+    [[noreturn]] static void refuse_deadline(Nanos when, Nanos floor, const char* floor_name);
+
+    EventScheduler& sched_;
+
+   private:
+    friend class EventScheduler;
+    static constexpr std::uint32_t kNoHead = 0xffffffffu;
+    /// Pops the front item, reports the new front (note_next/note_empty),
+    /// then runs the item's handler. Called at now() == its deadline.
+    virtual void dispatch_front() = 0;
+    std::uint32_t head_ = kNoHead;  // index in the scheduler's heads_
   };
 
   EventScheduler();
@@ -105,26 +164,18 @@ class EventScheduler {
   Nanos now() const { return now_; }
 
   /// Schedules `cb` to run at absolute time `when` (clamped to now()).
-  EventHandle schedule_at(Nanos when, Callback cb) {
-    return schedule_at_with_seq(when, next_seq_++, std::move(cb));
-  }
+  EventHandle schedule_at(Nanos when, Callback cb);
 
   /// Schedules `cb` to run `delay` ns from now.
   EventHandle schedule_after(Nanos delay, Callback cb) {
     return schedule_at(now_ + (delay > Nanos{0} ? delay : Nanos{0}), std::move(cb));
   }
 
-  /// Reserves the sequence number the next schedule_at would have used.
-  /// CoalescedStream pulls one per queued item at push time, so the seq
-  /// space is identical whether an item is later executed inline or via its
-  /// own scheduler event — the determinism guarantee hangs on this.
+  /// Draws the seq the next schedule_at would have used. A stream draws
+  /// one per item at push time, so the key space is identical to the one a
+  /// scheduled event per item would use — the determinism guarantee hangs
+  /// on this.
   std::uint64_t allocate_seq() { return next_seq_++; }
-
-  /// Schedules `cb` under a seq previously obtained from allocate_seq()
-  /// (clamped to now()). The event sorts exactly where a schedule_at call
-  /// made at allocation time would have. Each allocated seq must be used at
-  /// most once; reuse would break the strict-weak ordering.
-  EventHandle schedule_at_with_seq(Nanos when, std::uint64_t seq, Callback cb);
 
   /// Cancels a pending event, destroying its callback (and any captured
   /// owning state) immediately. No-op for already-fired, stale or invalid
@@ -138,46 +189,27 @@ class EventScheduler {
            slots_[handle.slot_].where != kWhereFree;
   }
 
-  /// Sort key of the earliest pending event, or false when empty. Non-const
-  /// because it may lazily seq-sort a dirty bucket (a pure reordering of
-  /// internal storage; observable state is unchanged).
+  /// Key of the least pending event or stream item, or false when nothing
+  /// is pending. Non-const because it may refresh the cached queue front.
   bool peek(EventKey& out);
 
-  /// Advances now() to `when` without executing anything. `when` must not
-  /// precede now() or the earliest pending event — callers (CoalescedStream)
-  /// use it to stamp per-item times while draining a batch inline, after
-  /// proving via peek() that no scheduled event intervenes.
-  void advance_now(Nanos when) {
-    assert(when >= now_);
-    set_now(when);
-  }
-
-  /// Deadline of the innermost run_until() in progress, or Nanos max when
-  /// running unbounded (run_all / manual step). Inline batch draining must
-  /// not cross this boundary: an item beyond it stays queued behind a
-  /// scheduled event, exactly as a per-event execution would have left it.
-  Nanos run_deadline() const { return run_deadline_; }
-
-  /// Runs events until the queue drains or `deadline` is passed; time stops
-  /// exactly at the deadline if events remain beyond it. Returns the number
-  /// of callbacks executed.
+  /// Runs pending work until nothing is left or the least key lies past
+  /// `deadline`; time stops exactly at the deadline if work remains beyond
+  /// it. Returns the number of events and stream items executed.
   std::uint64_t run_until(Nanos deadline);
 
-  /// Runs until the queue is completely empty.
+  /// Runs until nothing is pending.
   std::uint64_t run_all();
 
-  /// Executes exactly one event if any is pending. Returns false when empty.
+  /// Executes exactly one event or stream item if any is pending. Returns
+  /// false when nothing is.
   bool step();
 
-  bool empty() const { return pending_ == 0; }
-  std::size_t pending() const { return pending_; }
+  bool empty() const { return pending() == 0; }
+  /// Queued events plus queued stream items.
+  std::size_t pending() const { return queued_ + stream_items_; }
+  /// Events and stream items executed so far.
   std::uint64_t executed() const { return executed_; }
-
-  /// When false, CoalescedStream arms one scheduler event per item instead
-  /// of draining batches inline — the pre-burst execution mode. Results are
-  /// identical by construction; tests assert that bit-for-bit.
-  void set_coalescing(bool on) { coalescing_ = on; }
-  bool coalescing() const { return coalescing_; }
 
   /// Longest near window covered by the timing wheel, in ticks (= ns).
   static constexpr std::uint32_t kWheelSpan = 4096;
@@ -204,7 +236,7 @@ class EventScheduler {
 
   struct Slot {
     Callback cb;
-    std::uint64_t seq = 0;  // sort key while queued in a wheel bucket or far slot
+    std::uint64_t seq = 0;  // sort key while queued
     std::uint32_t generation = 0;  // bumped every release; 0 never matches a live handle twice
     std::uint32_t where = kWhereFree;  // see the `where` values above
     // Index within heap_ while where == kWhereHeap; the offset of `when`
@@ -229,9 +261,11 @@ class EventScheduler {
     std::uint32_t tail = kNil;
     std::uint32_t live = 0;  // non-tombstone slots in the list
   };
-  struct WheelBucket : SlotList {
-    std::uint64_t max_seq = 0;  // largest seq appended since last reset
-    bool dirty = false;         // an append broke seq order; sort before pop
+
+  // A stream's head in heads_: its front item's key.
+  struct Head {
+    EventKey key;
+    Stream* stream;
   };
 
   // One bit per entry of a circular array of N buckets, plus a summary word
@@ -268,6 +302,9 @@ class EventScheduler {
   static bool earlier(const HeapNode& a, const HeapNode& b) {
     return a.when != b.when ? a.when < b.when : a.seq < b.seq;
   }
+  static bool earlier(const EventKey& a, const EventKey& b) {
+    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+  }
   static std::int64_t coarse_of(Nanos when) { return when.count() >> kFarShift; }
 
   std::uint32_t acquire_slot();
@@ -298,7 +335,6 @@ class EventScheduler {
     while (list.head != kNil && slots_[list.head].where == kWhereTomb) free_front(list);
   }
   void reset_bucket(std::uint32_t index);
-  void sort_bucket(WheelBucket& b);
   /// Moves far slot `index`, holding coarse slot `coarse`, into the wheel in
   /// FIFO order, freeing its tombstones.
   void cascade(std::uint32_t index, std::int64_t coarse);
@@ -321,31 +357,62 @@ class EventScheduler {
   /// Earliest (when, seq) in the first non-empty far slot.
   /// Precondition: far_live_ > 0.
   EventKey far_front() const;
-  /// Timestamp of the earliest pending event. Precondition: pending_ > 0.
-  Nanos earliest_when() const;
-  /// Advances to `when` and executes the front event of its bucket.
-  void fire_at(Nanos when);
+  /// Recomputes front_ from the tiers. Precondition: queued_ > 0.
+  void refresh_front();
+  /// Runs the least pending event or stream item unless its time is past
+  /// `deadline`; with `run`, a stream item is followed by the rest of its
+  /// same-instant run (see fire_head). Returns false when it ran nothing.
+  bool dispatch_next(Nanos deadline, bool run);
+  /// Advances to front_ and executes that event.
+  void fire_front();
+  /// Advances to the top stream head and dispatches its item; with `run`,
+  /// then the stream's next items while each is still the least key
+  /// pending at the same instant, without returning to dispatch_next.
+  void fire_head(bool run);
+
+  // The heap of stream heads, a binary min-heap over Head::key; each
+  // stream's Stream::head_ tracks its index.
+  void add_head(Stream& stream, EventKey key);
+  /// Gives the top head (the stream being dispatched) its next key. Keys
+  /// only grow, so it sifts down only when a child now precedes it; along a
+  /// same-instant train it stays on top for two compares an item.
+  void rekey_top(EventKey key) {
+    heads_[0].key = key;
+    const std::size_t n = heads_.size();
+    if ((n > 1 && earlier(heads_[1].key, key)) || (n > 2 && earlier(heads_[2].key, key))) {
+      sift_head_down(0, heads_[0]);
+    }
+  }
+  void remove_head(std::uint32_t pos);
+  void place_head(std::uint32_t pos, const Head& head) {
+    heads_[pos] = head;
+    head.stream->head_ = pos;
+  }
+  void sift_head_up(std::uint32_t pos, Head head);
+  void sift_head_down(std::uint32_t pos, Head head);
 
   std::vector<Slot> slots_;
   std::vector<HeapNode> heap_;  // 4-ary min-heap over events past the far horizon
-  std::vector<WheelBucket> buckets_;  // kWheelSpan near-future FIFOs
-  std::vector<SlotList> far_;         // kFarSlots coarse FIFOs
-  std::vector<std::uint32_t> sort_scratch_;  // slot ids; reused across sorts
+  std::vector<SlotList> buckets_;  // kWheelSpan near-future FIFOs
+  std::vector<SlotList> far_;      // kFarSlots coarse FIFOs
+  std::vector<Head> heads_;        // non-empty streams' heads, min-heap
   RingBitmap<kWheelSpan> wheel_bits_;  // bucket i set iff buckets_[i].live > 0
   RingBitmap<kFarSlots> far_bits_;     // slot i set iff far_[i].live > 0
   std::uint32_t wheel_live_ = 0;  // live (non-tombstone) wheel entries
   std::uint32_t far_live_ = 0;    // live (non-tombstone) far entries
-  std::size_t pending_ = 0;       // live events across all three tiers
+  std::size_t queued_ = 0;        // live events across all three tiers
+  std::size_t stream_items_ = 0;  // items queued in streams
+  // The queue's least key while queued_ > 0; seq 0 (never drawn) marks it
+  // stale until the next dispatch recomputes it.
+  EventKey front_{Nanos{0}, 0};
   std::uint32_t free_head_ = kNil;
   Nanos now_{0};
   // Coarse slot (when / kFarSlotSpan) that far slot `far_next_ & kFarMask`
   // holds: now's coarse slot + 2. Near events sit below it, far events in
   // [far_next_, far_next_ + kFarSlots), heap events at or beyond that.
   std::int64_t far_next_ = 2;
-  Nanos run_deadline_;  // initialised to Nanos max in the constructor
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
-  bool coalescing_ = true;
 };
 
 }  // namespace ceio

@@ -1,20 +1,25 @@
 // Unit tests for the discrete-event scheduler: ordering, determinism,
 // cancellation and deadline semantics, the three tiers (timing wheel, far
-// wheel, overflow heap) checked against a reference ordered set, plus the
-// allocation-free guarantees of the slot-pool implementation.
+// wheel, overflow heap) and the streams merged with them, checked against a
+// reference ordered set, plus the allocation-free guarantees of the
+// slot-pool implementation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <deque>
 #include <map>
 #include <memory>
 #include <new>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "sim/coalesced_stream.h"
 #include "sim/event_scheduler.h"
 
 // Global allocation counter: lets tests assert that the scheduler's
@@ -519,45 +524,117 @@ TEST(EventScheduler, SelfRescheduleLoop) {
   EXPECT_EQ(sched.now(), Nanos{10'000});
 }
 
+// ---- Streams: FIFO hops merged into the dispatch order ----
+
+// A stream item sorts by the seq its push drew: it runs between the events
+// scheduled before and after the push at the same instant, at now() == its
+// deadline, and counts in pending() and executed() like an event.
+TEST(CoalescedStream, ItemsTakeTheirPlaceInTheSeqOrder) {
+  EventScheduler sched;
+  std::vector<int> order;
+  CoalescedStream<int> stream(sched, [&](Nanos when, int tag) {
+    EXPECT_EQ(sched.now(), when);
+    order.push_back(tag);
+  });
+  sched.schedule_at(Nanos{10}, [&]() { order.push_back(1); });
+  stream.push(Nanos{10}, 2);
+  sched.schedule_at(Nanos{10}, [&]() { order.push_back(3); });
+  stream.push(Nanos{10}, 4);
+  stream.push(Nanos{12}, 6);
+  sched.schedule_at(Nanos{11}, [&]() { order.push_back(5); });
+  EXPECT_EQ(sched.pending(), 6u);
+  EventScheduler::EventKey key{};
+  ASSERT_TRUE(sched.peek(key));
+  EXPECT_EQ(key.when, Nanos{10});
+  EXPECT_EQ(key.seq, 1u);
+  EXPECT_EQ(sched.run_until(Nanos{11}), 5u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(sched.pending(), 1u);
+  EXPECT_EQ(stream.size(), 1u);
+  EXPECT_TRUE(sched.step());
+  EXPECT_EQ(order.back(), 6);
+  EXPECT_EQ(sched.executed(), 6u);
+  EXPECT_TRUE(sched.empty());
+  EXPECT_FALSE(sched.peek(key));
+}
+
+// The scheduler trusts each stream's front to be its least key, so push
+// refuses, in every build, a deadline before now() or before the previous
+// one, and names both times.
+TEST(CoalescedStream, RefusesDecreasingDeadlines) {
+  EventScheduler sched;
+  CoalescedStream<int> stream(sched, [](Nanos, int) {});
+  stream.push(Nanos{100}, 1);
+  try {
+    stream.push(Nanos{99}, 2);
+    FAIL() << "a decreasing deadline was accepted";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("99 ns"), std::string::npos) << what;
+    EXPECT_NE(what.find("previous deadline 100 ns"), std::string::npos) << what;
+  }
+  sched.run_until(Nanos{200});
+  EXPECT_THROW(stream.push(Nanos{150}, 3), std::logic_error);
+  EXPECT_TRUE(stream.empty());
+  EXPECT_EQ(sched.pending(), 0u);
+}
+
 // ---- Differential check against a reference ordered set ----
 
 // Drives one scheduler with a seeded mix of operations and checks it against
 // a std::set of (when, seq) keys whose seq counter advances exactly where the
-// scheduler's does. Callbacks schedule across every tier (same-tick, near,
-// far, synchronised 20 µs timers, multi-ms overflow), reserve seqs for later
-// schedule_at_with_seq re-arms, and cancel random pending events; the main
-// loop mixes step(), short run_until() windows and rare 30 ms jumps. Each of
-// the 40 instances below runs one seed.
+// scheduler's does. Plain events are scheduled across every tier (same-tick,
+// near, far, synchronised 20 µs timers, multi-ms overflow) and cancelled at
+// random. Six CoalescedStreams (three levels of the scheduler's heap of
+// stream heads) take trains of items, same-instant or 1 ns apart, pushed
+// from the main loop and from inside handlers; now and then one is
+// destroyed while it still holds items and a fresh one takes its place. The main loop mixes step(), run_until() windows (some ending inside
+// a train) and rare 30 ms jumps. Each of the 40 instances below runs one
+// seed.
 class SchedulerDifferential : public ::testing::TestWithParam<int> {
  protected:
-  SchedulerDifferential() : rng_(static_cast<std::uint64_t>(GetParam())) {}
+  using Key = std::pair<std::int64_t, std::uint64_t>;  // (when, seq)
+  using Stream = CoalescedStream<Key>;
+  static constexpr std::size_t kStreams = 6;
+
+  SchedulerDifferential() : rng_(static_cast<std::uint64_t>(GetParam())) {
+    for (std::size_t s = 0; s < kStreams; ++s) open_stream(s);
+  }
 
   void run() {
     for (int i = 0; i < 64; ++i) schedule_fresh();
+    for (std::size_t s = 0; s < kStreams; ++s) push_train(s);
     for (int op = 0; op < 1500 && !HasFailure(); ++op) {
       const std::int64_t pick = rng_.uniform(0, 99);
-      if (pick < 70) {
+      if (pick < 65) {
         const bool any = !pending_.empty();
         EXPECT_EQ(sched_.step(), any);
+      } else if (pick < 70) {
+        run_into_train();
+      } else if (pick < 72) {
+        close_stream(static_cast<std::size_t>(rng_.uniform(0, kStreams - 1)));
       } else {
         const Nanos deadline =
             sched_.now() + (pick < 99 ? Nanos{rng_.uniform(0, 50'000)} : Nanos{30'000'000});
-        sched_.run_until(deadline);
-        EXPECT_EQ(sched_.now(), deadline);
-        if (!pending_.empty()) {
-          EXPECT_GT(pending_.begin()->first, deadline.count());
-        }
+        run_window(deadline);
       }
       check_front();
       while (pending_.size() < 32) schedule_fresh();
+      for (std::size_t s = 0; s < kStreams; ++s) {
+        if (streams_[s].items.empty()) push_train(s);
+      }
     }
-    draining_ = true;  // fire what is left without scheduling more
+    draining_ = true;  // run what is left without scheduling more
     sched_.run_all();
     EXPECT_TRUE(pending_.empty());
     EXPECT_EQ(sched_.pending(), 0u);
+    EXPECT_EQ(sched_.executed(), executed_);
   }
 
-  using Key = std::pair<std::int64_t, std::uint64_t>;  // (when, seq)
+  struct StreamState {
+    std::unique_ptr<Stream> stream;
+    std::deque<Key> items;  // mirrors the stream's FIFO
+  };
 
   Nanos draw_delay() {
     switch (rng_.uniform(0, 5)) {
@@ -582,15 +659,54 @@ class SchedulerDifferential : public ::testing::TestWithParam<int> {
     track(key, sched_.schedule_at(when, [this, key]() { on_fire(key); }));
   }
 
-  void schedule_reserved() {
+  void open_stream(std::size_t s) {
+    streams_[s].stream = std::make_unique<Stream>(
+        sched_, [this, s](Nanos when, Key key) { on_item(s, when, key); });
+  }
+
+  /// Destroys stream `s` with whatever it holds, then opens a fresh one.
+  void close_stream(std::size_t s) {
+    for (const Key& key : streams_[s].items) pending_.erase(key);
+    streams_[s].items.clear();
+    streams_[s].stream.reset();
+    open_stream(s);
+    check_front();
+  }
+
+  /// Pushes 1-6 items onto stream `s`, all at one instant or 1 ns apart,
+  /// starting no earlier than its last deadline.
+  void push_train(std::size_t s) {
+    StreamState& st = streams_[s];
+    Nanos when = sched_.now() + (rng_.chance(0.3) ? Nanos{0} : draw_delay());
+    if (!st.items.empty()) when = std::max(when, Nanos{st.items.back().first});
+    const Nanos step{rng_.uniform(0, 1)};
+    for (std::int64_t n = rng_.uniform(1, 6); n > 0; --n) {
+      const Key key{when.count(), next_seq_++};
+      st.stream->push(when, key);
+      st.items.push_back(key);
+      pending_.insert(key);
+      when += step;
+    }
+  }
+
+  /// run_until() to the deadline of a random queued stream item, so a train
+  /// at or around that instant is split.
+  void run_into_train() {
+    const StreamState& st = streams_[static_cast<std::size_t>(rng_.uniform(0, kStreams - 1))];
+    if (st.items.empty()) return;
     const auto i = static_cast<std::size_t>(
-        rng_.uniform(0, static_cast<std::int64_t>(reserved_.size()) - 1));
-    const std::uint64_t seq = reserved_[i];
-    reserved_[i] = reserved_.back();
-    reserved_.pop_back();
-    const Nanos when = sched_.now() + draw_delay();
-    const Key key{when.count(), seq};
-    track(key, sched_.schedule_at_with_seq(when, seq, [this, key]() { on_fire(key); }));
+        rng_.uniform(0, static_cast<std::int64_t>(st.items.size()) - 1));
+    run_window(Nanos{st.items[i].first});
+  }
+
+  void run_window(Nanos deadline) {
+    const std::uint64_t before = sched_.executed();
+    const std::uint64_t ran = sched_.run_until(deadline);
+    EXPECT_EQ(sched_.executed() - before, ran);
+    EXPECT_EQ(sched_.now(), deadline);
+    if (!pending_.empty()) {
+      EXPECT_GT(pending_.begin()->first, deadline.count());
+    }
   }
 
   void track(const Key& key, EventHandle handle) {
@@ -611,20 +727,42 @@ class SchedulerDifferential : public ::testing::TestWithParam<int> {
     return handle;
   }
 
-  void on_fire(const Key& key) {
+  void expect_next(const Key& key) {
+    ++executed_;
     EXPECT_EQ(sched_.now().count(), key.first);
     ASSERT_FALSE(pending_.empty());
     EXPECT_EQ(*pending_.begin(), key);
+  }
+
+  void on_fire(const Key& key) {
+    expect_next(key);
     fired_ = untrack(key);
     EXPECT_FALSE(sched_.is_pending(fired_));
+    react();
+  }
+
+  void on_item(std::size_t s, Nanos when, const Key& key) {
+    expect_next(key);
+    EXPECT_EQ(when.count(), key.first);
+    StreamState& st = streams_[s];
+    ASSERT_FALSE(st.items.empty());
+    EXPECT_EQ(st.items.front(), key);
+    st.items.pop_front();
+    pending_.erase(key);
+    react();
+  }
+
+  /// What a handler does besides checking its own key: schedule events,
+  /// push a train onto a stream holding fewer than 8 items (which keeps the
+  /// population bounded), cancel a random plain event.
+  void react() {
     if (draining_) return;
     const std::int64_t children = rng_.uniform(0, 2);
     for (std::int64_t c = 0; c < children; ++c) schedule_fresh();
-    if (rng_.chance(0.2)) {
-      EXPECT_EQ(sched_.allocate_seq(), next_seq_);
-      reserved_.push_back(next_seq_++);
+    if (rng_.chance(0.3)) {
+      const auto s = static_cast<std::size_t>(rng_.uniform(0, kStreams - 1));
+      if (streams_[s].items.size() < 8) push_train(s);
     }
-    if (!reserved_.empty() && rng_.chance(0.25)) schedule_reserved();
     if (!live_.empty() && rng_.chance(0.2)) {
       const auto i = static_cast<std::size_t>(
           rng_.uniform(0, static_cast<std::int64_t>(live_.size()) - 1));
@@ -638,6 +776,7 @@ class SchedulerDifferential : public ::testing::TestWithParam<int> {
 
   void check_front() {
     EXPECT_EQ(sched_.pending(), pending_.size());
+    EXPECT_EQ(sched_.executed(), executed_);
     EventScheduler::EventKey key{};
     if (pending_.empty()) {
       EXPECT_FALSE(sched_.peek(key));
@@ -651,10 +790,11 @@ class SchedulerDifferential : public ::testing::TestWithParam<int> {
   EventScheduler sched_;
   Rng rng_;
   std::uint64_t next_seq_ = 1;  // mirrors the scheduler's seq counter
-  std::set<Key> pending_;
+  std::uint64_t executed_ = 0;  // events and items run so far
+  std::set<Key> pending_;       // every queued event and stream item
   std::vector<std::pair<Key, EventHandle>> live_;  // pending events, any order
   std::map<std::uint64_t, std::size_t> index_;    // seq -> index in live_
-  std::vector<std::uint64_t> reserved_;           // allocated, not yet scheduled
+  StreamState streams_[kStreams];
   EventHandle fired_;
   bool draining_ = false;
 };

@@ -178,23 +178,19 @@ TEST(CeioActuators, LandedScaleRoundTrip) {
   cfg.system = SystemKind::kCeio;
   cfg.ceio_auto_credits = false;
   cfg.ceio.landed_cap = 101;
-  cfg.ceio.bypass_landed_cap = 333;
   Testbed bed(cfg);
   CeioDatapath* ceio = bed.ceio();
   ASSERT_NE(ceio, nullptr);
   // Scales apply to the configured caps, never to the last scaled value.
   ceio->set_landed_scale(0.5);
   EXPECT_EQ(ceio->config().landed_cap, 51u);  // llround(50.5)
-  EXPECT_EQ(ceio->config().bypass_landed_cap, 167u);
   ceio->set_landed_scale(0.5);
   EXPECT_EQ(ceio->config().landed_cap, 51u);
   ceio->set_landed_scale(0.01);
   EXPECT_EQ(ceio->config().landed_cap, 8u);  // the floor
-  EXPECT_EQ(ceio->config().bypass_landed_cap, 8u);
   // Scale 1.0 restores the configured caps exactly.
   ceio->set_landed_scale(1.0);
   EXPECT_EQ(ceio->config().landed_cap, 101u);
-  EXPECT_EQ(ceio->config().bypass_landed_cap, 333u);
 }
 
 TEST(CeioActuators, BypassExileSwitchesImmediately) {

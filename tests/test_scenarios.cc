@@ -8,6 +8,7 @@
 #include "apps/vxlan.h"
 #include "audit/model_auditor.h"
 #include "iopath/testbed.h"
+#include "report_digest.h"
 
 namespace ceio {
 namespace {
@@ -35,14 +36,12 @@ FlowConfig bypass(FlowId id, double rate_gbps = 20.0) {
 // measurement window whose per-flow reports land in `reports`. Asserts
 // basic accounting (CEIO credit conservation) at every step, and that the
 // invariant pack stays silent throughout.
-void run_churn(SystemKind system, std::uint64_t seed, bool coalesce,
-               std::vector<FlowReport>* reports) {
+void run_churn(SystemKind system, std::uint64_t seed, std::vector<FlowReport>* reports) {
   TestbedConfig cfg;
   cfg.system = system;
   cfg.seed = seed;
   cfg.ceio.inactive_timeout = millis(1);
   Testbed bed(cfg);
-  bed.sched().set_coalescing(coalesce);
   ModelAuditor& auditor = bed.enable_audit(micros(20));
   auto& kv = bed.make_kv_store();
   auto& dfs = bed.make_linefs();
@@ -119,33 +118,46 @@ class ScenarioChaos
 TEST_P(ScenarioChaos, SurvivesChurn) {
   const auto [system, seed] = GetParam();
   std::vector<FlowReport> reports;
-  run_churn(system, seed, /*coalesce=*/true, &reports);
+  run_churn(system, seed, &reports);
   EXPECT_GT(aggregate_mpps(reports), 0.0);
 }
 
 // Stopped and restarted sources leave voided rollovers on the DCTCP window
-// stream, and removed flows shift the CEIO poll positions: with inline
-// burst drains off (one scheduler event per item) every report must still
-// match bit for bit.
+// stream, and removed flows shift the CEIO poll positions: every report must
+// still match, bit for bit, the one-event-per-item execution these digests
+// (tests/report_digest.h) were recorded from, one per system and seed.
 TEST_P(ScenarioChaos, CoalescingInvisibleUnderChurn) {
   const auto [system, seed] = GetParam();
-  std::vector<FlowReport> burst;
-  std::vector<FlowReport> per_item;
-  run_churn(system, seed, /*coalesce=*/true, &burst);
-  run_churn(system, seed, /*coalesce=*/false, &per_item);
-  ASSERT_FALSE(burst.empty());
-  ASSERT_EQ(burst.size(), per_item.size());
-  for (std::size_t i = 0; i < burst.size(); ++i) {
-    EXPECT_EQ(burst[i].id, per_item[i].id);
-    EXPECT_EQ(burst[i].messages, per_item[i].messages) << "flow " << burst[i].id;
-    EXPECT_EQ(burst[i].drops, per_item[i].drops) << "flow " << burst[i].id;
-    EXPECT_EQ(burst[i].mpps, per_item[i].mpps) << "flow " << burst[i].id;
-    EXPECT_EQ(burst[i].gbps, per_item[i].gbps) << "flow " << burst[i].id;
-    EXPECT_EQ(burst[i].message_gbps, per_item[i].message_gbps) << "flow " << burst[i].id;
-    EXPECT_EQ(burst[i].p50, per_item[i].p50) << "flow " << burst[i].id;
-    EXPECT_EQ(burst[i].p99, per_item[i].p99) << "flow " << burst[i].id;
-    EXPECT_EQ(burst[i].p999, per_item[i].p999) << "flow " << burst[i].id;
+  struct Pinned {
+    SystemKind system;
+    std::uint64_t seed;
+    std::int64_t messages;
+    std::uint64_t digest;
+  };
+  static constexpr Pinned kPinned[] = {
+      {SystemKind::kLegacy, 1, 9763, 0x1802db5e653f31e2ull},
+      {SystemKind::kLegacy, 2, 4086, 0x9c3c1bb2eb1a1ac1ull},
+      {SystemKind::kLegacy, 3, 11183, 0xdc51acd2b881a340ull},
+      {SystemKind::kHostcc, 1, 9762, 0x79326b3d66ce12d6ull},
+      {SystemKind::kHostcc, 2, 4086, 0x9c3c1bb2eb1a1ac1ull},
+      {SystemKind::kHostcc, 3, 11256, 0xd42b5cbe4f385580ull},
+      {SystemKind::kShring, 1, 8684, 0x6880f04a662ff8d3ull},
+      {SystemKind::kShring, 2, 4086, 0xd19f73199f47bb75ull},
+      {SystemKind::kShring, 3, 13859, 0xf3da4747a42f69d7ull},
+      {SystemKind::kCeio, 1, 11173, 0x4766cb0610b8b0f9ull},
+      {SystemKind::kCeio, 2, 3690, 0x7e3af9719ac020b8ull},
+      {SystemKind::kCeio, 3, 14829, 0x5be0a2fa0884d415ull},
+  };
+  std::vector<FlowReport> reports;
+  run_churn(system, seed, &reports);
+  ASSERT_FALSE(reports.empty());
+  const Pinned* pinned = nullptr;
+  for (const Pinned& p : kPinned) {
+    if (p.system == system && p.seed == seed) pinned = &p;
   }
+  ASSERT_NE(pinned, nullptr);
+  EXPECT_EQ(total_messages(reports), pinned->messages);
+  EXPECT_EQ(report_digest(reports), pinned->digest);
 }
 
 INSTANTIATE_TEST_SUITE_P(

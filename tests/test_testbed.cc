@@ -8,6 +8,7 @@
 #include "config/config_ops.h"
 #include "harness/experiment.h"
 #include "iopath/testbed.h"
+#include "report_digest.h"
 
 namespace ceio {
 namespace {
@@ -130,18 +131,17 @@ TEST(Testbed, RunUntilAdvancesClock) {
   EXPECT_EQ(bed.now(), millis(4));
 }
 
-// Burst coalescing must be a pure wall-clock optimisation. Running the same
-// scenario with inline burst drains disabled (one scheduler event per
-// packet — the pre-burst execution) has to produce bit-identical per-packet
-// timing: every latency percentile comes from the same per-message samples,
-// every counter from the same delivery sequence.
+// Stream items run at exactly the times one scheduler event per packet
+// gave them. Each pinned digest (tests/report_digest.h) covers every field
+// of every flow's report, recorded from that one-event-per-item execution:
+// every latency percentile comes from the same per-message samples, every
+// counter from the same delivery sequence.
 TEST(Testbed, BurstCoalescingPreservesEveryTimestamp) {
-  auto run = [](SystemKind system, bool coalesce) {
+  auto run = [](SystemKind system) {
     TestbedConfig cfg;
     cfg.system = system;
     cfg.seed = 11;
     Testbed bed(cfg);
-    bed.sched().set_coalescing(coalesce);
     auto& kv = bed.make_kv_store();
     for (FlowId id = 1; id <= 4; ++id) {
       FlowConfig fc;
@@ -156,20 +156,12 @@ TEST(Testbed, BurstCoalescingPreservesEveryTimestamp) {
     for (FlowId id = 1; id <= 4; ++id) out.push_back(bed.report(id));
     return out;
   };
-  for (const SystemKind system : {SystemKind::kCeio, SystemKind::kShring}) {
-    const auto burst = run(system, /*coalesce=*/true);
-    const auto per_packet = run(system, /*coalesce=*/false);
-    ASSERT_EQ(burst.size(), per_packet.size());
-    for (std::size_t i = 0; i < burst.size(); ++i) {
-      EXPECT_EQ(burst[i].messages, per_packet[i].messages);
-      EXPECT_EQ(burst[i].drops, per_packet[i].drops);
-      EXPECT_EQ(burst[i].mpps, per_packet[i].mpps);
-      EXPECT_EQ(burst[i].gbps, per_packet[i].gbps);
-      EXPECT_EQ(burst[i].p50, per_packet[i].p50);
-      EXPECT_EQ(burst[i].p99, per_packet[i].p99);
-      EXPECT_EQ(burst[i].p999, per_packet[i].p999);
-    }
-  }
+  const auto ceio = run(SystemKind::kCeio);
+  EXPECT_EQ(total_messages(ceio), 29045);
+  EXPECT_EQ(report_digest(ceio), 0xfb61c4117df265ccull);
+  const auto shring = run(SystemKind::kShring);
+  EXPECT_EQ(total_messages(shring), 27990);
+  EXPECT_EQ(report_digest(shring), 0x58c20a0523f01f35ull);
 }
 
 // The same contract at scale: 1,024 Poisson echo flows on CEIO with a full
@@ -178,42 +170,26 @@ TEST(Testbed, BurstCoalescingPreservesEveryTimestamp) {
 // controller poll jumps between armed flows across 1,024 positions; every
 // report field must match the one-event-per-item run bit for bit.
 TEST(Testbed, BurstCoalescingPreservesPoissonEchoAtScale) {
-  auto run = [](bool coalesce) {
-    harness::ExperimentSpec spec;
-    std::string error;
-    EXPECT_TRUE(config::apply_text(spec,
-                                   "workload.app = echo\n"
-                                   "workload.flows = 1024\n"
-                                   "workload.offered_rate = 0.04Gbps\n"
-                                   "workload.poisson = true\n"
-                                   "ceio.fast_ring_entries = 16\n"
-                                   "ceio.poll_scan_limit = 4096\n"
-                                   "ceio.inactive_timeout = 200us\n",
-                                   &error))
-        << error;
-    Testbed bed(spec.testbed);
-    bed.sched().set_coalescing(coalesce);
-    Application* app = make_app(bed, spec.workload.app);
-    harness::for_each_flow(spec, [&](const FlowConfig& fc) { bed.add_flow(fc, *app); });
-    harness::settle_and_measure(bed, micros(250), micros(500));
-    return bed.all_reports();
-  };
-  const auto burst = run(/*coalesce=*/true);
-  const auto per_item = run(/*coalesce=*/false);
-  ASSERT_EQ(burst.size(), 1024u);
-  ASSERT_EQ(burst.size(), per_item.size());
-  std::int64_t messages = 0;
-  for (std::size_t i = 0; i < burst.size(); ++i) {
-    EXPECT_EQ(burst[i].messages, per_item[i].messages) << "flow " << burst[i].id;
-    EXPECT_EQ(burst[i].drops, per_item[i].drops) << "flow " << burst[i].id;
-    EXPECT_EQ(burst[i].mpps, per_item[i].mpps) << "flow " << burst[i].id;
-    EXPECT_EQ(burst[i].gbps, per_item[i].gbps) << "flow " << burst[i].id;
-    EXPECT_EQ(burst[i].p50, per_item[i].p50) << "flow " << burst[i].id;
-    EXPECT_EQ(burst[i].p99, per_item[i].p99) << "flow " << burst[i].id;
-    EXPECT_EQ(burst[i].p999, per_item[i].p999) << "flow " << burst[i].id;
-    messages += burst[i].messages;
-  }
-  EXPECT_GT(messages, 1000);  // the run moved traffic
+  harness::ExperimentSpec spec;
+  std::string error;
+  ASSERT_TRUE(config::apply_text(spec,
+                                 "workload.app = echo\n"
+                                 "workload.flows = 1024\n"
+                                 "workload.offered_rate = 0.04Gbps\n"
+                                 "workload.poisson = true\n"
+                                 "ceio.fast_ring_entries = 16\n"
+                                 "ceio.poll_scan_limit = 4096\n"
+                                 "ceio.inactive_timeout = 200us\n",
+                                 &error))
+      << error;
+  Testbed bed(spec.testbed);
+  Application* app = make_app(bed, spec.workload.app);
+  harness::for_each_flow(spec, [&](const FlowConfig& fc) { bed.add_flow(fc, *app); });
+  harness::settle_and_measure(bed, micros(250), micros(500));
+  const auto reports = bed.all_reports();
+  ASSERT_EQ(reports.size(), 1024u);
+  EXPECT_EQ(total_messages(reports), 4963);
+  EXPECT_EQ(report_digest(reports), 0x6b800603b857d2b4ull);
 }
 
 }  // namespace

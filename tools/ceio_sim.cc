@@ -25,6 +25,7 @@
 // telemetry subsystem (sampling set by the `telemetry.*` keys) and writes
 // PREFIX.trace.json (open in https://ui.perfetto.dev or chrome://tracing)
 // and PREFIX.timeseries.csv; stdout is the same as without it.
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -148,6 +149,18 @@ constexpr FlagAlias kFlagAliases[] = {
   std::exit(2);
 }
 
+/// The whole of `value` as a positive int, else exits 2 naming `flag`:
+/// trailing junk, an empty value and an overflow are all refused.
+int parse_count(const char* flag, const std::string& value) {
+  int n = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, n);
+  if (ec != std::errc{} || ptr != end || n < 1) {
+    fail(std::string(flag) + " expects a positive count, got '" + value + "'");
+  }
+  return n;
+}
+
 void apply_set(harness::ExperimentSpec& spec, const std::string& kv) {
   const std::size_t eq = kv.find('=');
   if (eq == std::string::npos) fail("--set expects KEY=VALUE, got '" + kv + "'");
@@ -228,11 +241,9 @@ CliOptions parse(int argc, char** argv) {
       if (!harness::parse_axis(v, &axis, &error)) fail("--sweep: " + error);
       opt.axes.push_back(std::move(axis));
     } else if (parse_flag(argc, argv, &i, "--runs", &v)) {
-      runs = std::atoi(v.c_str());
-      if (runs <= 0) fail("--runs expects a positive count");
+      runs = parse_count("--runs", v);
     } else if (parse_flag(argc, argv, &i, "--jobs", &v)) {
-      opt.jobs = std::atoi(v.c_str());
-      if (opt.jobs < 1) fail("--jobs expects a positive count");
+      opt.jobs = parse_count("--jobs", v);
     } else if (parse_flag(argc, argv, &i, "--trace", &v)) {
       if (v.empty()) fail("--trace expects an output prefix");
       opt.trace_prefix = v;

@@ -389,19 +389,18 @@ def check_unreflected_config(findings: list[Finding]) -> None:
 
 RAW_ACTUATOR_RE = re.compile(
     r"(?:\.|->)\s*(set_credit_scale|set_bypass_slow|set_landed_scale|"
-    r"set_total_credits|set_coalescing)\s*\("
+    r"set_total_credits)\s*\("
 )
 
 
 def check_raw_actuator(findings: list[Finding]) -> None:
     """Member calls (`.` or `->`), from src/ outside src/policy/, to the
     governor's CEIO actuators (set_credit_scale, set_bypass_slow,
-    set_landed_scale), to CEIO's credit-budget reset set_total_credits, or to
-    EventScheduler::set_coalescing. The actuators are the governor's write
-    surface; a layer pushing one directly bypasses the decision ladder and
-    its grant-hold rules. Defining a setter stays legal (no member-access
-    operator); call sites that own an actuator (the tenant bed's Eq.-1
-    re-derivation) annotate."""
+    set_landed_scale) or to CEIO's credit-budget reset set_total_credits.
+    The actuators are the governor's write surface; a layer pushing one
+    directly bypasses the decision ladder and its grant-hold rules. Defining
+    a setter stays legal (no member-access operator); call sites that own an
+    actuator (the tenant bed's Eq.-1 re-derivation) annotate."""
     rule = "raw-actuator"
     for src, lineno, line in raw_lines(rule, ("src",)):
         if src.path.relative_to(REPO_ROOT).parts[1] == "policy":
